@@ -38,7 +38,6 @@ from .quadrature import (
     QuadratureSpec,
     halfline_via_u,
     integrate_unit,
-    triangle_to_rect,
 )
 from .vol_surface import VolPoint, VolSurface, bs_call, implied_vol, model_surface
 
@@ -70,7 +69,6 @@ __all__ = [
     "f1_hat",
     "integrate_unit",
     "halfline_via_u",
-    "triangle_to_rect",
     "gaussian_average",
     "poisson_solve_derivative",
     "compute_group_params",

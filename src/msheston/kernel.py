@@ -32,6 +32,14 @@ NEAR_SINGULAR_FLOOR = 1e-12
 # the direct form loses ~|t*d|^-1 * eps digits to cancellation there.
 _SERIES_CUTOFF = 1e-4
 
+# Below this |x| the two log ratios of the closed-form correction transform
+# switch to their power series (coefficients highest power first, as polyval
+# takes them): sixteen terms truncate at |x|**16 = 1e-16, and just above the
+# cutoff the direct forms lose at most eps/|x|**2 = 2.2e-14 relative.
+_LOG_SERIES_CUTOFF = 0.1
+_LOG_RATIO_SERIES = np.array([(-1.0) ** n / (n + 1) for n in range(15, -1, -1)])
+_M2_SERIES = np.array([(-1.0) ** n * (n + 1) / (n + 2) for n in range(15, -1, -1)])
+
 
 @dataclass(frozen=True)
 class HestonParams:
@@ -132,29 +140,8 @@ def _w_factor(t, d):
     return np.where(small, series, (1.0 - np.exp(-x)) / d_safe)
 
 
-def _zeta_of(t, k, p: HestonParams, d=None, m=None):
-    if d is None:
-        d, m = _d_of(k, p)
-    return 1.0 + (m - d) * _w_factor(t, d) / 2.0
-
-
-def _log_zeta(t, k, p: HestonParams, d=None, m=None):
-    zeta = _zeta_of(t, k, p, d, m)
-    z_arr = np.asarray(zeta)
-    on_cut = (z_arr.imag == 0.0) & (z_arr.real <= 0.0)
-    if np.any(on_cut):
-        raise BranchCrossing(
-            "zeta landed exactly on the negative real axis; "
-            "the contour log would be discontinuous here"
-        )
-    return np.log(zeta)
-
-
-def _cd_of(tau, k, p: HestonParams, d=None, m=None):
-    """The exponent pair (C, D) of the transform kernel, zeta form."""
-    if d is None:
-        d, m = _d_of(k, p)
-    w = _w_factor(tau, d)
+def _zeta_log(w, d, m):
+    """zeta = 1 + (M - d) * w / 2 and its principal log, rejecting the cut."""
     zeta = 1.0 + (m - d) * w / 2.0
     z_arr = np.asarray(zeta)
     if np.any((z_arr.imag == 0.0) & (z_arr.real <= 0.0)):
@@ -162,32 +149,80 @@ def _cd_of(tau, k, p: HestonParams, d=None, m=None):
             "zeta landed exactly on the negative real axis; "
             "the contour log would be discontinuous here"
         )
-    log_zeta = np.log(zeta)
+    return zeta, np.log(zeta)
+
+
+def _cd_of(tau, k, p: HestonParams, d=None, m=None):
+    """The exponent pair (C, D) of the transform kernel, zeta form."""
+    if d is None:
+        d, m = _d_of(k, p)
+    w = _w_factor(tau, d)
+    zeta, log_zeta = _zeta_log(w, d, m)
     c_val = p.kappa * p.theta / p.sigma**2 * ((m - d) * tau - 2.0 * log_zeta)
     d_val = -(k * k - 1j * k) * w / (2.0 * zeta)
     return c_val, d_val, log_zeta
 
 
-def _a_of(tau, k, s, p: HestonParams, d=None, m=None, log_zeta_tau=None):
-    """Exponent kernel of the correction's inner time integral."""
-    if d is None:
-        d, m = _d_of(k, p)
-    if log_zeta_tau is None:
-        log_zeta_tau = _log_zeta(tau, k, p, d, m)
-    log_zeta_s = _log_zeta(s, k, p, d, m)
-    return -d * (tau - s) - 2.0 * (log_zeta_tau - log_zeta_s)
+def _b_coeffs(k, v):
+    """(B0, B1, B2) of the correction source b = B0 + B1*D + B2*D**2; linear in v."""
+    v1, v2, v3, v4 = _group_values(v)
+    k2 = k * k
+    return -v3 * (1j * k2 * k + k2), v1 * (k2 - 1j * k) + v4 * k2, 1j * k * v2
 
 
 def _b_of(big_d_val, k, v):
     """Source polynomial of the correction ODE; linear in the coefficients."""
-    v1, v2, v3, v4 = _group_values(v)
-    k2 = k * k
-    return -(
-        v1 * big_d_val * (-k2 + 1j * k)
-        + v2 * big_d_val * big_d_val * (-1j * k)
-        + v3 * (1j * k2 * k + k2)
-        + v4 * big_d_val * (-k2)
+    b0, b1, b2 = _b_coeffs(k, v)
+    return b0 + big_d_val * (b1 + big_d_val * b2)
+
+
+def _f_hats(tau, k, p: HestonParams, v, d=None, m=None):
+    """Correction transforms (f0_hat, f1_hat) at time tau, in closed form.
+
+    f1_hat(tau) = int_0^tau b(s) exp(A(tau, k, s)) ds solves the correction
+    ODE and f0_hat(tau) = int_0^tau f1_hat(t) dt.  Both zeta and D*zeta are
+    linear in E = exp(-s*d), so zeta^2 * b = q0 + q1*E + q2*E^2 and the two
+    time integrals are elementary; the only log is the rotation-safe log
+    zeta of ``_cd_of``.
+    """
+    if d is None:
+        d, m = _d_of(k, p)
+    a = -(k * k - 1j * k) / 2.0
+    beta = (m - d) / 2.0
+    c = (m + d) / 2.0
+    # expm1 keeps w to full relative precision at short tau, where the q0
+    # and q1 brackets of f0 cancel down to O(tau^2); d = 0 is excluded anyway
+    # by the 1/d^2 of the q's
+    w = -np.expm1(-tau * d) / d
+    e = np.exp(-tau * d)
+    zeta, log_zeta = _zeta_log(w, d, m)
+    b0, b1, b2 = _b_coeffs(k, v)
+    d2 = d * d
+    q0 = (b0 * c * c + b1 * a * c + b2 * a * a) / d2
+    q1 = -(2.0 * b0 * c * beta + b1 * a * (c + beta) + 2.0 * b2 * a * a) / d2
+    q2 = (b0 * beta * beta + b1 * a * beta + b2 * a * a) / d2
+    f1 = (q0 * w + q1 * tau * e + q2 * e * w) / (zeta * zeta)
+    # log(1 + x)/x and (log(1 + x) + 1/(1 + x) - 1)/x^2 at x = beta*w, with
+    # 1 + x = zeta; the direct forms cancel to eps/|x| and eps/|x|^2
+    x = beta * w
+    small = np.abs(x) < _LOG_SERIES_CUTOFF
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(
+            small, np.polyval(_LOG_RATIO_SERIES, x), log_zeta / x
+        )
+        m2 = np.where(
+            small,
+            np.polyval(_M2_SERIES, x),
+            (log_zeta + 1.0 / zeta - 1.0) / (x * x),
+        )
+    # x * log_ratio is log1p(x), which the O(tau^2) q0 bracket needs: log
+    # zeta itself carries an absolute eps that the bracket divides by c^2
+    f0 = (
+        q0 * ((d * tau + x * log_ratio) / (c * c) - w / (c * zeta))
+        + q1 * (tau * w / zeta - tau / c + w * log_ratio / c)
+        + q2 * w * w * m2
     )
+    return f0, f1
 
 
 # ----------------------------------------------------------------------
@@ -257,20 +292,6 @@ def g_hat(tau: float, k, p: HestonParams) -> complex:
     kc = _as_complex(k)
     c_val, d_val, _ = _cd_of(tau, kc, p)
     return complex(np.exp(c_val + p.z * d_val))
-
-
-def big_a(tau: float, k, s: float, p: HestonParams) -> complex:
-    """Correction exponent A(tau, k, s) = -d*(tau-s) - 2*(log zeta(tau) - log zeta(s)).
-
-    The two logs are evaluated pointwise (never as a log of a ratio), which
-    keeps A continuous in k_r wherever each zeta avoids the negative real
-    axis.  A(tau, k, tau) = 0.
-    """
-    if not 0.0 <= s <= tau:
-        raise ValueError("require 0 <= s <= tau")
-    kc = _as_complex(k)
-    d_val, m = _d_of(kc, p)
-    return complex(_a_of(tau, kc, s, p, d_val, m))
 
 
 def b_source(tau: float, k, p: HestonParams, v) -> complex:

@@ -5,19 +5,21 @@ Prices are assembled from three raw contour integrals,
     total = exp(-r*tau)/(2*pi) * (p00 + kappa*theta*p10 + z*p11),
 
 with ``p00`` the baseline transform integral and ``p10``/``p11`` the
-correction integrals (a triple and a double integral respectively; the
-correction coefficients carry their own amplitude scaling).  All three are
-evaluated on the half line ``k_r > 0`` (conjugate symmetry folds the full
-line into twice the real part) after the substitution ``k_r = -log(u)/C_inf``
-mapping the half line onto the unit interval, and the triangular time domain
-of ``p10`` is mapped onto a rectangle by ``s = t*v``.
+correction integrals (the correction coefficients carry their own amplitude
+scaling).  The correction's time integrals have closed forms
+(``kernel._f_hats``), so each of the three is a single integral over the
+contour: the integrand of ``p00`` times 1, f0_hat(tau, k) or f1_hat(tau, k).
+All three are evaluated on the half line ``k_r > 0`` (conjugate symmetry
+folds the full line into twice the real part) after the substitution
+``k_r = -log(u)/C_inf`` mapping the half line onto the unit interval.
 
-A strip of strikes at one expiry shares every strike-independent kernel
-evaluation: per-panel statics (d, M, C, D, the transform kernel and the
-contour phase) are memoized across the nested integrals of one evaluation.
+A strip of strikes at one expiry is priced by one adaptive integration whose
+integrand stacks the three rows of every strike, so the strike-independent
+kernel work and the refinement are shared.  A baseline strip integrates the
+``p00`` rows only.
 
-Quadrature trouble never aborts a price: each affected breakdown carries a
-``nonconvergence:<component>`` warning and the best available estimate, with
+Quadrature trouble never aborts a price: each breakdown of the strip carries a
+``nonconvergence:<components>`` warning and the best available estimate, with
 the error bound inflated accordingly.
 """
 
@@ -29,21 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourViolation, NonConvergence
-from .kernel import (
-    HestonParams,
-    _b_of,
-    _cd_of,
-    _d_of,
-    _log_zeta,
-    _w_factor,
-)
-from .quadrature import IntegralEstimate, QuadratureSpec, integrate_adaptive
+from .kernel import HestonParams, _cd_of, _d_of, _f_hats
+from .quadrature import QuadratureSpec, integrate_adaptive
 
 DEFAULT_CALL_CONTOUR = 1.5
 DEFAULT_PUT_CONTOUR = -0.5
-
-# Each nested adaptive level runs 10x tighter than the level above it.
-_NESTING_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -151,257 +143,71 @@ def c_infinity(tau: float, p: HestonParams) -> float:
     return math.sqrt(1.0 - p.rho**2) / p.sigma * (p.z + p.kappa * p.theta * tau)
 
 
-def f1_hat(tau: float, k, p: HestonParams, v, spec: QuadratureSpec | None = None):
+def f1_hat(tau: float, k, p: HestonParams, v) -> complex:
     """Inner correction transform: integral over s in (0, tau) of b(s,k) e^{A(tau,k,s)}.
 
-    Zero at tau = 0 and linear in the correction coefficients.
+    Evaluated in closed form; zero at tau = 0 and linear in the correction
+    coefficients.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if tau == 0.0:
         return 0.0 + 0.0j
-    kc = complex(k)
-    d_val, m_val = _d_of(kc, p)
-    log_zeta_tau = _log_zeta(tau, kc, p, d_val, m_val)
-
-    def integrand(s):
-        w_s = _w_factor(s, d_val)
-        zeta_s = 1.0 + (m_val - d_val) * w_s / 2.0
-        big_d_s = -(kc * kc - 1j * kc) * w_s / (2.0 * zeta_s)
-        a_val = -d_val * (tau - s) - 2.0 * (log_zeta_tau - np.log(zeta_s))
-        return _b_of(big_d_s, kc, v) * np.exp(a_val)
-
-    value, _ = integrate_adaptive(integrand, 0.0, tau, spec)
-    return complex(value)
+    return complex(_f_hats(tau, complex(k), p, v)[1])
 
 
-class _StripEngine:
-    """Shared-kernel pricing of one expiry's strike strip on a fixed contour."""
+def _strip_integrals(strikes, tau, spot, p, v, spec, k_i):
+    """Raw integrals (p00, p10, p11) of a strike strip and their error bounds.
 
-    def __init__(self, strikes, tau, spot, p, v, spec, k_i, payoff):
-        self.strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-        if np.any(self.strikes <= 0):
-            raise ValueError("strikes must be positive")
-        self.tau = float(tau)
-        self.spot = float(spot)
-        self.p = p
-        self.v = v
-        self.k_i = float(k_i)
-        self.payoff = payoff
-        if payoff == "call" and not self.k_i > 1.0:
-            raise ContourViolation(
-                f"call contour requires k_i > 1, got k_i={self.k_i}"
-            )
-        if payoff == "put" and not self.k_i < 0.0:
-            raise ContourViolation(
-                f"put contour requires k_i < 0, got k_i={self.k_i}"
-            )
-        self.q = p.r * self.tau + math.log(self.spot)
-        self.c_inf = c_infinity(self.tau, p)
-        self.spec = spec.with_c_infinity(self.c_inf)
-        self.soft_failures: list[str] = []
-        self._cache = {}
-        self._t_side = {}
+    One adaptive integration over u; the integrand stacks the rows ``static``,
+    ``static*f0_hat`` and ``static*f1_hat`` per strike, so all three share one
+    refinement.  ``v = None`` integrates the baseline rows only.
+    """
+    n_k = len(strikes)
+    q = p.r * tau + math.log(spot)
+    c_inf = c_infinity(tau, p)
+    spec = spec.with_c_infinity(c_inf)  # rejects c_inf = 0 (|rho| = 1)
+    log_k = np.log(strikes)[:, None]
 
-    def _integrate(self, f, a, b, spec, tag) -> IntegralEstimate:
-        """Adaptive integration that degrades to the best estimate on budget exhaustion."""
-        try:
-            return integrate_adaptive(f, a, b, spec)
-        except NonConvergence as exc:
-            self.soft_failures.append(f"nonconvergence:{tag}")
-            return IntegralEstimate(
-                np.asarray(exc.estimate), np.asarray(exc.error_bound)
-            )
-
-    # -- per-panel statics --------------------------------------------------
-
-    def _statics(self, us: np.ndarray) -> dict:
-        key = us.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        k = -np.log(us) / self.c_inf + 1j * self.k_i
-        d_val, m_val = _d_of(k, self.p)
-        c_val, big_d_val, _ = _cd_of(self.tau, k, self.p, d_val, m_val)
-        zeta_tau = 1.0 + (m_val - d_val) * _w_factor(self.tau, d_val) / 2.0
-        kernel = np.exp(c_val + self.p.z * big_d_val)
-        log_k = np.log(self.strikes)[:, None]
+    def integrand(us):
+        k = -np.log(us) / c_inf + 1j * k_i
+        d_val, m_val = _d_of(k, p)
+        c_val, big_d_val, _ = _cd_of(tau, k, p, d_val, m_val)
+        kernel = np.exp(c_val + p.z * big_d_val)
         # exp(i k (log K - q) + log K) / (ik - k^2); a single exp keeps the
         # strike power and contour phase from over/underflowing separately
-        transform = np.exp(1j * k[None, :] * (log_k - self.q) + log_k) / (
+        transform = np.exp(1j * k[None, :] * (log_k - q) + log_k) / (
             1j * k - k * k
         )[None, :]
-        static = transform * (kernel / (us * self.c_inf))[None, :]
-        entry = {
-            "k": k,
-            "d": d_val,
-            "m": m_val,
-            "zeta_tau": zeta_tau,
-            "static": static,
-        }
-        self._cache[key] = entry
-        return entry
+        static = transform * (kernel / (us * c_inf))[None, :]
+        if v is None:
+            return static
+        f0, f1 = _f_hats(tau, k, p, v, d_val, m_val)
+        return np.concatenate((static, static * f0, static * f1))
 
-    def _zeta_at(self, t_nodes: np.ndarray, us_key: bytes, st: dict) -> np.ndarray:
-        """zeta(t, k) on a (t-batch x panel) grid, cached per batch and panel."""
-        key = (t_nodes.tobytes(), us_key)
-        hit = self._t_side.get(key)
-        if hit is not None:
-            return hit
-        w_t = _w_factor(t_nodes[:, None], st["d"][None, :])
-        zeta_t = 1.0 + (st["m"][None, :] - st["d"][None, :]) * w_t / 2.0
-        self._t_side[key] = zeta_t
-        return zeta_t
-
-    def _exp_a(self, st: dict, s_col, t_like, zeta_t, zeta_s):
-        """exp(A(t, k, s)) log-free: exp(-d (t - s)) * (zeta_s / zeta_t)^2.
-
-        Pointwise identical to exponentiating the pointwise-log form and
-        cheaper.  ``t_like=None`` means t = tau, reusing the cached zeta(tau).
-        """
-        d_val = st["d"]
-        if t_like is None:
-            t_col = self.tau
-            zeta_t = st["zeta_tau"][None, :]
-        else:
-            t_col = np.asarray(t_like, dtype=float)[:, None]
-            if zeta_t is None:
-                w_t = _w_factor(t_col, d_val[None, :])
-                zeta_t = 1.0 + (st["m"][None, :] - d_val[None, :]) * w_t / 2.0
-        ratio = zeta_s / zeta_t
-        return np.exp(-d_val[None, :] * (t_col - s_col)) * ratio * ratio
-
-    def _s_side(self, st: dict, s_like):
-        """zeta(s, k) and D(s, k) on a (s-batch x panel) grid."""
-        k, d_val, m_val = st["k"], st["d"], st["m"]
-        s_col = np.asarray(s_like, dtype=float)[:, None]
-        w_s = _w_factor(s_col, d_val[None, :])
-        zeta_s = 1.0 + (m_val[None, :] - d_val[None, :]) * w_s / 2.0
-        big_d_s = -(k * k - 1j * k)[None, :] * w_s / (2.0 * zeta_s)
-        return s_col, zeta_s, big_d_s
-
-    def _correction_factor(self, st: dict, s_like, t_like=None, zeta_t=None):
-        """b(s, k) * exp(A(t, k, s)) row-stacked over time nodes; shape (nt, n)."""
-        s_col, zeta_s, big_d_s = self._s_side(st, s_like)
-        b_val = _b_of(big_d_s, st["k"][None, :], self.v)
-        return b_val * self._exp_a(st, s_col, t_like, zeta_t, zeta_s)
-
-    def _correction_basis_factor(self, st: dict, s_like, t_like=None, zeta_t=None):
-        """The four unit-coefficient source factors; shape (4, nt, n).
-
-        Row i is the factor the i-th correction coefficient multiplies, so a
-        contraction with (v1e..v4e) reproduces ``_correction_factor``.
-        """
-        s_col, zeta_s, big_d_s = self._s_side(st, s_like)
-        k = st["k"][None, :]
-        k2 = k * k
-        exp_a = self._exp_a(st, s_col, t_like, zeta_t, zeta_s)
-        rows = np.empty((4,) + exp_a.shape, dtype=complex)
-        rows[0] = big_d_s * (-k2 + 1j * k)
-        rows[1] = big_d_s * big_d_s * (-1j * k)
-        rows[2] = np.broadcast_to(1j * k2 * k + k2, exp_a.shape)
-        rows[3] = big_d_s * (-k2)
-        rows *= -exp_a[None, :, :]
-        return rows
-
-    # -- raw integrals --------------------------------------------------------
-
-    def p00(self) -> IntegralEstimate:
-        def integrand(us):
-            return self._statics(us)["static"]
-
-        value, err = self._integrate(integrand, 0.0, 1.0, self.spec, "p00")
-        return IntegralEstimate(2.0 * value.real, 2.0 * err)
-
-    def p11(self) -> IntegralEstimate:
-        n_k = len(self.strikes)
-        inner_spec = self.spec.tightened(_NESTING_FACTOR)
-        inner_err_max = np.zeros(n_k)
-
-        def outer(s_nodes):
-            ns = len(s_nodes)
-
-            def inner(us):
-                st = self._statics(us)
-                factor = self._correction_factor(st, s_nodes)
-                vals = st["static"][None, :, :] * factor[:, None, :]
-                return vals.reshape(ns * n_k, len(us))
-
-            value, err = self._integrate(inner, 0.0, 1.0, inner_spec, "p11:u")
-            np.maximum(
-                inner_err_max, err.reshape(ns, n_k).max(axis=0), out=inner_err_max
-            )
-            return value.reshape(ns, n_k).T
-
-        value, err = self._integrate(outer, 0.0, self.tau, self.spec, "p11")
-        total_err = 2.0 * (err + inner_err_max * self.tau)
-        return IntegralEstimate(2.0 * value.real, total_err)
-
-    def p10(self) -> IntegralEstimate:
-        n_k = len(self.strikes)
-        mid_spec = self.spec.tightened(_NESTING_FACTOR)
-        inner_spec = self.spec.tightened(_NESTING_FACTOR**2)
-        mid_err_max = np.zeros(n_k)
-        inner_err_max = np.zeros(n_k)
-
-        def outer(t_nodes):
-            nt = len(t_nodes)
-
-            def middle(v_nodes):
-                nv = len(v_nodes)
-                s_flat = (t_nodes[:, None] * v_nodes[None, :]).ravel()
-                t_flat = np.repeat(t_nodes, nv)
-
-                def inner(us):
-                    st = self._statics(us)
-                    zeta_t = np.repeat(
-                        self._zeta_at(t_nodes, us.tobytes(), st), nv, axis=0
-                    )
-                    factor = self._correction_factor(st, s_flat, t_flat, zeta_t)
-                    vals = st["static"][None, :, :] * factor[:, None, :]
-                    return vals.reshape(nt * nv * n_k, len(us))
-
-                value, err = self._integrate(inner, 0.0, 1.0, inner_spec, "p10:u")
-                np.maximum(
-                    inner_err_max,
-                    err.reshape(nt, nv, n_k).max(axis=(0, 1)),
-                    out=inner_err_max,
-                )
-                # triangle-to-rectangle Jacobian: ds = t dv
-                vals = value.reshape(nt, nv, n_k) * t_nodes[:, None, None]
-                return vals.transpose(0, 2, 1).reshape(nt * n_k, nv)
-
-            value, err = self._integrate(middle, 0.0, 1.0, mid_spec, "p10:v")
-            np.maximum(
-                mid_err_max, err.reshape(nt, n_k).max(axis=0), out=mid_err_max
-            )
-            return value.reshape(nt, n_k).T
-
-        value, err = self._integrate(outer, 0.0, self.tau, self.spec, "p10")
-        total_err = 2.0 * (
-            err + (mid_err_max + inner_err_max) * self.tau
-        )
-        return IntegralEstimate(2.0 * value.real, total_err)
+    warnings = ()
+    try:
+        value, err = integrate_adaptive(integrand, 0.0, 1.0, spec)
+    except NonConvergence as exc:
+        # quadrature trouble never aborts a price: keep the best estimate
+        value, err = np.asarray(exc.estimate), np.asarray(exc.error_bound)
+        tag = "p00" if v is None else "p00,p10,p11"
+        warnings = (f"nonconvergence:{tag}",)
+    raw = 2.0 * value.real.reshape(-1, n_k)
+    raw_err = 2.0 * err.reshape(-1, n_k)
+    if v is None:
+        zeros = np.zeros((2, n_k))
+        raw = np.concatenate((raw, zeros))
+        raw_err = np.concatenate((raw_err, zeros))
+    return raw, raw_err, warnings
 
 
-def _assemble(engine: _StripEngine, with_correction: bool) -> list[PriceBreakdown]:
-    p = engine.p
-    prefactor = math.exp(-p.r * engine.tau) / (2.0 * math.pi)
-    n_k = len(engine.strikes)
-
-    p00_val, p00_err = engine.p00()
-    if with_correction:
-        p10_val, p10_err = engine.p10()
-        p11_val, p11_err = engine.p11()
-    else:
-        p10_val = p11_val = np.zeros(n_k)
-        p10_err = p11_err = np.zeros(n_k)
-
-    base_warnings = tuple(sorted(set(engine.soft_failures)))
-    p00_val = np.atleast_1d(p00_val)
-    p00_err = np.atleast_1d(p00_err)
+def _assemble(
+    strikes, tau, spot, p, payoff, raw, raw_err, base_warnings
+) -> list[PriceBreakdown]:
+    prefactor = math.exp(-p.r * tau) / (2.0 * math.pi)
+    p00_val, p10_val, p11_val = raw
+    p00_err, p10_err, p11_err = raw_err
     results = []
-    for i, strike in enumerate(engine.strikes):
+    for i, strike in enumerate(strikes):
         p_heston = prefactor * float(p00_val[i])
         correction = prefactor * (
             p.kappa * p.theta * float(p10_val[i]) + p.z * float(p11_val[i])
@@ -415,13 +221,13 @@ def _assemble(engine: _StripEngine, with_correction: bool) -> list[PriceBreakdow
         total = p_heston + correction
         if total < 0.0:
             warnings.append("negative_total")
-        if engine.payoff == "call":
-            lower = max(engine.spot - strike * math.exp(-p.r * engine.tau), 0.0)
-            upper = engine.spot
+        if payoff == "call":
+            lower = max(spot - strike * math.exp(-p.r * tau), 0.0)
+            upper = spot
         else:
-            lower = max(strike * math.exp(-p.r * engine.tau) - engine.spot, 0.0)
-            upper = strike * math.exp(-p.r * engine.tau)
-        slack = max(10.0 * err, 1e-9 * engine.spot)
+            lower = max(strike * math.exp(-p.r * tau) - spot, 0.0)
+            upper = strike * math.exp(-p.r * tau)
+        slack = max(10.0 * err, 1e-9 * spot)
         if not (lower - slack <= total <= upper + slack):
             warnings.append("outside_no_arbitrage_band")
         results.append(
@@ -462,18 +268,20 @@ def price_strikes(
         raise ValueError("expiry must exceed valuation_time")
     if k_i is None:
         k_i = DEFAULT_CALL_CONTOUR if payoff == "call" else DEFAULT_PUT_CONTOUR
-    with_correction = v is not None and not v.is_zero
-    engine = _StripEngine(
-        strikes,
-        tau,
-        spot,
-        p,
-        v if with_correction else GroupParams.zero(),
-        spec,
-        k_i,
-        payoff,
-    )
-    return _assemble(engine, with_correction)
+    strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
+    if np.any(strikes <= 0):
+        raise ValueError("strikes must be positive")
+    k_i = float(k_i)
+    if payoff == "call" and not k_i > 1.0:
+        raise ContourViolation(f"call contour requires k_i > 1, got k_i={k_i}")
+    if payoff == "put" and not k_i < 0.0:
+        raise ContourViolation(f"put contour requires k_i < 0, got k_i={k_i}")
+    tau = float(tau)
+    spot = float(spot)
+    if v is not None and v.is_zero:
+        v = None
+    raw, raw_err, warnings = _strip_integrals(strikes, tau, spot, p, v, spec, k_i)
+    return _assemble(strikes, tau, spot, p, payoff, raw, raw_err, warnings)
 
 
 def price_heston(

@@ -85,12 +85,6 @@ class QuadratureSpec:
     def with_c_infinity(self, c_inf: float) -> "QuadratureSpec":
         return replace(self, c_infinity=c_inf)
 
-    def tightened(self, factor: float) -> "QuadratureSpec":
-        """Same budget, tolerances divided by ``factor`` (nested inner levels)."""
-        return replace(
-            self, abs_tol=self.abs_tol / factor, rel_tol=self.rel_tol / factor
-        )
-
 
 class IntegralEstimate(NamedTuple):
     value: object  # float, complex, or ndarray of per-component values
@@ -221,17 +215,3 @@ def halfline_via_u(f, spec: QuadratureSpec) -> IntegralEstimate:
         return f(-np.log(u) / c_inf) / (u * c_inf)
 
     return integrate_unit(transformed, spec)
-
-
-def triangle_to_rect(f):
-    """Map an integrand on the triangle {0 <= s <= t} to the rectangle (t, v).
-
-    ``f(t, s)`` becomes ``g(t, v) = f(t, t*v) * t`` with ``v`` in (0, 1); the
-    factor ``t`` is the Jacobian of ``s = t*v``.  Integrating ``g`` over
-    ``(0, tau) x (0, 1)`` equals integrating ``f`` over the triangle.
-    """
-
-    def g(t, v):
-        return f(t, t * v) * t
-
-    return g

@@ -11,16 +11,19 @@ TABLE1_RHO_XZ = -0.35
 TABLE1_FBAR = float(np.exp(-TABLE1_NU**2 / 2))
 
 
+TABLE1_HESTON = HestonParams(
+    kappa=1.0,
+    theta=0.24,
+    sigma=0.39,
+    rho=TABLE1_RHO_XZ * TABLE1_FBAR,
+    z=0.24,
+    r=0.05,
+)
+
+
 @pytest.fixture(scope="session")
 def table1_heston() -> HestonParams:
-    return HestonParams(
-        kappa=1.0,
-        theta=0.24,
-        sigma=0.39,
-        rho=TABLE1_RHO_XZ * TABLE1_FBAR,
-        z=0.24,
-        r=0.05,
-    )
+    return TABLE1_HESTON
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +61,28 @@ def table1_v_unit() -> np.ndarray:
 
 def group_at_epsilon(eps: float) -> GroupParams:
     return GroupParams(*(np.sqrt(eps) * TABLE1_V_UNIT))
+
+
+def d_zero_call_contour(p: HestonParams) -> float:
+    """The k_i > 1 at which d(i*k_i) = 0: sigma^2 (k_i - k_i^2) + (kappa - rho sigma k_i)^2."""
+    s2 = p.sigma**2
+    a2, b2, c2 = s2 * (p.rho**2 - 1.0), s2 - 2.0 * p.kappa * p.rho * p.sigma, p.kappa**2
+    return float(max(np.roots([a2, b2, c2]).real))
+
+
+# Edge regimes of the correction checks, on otherwise Table-1-like values.
+EDGE_HESTON = {
+    "feller_violated": HestonParams(
+        kappa=0.5, theta=0.02, sigma=0.5, rho=-0.5, z=0.05, r=0.0,
+        allow_feller_violation=True,
+    ),
+    "rho_plus_099": HestonParams(
+        kappa=1.0, theta=0.24, sigma=0.39, rho=0.99, z=0.24, r=0.05
+    ),
+    "rho_minus_099": HestonParams(
+        kappa=1.0, theta=0.24, sigma=0.39, rho=-0.99, z=0.24, r=0.05
+    ),
+}
 
 
 @pytest.fixture(scope="session")

@@ -53,6 +53,31 @@ def mp_big_a(tau, k, s, p, dps: int = 60):
         return complex(val)
 
 
+def mp_f1_hat(tau, k, p, v, dps: int = 30):
+    """Definition of the inner correction transform by tanh-sinh quadrature:
+    the integral over s in (0, tau) of b(s, k) exp(A(tau, k, s))."""
+    vs = (v.v1e, v.v2e, v.v3e, v.v4e)
+    with mp.workdps(dps):
+        kc = mp.mpc(complex(k))
+        m = p.kappa + 1j * p.rho * p.sigma * kc
+        d = mp.sqrt(p.sigma**2 * (kc * kc - 1j * kc) + m * m)
+
+        def source(s):
+            w = (1 - mp.e ** (-s * d)) / d
+            big_d = -(kc * kc - 1j * kc) * w / (2 * (1 + (m - d) * w / 2))
+            return -(
+                vs[0] * big_d * (-kc * kc + 1j * kc)
+                + vs[1] * big_d * big_d * (-1j * kc)
+                + vs[2] * (1j * kc**3 + kc * kc)
+                + vs[3] * big_d * (-kc * kc)
+            )
+
+        def integrand(s):
+            return source(s) * mp.e ** mp.mpc(mp_big_a(tau, kc, s, p, dps))
+
+        return complex(mp.quad(integrand, [0, tau]))
+
+
 def mp_payoff_transform(k, strike, dps: int = 50):
     with mp.workdps(dps):
         kc = mp.mpc(complex(k))
@@ -87,18 +112,6 @@ def naive_big_c(tau, k, p):
         / p.sigma**2
         * ((m + d) * tau - 2.0 * np.log((1.0 - g * e) / (1.0 - g)))
     )
-
-
-def naive_big_a(tau, k, s, p):
-    """Ratio-log form of the correction exponent (single log of a ratio)."""
-    kc = complex(k)
-    m = p.kappa + 1j * p.rho * p.sigma * kc
-    d = np.sqrt(p.sigma**2 * (kc * kc - 1j * kc) + m * m)
-    g = (m + d) / (m - d)
-    pref = (m + d) * (1.0 - g) / (d * g)
-    return pref * np.log(
-        (g * np.exp(tau * d) - 1.0) / (g * np.exp(s * d) - 1.0)
-    ) + d * (tau - s)
 
 
 # ----------------------------------------------------------------------
@@ -142,43 +155,45 @@ def gil_pelaez_heston_call(spot, strike, rate, expiry, p):
 # ----------------------------------------------------------------------
 
 
+def ode_transforms(tau, k, p, v):
+    """(D, C, f1_hat, f0_hat) at time tau from their defining ODEs (DOP853)."""
+    vs = (v.v1e, v.v2e, v.v3e, v.v4e)
+    m = p.kappa + 1j * p.rho * p.sigma * k
+
+    def rhs(t, y):
+        big_d, big_c, f1, f0 = y
+        d_dot = (
+            0.5 * p.sigma**2 * big_d * big_d
+            - m * big_d
+            + 0.5 * (-k * k + 1j * k)
+        )
+        c_dot = p.kappa * p.theta * big_d
+        b = -(
+            vs[0] * big_d * (-k * k + 1j * k)
+            + vs[1] * big_d * big_d * (-1j * k)
+            + vs[2] * (1j * k**3 + k * k)
+            + vs[3] * big_d * (-k * k)
+        )
+        f1_dot = (p.sigma**2 * big_d - m) * f1 + b
+        return [d_dot, c_dot, f1_dot, f1]
+
+    sol = solve_ivp(
+        rhs,
+        [0.0, tau],
+        [0j, 0j, 0j, 0j],
+        method="DOP853",
+        rtol=1e-11,
+        atol=1e-12,
+    )
+    return sol.y[:, -1]
+
+
 def ode_corrected_price(spot, strike, expiry, p, v, k_i=1.5, k_cut=60.0):
     q = p.r * expiry + math.log(spot)
-    vs = (v.v1e, v.v2e, v.v3e, v.v4e)
-
-    def transforms(k):
-        m = p.kappa + 1j * p.rho * p.sigma * k
-
-        def rhs(t, y):
-            big_d, big_c, f1, f0 = y
-            d_dot = (
-                0.5 * p.sigma**2 * big_d * big_d
-                - m * big_d
-                + 0.5 * (-k * k + 1j * k)
-            )
-            c_dot = p.kappa * p.theta * big_d
-            b = -(
-                vs[0] * big_d * (-k * k + 1j * k)
-                + vs[1] * big_d * big_d * (-1j * k)
-                + vs[2] * (1j * k**3 + k * k)
-                + vs[3] * big_d * (-k * k)
-            )
-            f1_dot = (p.sigma**2 * big_d - m) * f1 + b
-            return [d_dot, c_dot, f1_dot, f1]
-
-        sol = solve_ivp(
-            rhs,
-            [0.0, expiry],
-            [0j, 0j, 0j, 0j],
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-12,
-        )
-        return sol.y[:, -1]
 
     def integrand(kr):
         k = kr + 1j * k_i
-        big_d, big_c, f1, f0 = transforms(k)
+        big_d, big_c, f1, f0 = ode_transforms(expiry, k, p, v)
         h_hat = strike ** (1 + 1j * k) / (1j * k - k * k)
         base = np.exp(-1j * k * q) * np.exp(big_c + p.z * big_d) * h_hat
         return np.array(

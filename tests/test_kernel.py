@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from msheston.errors import NearSingular
 from msheston.kernel import (
     HestonParams,
     Wavenumber,
+    _f_hats,
     b_source,
-    big_a,
     big_c,
     big_d,
     d,
@@ -15,7 +16,36 @@ from msheston.kernel import (
 )
 from msheston.pricer import GroupParams
 
-from .helpers import mp_big_a, mp_d, mp_g, naive_big_a, naive_big_c
+from .conftest import (
+    EDGE_HESTON,
+    TABLE1_HESTON,
+    d_zero_call_contour,
+    group_at_epsilon,
+)
+from .helpers import mp_d, mp_g, naive_big_c, ode_transforms
+
+# At sigma = 1e-3 and one day beta*w ~ 1e-9, where the direct log ratios of
+# the closed-form f0_hat cancel to nothing; only their series branch passes.
+_SMALL_SIGMA = HestonParams(
+    kappa=1.0, theta=0.24, sigma=1e-3, rho=-0.5, z=0.24, r=0.05
+)
+_ODE_CASES = [
+    pytest.param(p, tau, kr, ki, id=f"{name}-tau{tau:.3g}-kr{kr:g}-ki{ki:g}")
+    for name, p, taus in [
+        *((name, p, (1 / 365, 10.0)) for name, p in EDGE_HESTON.items()),
+        ("sigma_1e-3", _SMALL_SIGMA, (1 / 365,)),
+    ]
+    for tau in taus
+    for kr in (0.0, 40.0)
+    for ki in (1.5, -0.5)
+] + [
+    # next to d = 0 the q's grow like 1/d^2 and f0_hat needs log zeta to
+    # full relative precision at short tau
+    pytest.param(
+        TABLE1_HESTON, 1 / 365, 0.01, d_zero_call_contour(TABLE1_HESTON),
+        id="table1-tau0.00274-kr0.01-d_zero_contour",
+    )
+]
 
 
 class TestHestonParams:
@@ -144,28 +174,42 @@ class TestGHat:
             assert g_hat(tau, 0j, table1_heston) == pytest.approx(1.0, abs=1e-14)
 
 
-class TestBigA:
-    def test_zero_at_s_equal_tau(self, table1_heston):
-        assert big_a(1.0, 0.7 + 1.5j, 1.0, table1_heston) == 0.0
+class TestCorrectionTransforms:
+    @pytest.mark.parametrize("p, tau, kr, ki", _ODE_CASES)
+    def test_against_ode(self, p, tau, kr, ki):
+        k = complex(kr, ki)
+        v = group_at_epsilon(1e-2)
+        f0, f1 = _f_hats(tau, k, p, v)
+        _, _, ode_f1, ode_f0 = ode_transforms(tau, k, p, v)
+        assert complex(f1) == pytest.approx(ode_f1, rel=1e-10, abs=0.0)
+        assert complex(f0) == pytest.approx(ode_f0, rel=1e-10, abs=0.0)
 
-    def test_matches_naive_ratio_log_form(self, table1_heston):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            k = rng.uniform(0.2, 10.0) + 1.5j
-            tau = 0.3
-            s = tau - rng.uniform(0.01, 0.1)
-            mine = big_a(tau, k, s, table1_heston)
-            naive = naive_big_a(tau, k, s, table1_heston)
-            assert mine == pytest.approx(naive, abs=1e-10, rel=1e-10)
+    def test_f0_against_triangle_dblquad(self, table1_heston):
+        # f0_hat by its definition: b(s) exp(A(t, s)) over 0 <= s <= t <= tau,
+        # with A in the pointwise-log zeta form
+        p = table1_heston
+        k = 1.3 + 1.5j
+        tau = 1.0
+        v = GroupParams(0.1, -0.05, 0.3, 0.02)
+        d_val = d(k, p)
+        m = p.kappa + 1j * p.rho * p.sigma * k
 
-    def test_against_high_precision(self, table1_heston):
-        val = big_a(1.0, 0.7 + 1.5j, 0.3, table1_heston)
-        ref = mp_big_a(1.0, 0.7 + 1.5j, 0.3, table1_heston)
-        assert val == pytest.approx(ref, rel=1e-12)
+        def log_zeta(t):
+            w = (1.0 - np.exp(-t * d_val)) / d_val
+            return np.log(1.0 + (m - d_val) * w / 2.0)
 
-    def test_rejects_bad_ordering(self, table1_heston):
-        with pytest.raises(ValueError):
-            big_a(1.0, 1 + 1.5j, 1.5, table1_heston)
+        def f(t, s):
+            a_val = -d_val * (t - s) - 2.0 * (log_zeta(t) - log_zeta(s))
+            return b_source(s, k, p, v) * np.exp(a_val)
+
+        ref_re = dblquad(
+            lambda s, t: f(t, s).real, 0, tau, 0, lambda t: t, epsabs=1e-10
+        )[0]
+        ref_im = dblquad(
+            lambda s, t: f(t, s).imag, 0, tau, 0, lambda t: t, epsabs=1e-10
+        )[0]
+        f0, _ = _f_hats(tau, k, p, v)
+        assert complex(f0) == pytest.approx(complex(ref_re, ref_im), abs=1e-9)
 
 
 class TestBSource:

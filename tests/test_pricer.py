@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msheston.errors import ContourViolation
 from msheston.kernel import _cd_of
@@ -19,8 +21,13 @@ from msheston.pricer import (
 )
 from msheston.quadrature import QuadratureSpec
 
-from .conftest import group_at_epsilon
-from .helpers import gil_pelaez_heston_call, mp_payoff_transform, ode_corrected_price
+from .conftest import EDGE_HESTON, d_zero_call_contour, group_at_epsilon
+from .helpers import (
+    gil_pelaez_heston_call,
+    mp_f1_hat,
+    mp_payoff_transform,
+    ode_corrected_price,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,21 @@ class TestF1Hat:
         rhs = a_coef * f1_hat(tau, k, p, v) + b_source(tau, k, p, v)
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize(
+        "name, tau, k",
+        [
+            ("feller_violated", 1.0, 0.7 + 1.5j),
+            ("rho_plus_099", 1 / 365, 40.0 + 1.5j),
+            ("rho_minus_099", 10.0, 40.0 - 0.5j),
+        ],
+        ids=["feller_violated", "rho_plus_099_one_day", "rho_minus_099_put_10y"],
+    )
+    def test_against_definition(self, name, tau, k):
+        p = EDGE_HESTON[name]
+        v = group_at_epsilon(1e-2)
+        ref = mp_f1_hat(tau, k, p, v)
+        assert f1_hat(tau, k, p, v) == pytest.approx(ref, rel=1e-12)
+
     def test_linear_in_coefficients(self, table1_heston):
         k = 0.8 + 1.5j
         f_a = f1_hat(1.0, k, table1_heston, GroupParams(0.2, 0, 0.1, 0))
@@ -134,6 +156,33 @@ class TestCorrectedPrice:
         )
         assert bd.p_heston == pytest.approx(ref_heston, abs=5e-6)
         assert bd.total == pytest.approx(ref_total, abs=5e-6)
+
+    @given(
+        name=st.sampled_from(sorted(EDGE_HESTON)),
+        log_tau=st.floats(math.log(2 / 365), math.log(10.0)),
+        log_moneyness=st.floats(-1.2, 1.1),
+    )
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_edge_regimes_against_ode_route(self, name, log_tau, log_moneyness):
+        # The oracle truncates its k-integral at k_cut, and the kernel decays
+        # like exp(-c_infinity * k_r): 36/c_infinity leaves e^-36 beyond the
+        # cut, and at least 40 keeps the payoff's own 1/k^2 tail small where
+        # c_infinity is large.  Its p00 and p_correction are separate quad
+        # calls with absolute tolerances 1.49e-8 and 1e-9 on the folded
+        # integrals; over the long oscillatory ranges of short expiries and
+        # deep strikes p00 is measured off by up to 4e-8.
+        p = EDGE_HESTON[name]
+        tau = math.exp(log_tau)
+        strike = 100.0 * math.exp(log_moneyness)
+        v = group_at_epsilon(1e-2)
+        bd = price_strikes([strike], tau, 100.0, p, v)[0]
+        k_cut = max(40.0, 36.0 / c_infinity(tau, p))
+        ref_heston, ref_total = ode_corrected_price(
+            100.0, strike, tau, p, v, k_cut=k_cut
+        )
+        gap_correction = abs(bd.p_correction - (ref_total - ref_heston))
+        assert gap_correction <= bd.quadrature_error + 1e-8
+        assert abs(bd.total - ref_total) <= bd.quadrature_error + 1e-7
 
     def test_correction_additive_in_coefficients(self, atm_option, table1_heston):
         v1 = GroupParams(0.02, 0.0, -0.01, 0.0)
@@ -245,6 +294,16 @@ class TestContourChoice:
         a = price_heston(atm_option, table1_heston, k_i=1.2)
         b = price_heston(atm_option, table1_heston, k_i=2.5)
         assert a.total == pytest.approx(b.total, abs=1e-7)
+        # corrected prices too, including the call contour on which
+        # d(i*k_i) = 0: there the 1/d^2 of the closed-form transform sits at
+        # the contour's end, u -> 1, which the open rule never evaluates
+        p = table1_heston
+        v = group_at_epsilon(1e-2)
+        ref = price_corrected(atm_option, p, v, k_i=1.5)
+        for k_i in (1.2, 2.5, d_zero_call_contour(p)):
+            bd = price_corrected(atm_option, p, v, k_i=k_i)
+            tol = ref.quadrature_error + bd.quadrature_error
+            assert abs(bd.total - ref.total) <= tol
 
     def test_call_contour_validated(self, atm_option, table1_heston):
         with pytest.raises(ContourViolation):

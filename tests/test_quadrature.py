@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 
 from msheston.errors import NonConvergence
 from msheston.quadrature import (
@@ -13,7 +13,6 @@ from msheston.quadrature import (
     integrate_adaptive,
     integrate_interval,
     integrate_unit,
-    triangle_to_rect,
 )
 
 
@@ -103,73 +102,6 @@ class TestHalfLine:
         grid = np.arange(0.0, 500.0 + 1e-3, 1e-3)
         ref = np.trapezoid(integrand(grid), grid)
         assert value == pytest.approx(ref, rel=1e-6)
-
-
-class TestTriangle:
-    def test_area(self):
-        g = triangle_to_rect(lambda t, s: np.ones_like(np.asarray(s, dtype=float)))
-        spec = QuadratureSpec()
-
-        def outer(ts):
-            return np.stack(
-                [integrate_adaptive(lambda v: g(t, v), 0, 1, spec)[0] for t in ts]
-            )
-
-        value, _ = integrate_adaptive(outer, 0.0, 2.0, spec)
-        assert value == pytest.approx(2.0, abs=1e-9)
-
-    def test_linear_weight(self):
-        g = triangle_to_rect(lambda t, s: s)
-        spec = QuadratureSpec()
-
-        def outer(ts):
-            return np.stack(
-                [integrate_adaptive(lambda v: g(t, v), 0, 1, spec)[0] for t in ts]
-            )
-
-        value, _ = integrate_adaptive(outer, 0.0, 1.0, spec)
-        assert value == pytest.approx(1.0 / 6.0, abs=1e-10)
-
-    def test_correction_integrand_against_dblquad(self, table1_heston):
-        # direct 2-D quadrature over the triangle vs the rectangle transform,
-        # on the inner correction exponent at one contour point
-        from msheston.kernel import _b_of, _cd_of, _d_of, _log_zeta, _w_factor
-
-        p = table1_heston
-        k = 1.3 + 1.5j
-        tau = 1.0
-        v = (0.1, -0.05, 0.3, 0.02)
-        d_val, m_val = _d_of(k, p)
-
-        def f_scalar(t, s):
-            w_s = _w_factor(s, d_val)
-            zeta_s = 1.0 + (m_val - d_val) * w_s / 2.0
-            big_d_s = -(k * k - 1j * k) * w_s / (2.0 * zeta_s)
-            w_t = _w_factor(t, d_val)
-            zeta_t = 1.0 + (m_val - d_val) * w_t / 2.0
-            a_val = -d_val * (t - s) - 2.0 * (np.log(zeta_t) - np.log(zeta_s))
-            return _b_of(big_d_s, k, v) * np.exp(a_val)
-
-        ref_re = dblquad(
-            lambda s, t: f_scalar(t, s).real, 0, tau, 0, lambda t: t,
-            epsabs=1e-10,
-        )[0]
-        ref_im = dblquad(
-            lambda s, t: f_scalar(t, s).imag, 0, tau, 0, lambda t: t,
-            epsabs=1e-10,
-        )[0]
-
-        g = triangle_to_rect(f_scalar)
-        spec = QuadratureSpec()
-
-        def outer(ts):
-            return np.stack(
-                [integrate_adaptive(lambda vv: g(t, vv), 0, 1, spec)[0] for t in ts]
-            )
-
-        value, _ = integrate_adaptive(outer, 0.0, tau, spec)
-        assert value.real == pytest.approx(ref_re, abs=1e-6)
-        assert value.imag == pytest.approx(ref_im, abs=1e-6)
 
 
 class TestErrorEstimates:
