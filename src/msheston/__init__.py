@@ -14,8 +14,6 @@ from .calibration import (
 from .group_params import (
     FullModelParams,
     compute_group_params,
-    gaussian_average,
-    poisson_solve_derivative,
     volatility_factor,
 )
 from .kernel import HestonParams, Wavenumber
@@ -69,8 +67,6 @@ __all__ = [
     "f1_hat",
     "integrate_unit",
     "halfline_via_u",
-    "gaussian_average",
-    "poisson_solve_derivative",
     "compute_group_params",
     "volatility_factor",
     "correlate_brownians",

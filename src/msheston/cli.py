@@ -41,7 +41,6 @@ from .errors import (
     NearSingular,
     NonConvergence,
     NonFinite,
-    NotCentered,
     NotPositiveDefinite,
     OutOfBand,
     ParseError,
@@ -490,7 +489,6 @@ def main(argv=None) -> int:
         ValueError,
         NonFinite,
         NotPositiveDefinite,
-        NotCentered,
         StepExplosion,
         OutOfBand,
         NearSingular,

@@ -46,10 +46,6 @@ class OutOfBand(MsHestonError):
         self.bound = bound
 
 
-class NotCentered(MsHestonError):
-    """A Poisson-equation source term has a nonzero Gaussian average."""
-
-
 class NotPositiveDefinite(MsHestonError):
     """The Brownian correlation matrix is not positive definite."""
 

@@ -16,13 +16,19 @@ derivative of a Poisson-equation solution:
 with ``L0 = nu^2 d^2/dy^2 + (m - y) d/dy``.  The returned coefficients carry
 the sqrt(epsilon) amplitude scaling, which is what the pricer consumes.
 
-The Poisson solutions are represented through the integrating factor: the
-unique polynomial-growth solution has
+For the exponential-OU factor f(y) = exp(y - m - nu^2), normalized so that
+<f^2> = 1, every average has a closed form independent of m (Fouque,
+Papanicolaou, Sircar & Solna, *Multiscale Stochastic Volatility for Equity,
+Interest-Rate and Credit Derivatives*, 2011):
 
-    chi'(y) = (1 / (nu^2 Phi(y))) * integral_{-inf}^{y} source(u) Phi(u) du,
+    <f>      = exp(-nu^2 / 2)
+    <phi'>   = -1
+    <psi'>   = -exp(-nu^2 / 2)
+    <f phi'> = -exp(3 nu^2 / 2) * (1 - exp(-2 nu^2)) / (2 nu^2)
+    <f psi'> = -(1 - exp(-nu^2)) / nu^2
 
-evaluated from whichever tail is shorter (the two агree because the source is
-centered), which avoids catastrophic cancellation against the Gaussian decay.
+The differences 1 - exp(-x) are evaluated with ``expm1`` so the small-nu
+limits keep full precision.
 """
 
 from __future__ import annotations
@@ -32,19 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, NotCentered
+from .errors import NonFinite
 from .kernel import HestonParams
 from .pricer import GroupParams
-from .quadrature import QuadratureSpec, integrate_adaptive
-
-# Averages need more headroom than price quadrature: the exp-OU integrands
-# put mass several nu beyond the Gaussian bulk.
-_DEFAULT_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=512)
-
-# Integration window half-width in units of nu; widened adaptively while the
-# endpoint-decay check fails, capped to keep 1/Phi representable.
-_BASE_HALF_WIDTH = 8.0
-_MAX_HALF_WIDTH = 30.0
 
 
 @dataclass(frozen=True)
@@ -85,11 +81,6 @@ class FullModelParams:
             )
         if self.f_kind != "exp_ou":
             raise ValueError(f"unsupported f_kind {self.f_kind!r}")
-        # the factor is normalized so <f^2> = 1; check the quadrature agrees
-        f = volatility_factor(self)
-        f2 = gaussian_average(lambda y: f(y) ** 2, self.m, self.nu)
-        if abs(f2 - 1.0) > 1e-8:
-            raise ValueError(f"<f^2> = {f2!r} deviates from 1 beyond tolerance")
 
     @property
     def rho_xz(self) -> float:
@@ -98,137 +89,50 @@ class FullModelParams:
 
 def volatility_factor(fm: FullModelParams):
     """The multiplicative volatility factor f(y), normalized so <f^2> = 1."""
-    m, nu = fm.m, fm.nu
-    if fm.f_kind == "exp_ou":
-        shift = m + nu * nu
+    shift = fm.m + fm.nu * fm.nu
 
-        def f(y):
-            return np.exp(np.asarray(y, dtype=float) - shift)
+    def f(y):
+        return np.exp(np.asarray(y, dtype=float) - shift)
 
-        return f
-    raise ValueError(f"unsupported f_kind {fm.f_kind!r}")
+    return f
 
 
-def _gaussian_density(y, m: float, nu: float):
-    w = (np.asarray(y, dtype=float) - m) / nu
-    return np.exp(-0.5 * w * w) / (nu * math.sqrt(2.0 * math.pi))
+def _expm1_ratio(x: float) -> float:
+    """expm1(x) / x, continued by its limit 1 where x underflows to 0."""
+    return math.expm1(x) / x if x else 1.0
 
 
-def gaussian_average(g, m: float, nu: float, spec: QuadratureSpec | None = None) -> float:
-    """Expectation of g under N(m, nu^2) by adaptive quadrature.
-
-    The window starts at +-8 nu and widens until the integrand has decayed at
-    both endpoints, so exponentially tilted integrands (the exp-OU factor and
-    its products) are captured to full tolerance.
-    """
-    if spec is None:
-        spec = _DEFAULT_SPEC
-    half = _BASE_HALF_WIDTH
-    while True:
-        lo, hi = m - half * nu, m + half * nu
-
-        def integrand(y):
-            return np.asarray(g(y)) * _gaussian_density(y, m, nu)
-
-        value, _ = integrate_adaptive(integrand, lo, hi, spec)
-        edge = float(np.max(np.abs(integrand(np.array([lo, hi]))))) * nu
-        if edge <= max(spec.abs_tol, spec.rel_tol * abs(float(value))):
-            return float(value)
-        if half >= _MAX_HALF_WIDTH:
-            raise NonConvergence(
-                f"integrand has not decayed by {half} standard deviations",
-                estimate=float(value),
-                error_bound=edge,
-            )
-        half *= 1.5
-
-
-def poisson_solve_derivative(
-    source,
-    m: float,
-    nu: float,
-    spec: QuadratureSpec | None = None,
-    centering_tol: float = 1e-7,
-):
-    """Derivative of the polynomial-growth solution of L0 chi = source.
-
-    ``source`` must be centered (zero Gaussian average); returns a callable
-    ``chi_prime`` satisfying ``nu^2 chi'' + (m - y) chi' = source`` that
-    accepts scalars or arrays.
-
-    Raises
-    ------
-    NotCentered
-        If |<source>| exceeds ``centering_tol`` times the source's scale.
-    """
-    if spec is None:
-        spec = _DEFAULT_SPEC
-    mean = gaussian_average(source, m, nu, spec)
-    scale = gaussian_average(lambda y: np.abs(source(y)), m, nu, spec)
-    if abs(mean) > centering_tol * max(scale, 1.0):
-        raise NotCentered(
-            f"<source> = {mean:.3e} exceeds tolerance "
-            f"{centering_tol:.1e} * max(<|source|>, 1) = {centering_tol * max(scale, 1.0):.3e}"
-        )
-    lo_cap = m - _MAX_HALF_WIDTH * nu
-    hi_cap = m + _MAX_HALF_WIDTH * nu
-
-    def weighted(u):
-        return np.asarray(source(u)) * _gaussian_density(u, m, nu)
-
-    def _cumulative(y: float) -> float:
-        # integrate from the nearer tail; centering makes the two tails agree
-        if y <= m:
-            if y <= lo_cap:
-                return 0.0
-            value, _ = integrate_adaptive(weighted, lo_cap, y, spec)
-        else:
-            if y >= hi_cap:
-                return 0.0
-            value, _ = integrate_adaptive(weighted, y, hi_cap, spec)
-            value = -value
-        return float(value)
-
-    def chi_prime(y):
-        ys = np.asarray(y, dtype=float)
-        flat = np.ravel(ys)
-        out = np.array([_cumulative(float(yy)) for yy in flat])
-        out /= nu * nu * np.ravel(_gaussian_density(flat, m, nu))
-        if ys.ndim == 0:
-            return float(out[0])
-        return out.reshape(ys.shape)
-
-    return chi_prime
-
-
-def compute_group_params(
-    fm: FullModelParams, spec: QuadratureSpec | None = None
-) -> tuple[float, GroupParams]:
+def compute_group_params(fm: FullModelParams) -> tuple[float, GroupParams]:
     """Effective correlation and amplitude-scaled correction coefficients.
 
     Returns ``(rho_effective, GroupParams)`` where each coefficient already
-    carries the ``sqrt(epsilon)`` scaling.  ``rho_effective**2 <= 1`` always
-    (Cauchy-Schwarz against <f^2> = 1).
+    carries the ``sqrt(epsilon)`` scaling.  ``rho_effective**2 < 1`` always,
+    since ``|<f>| <= 1``.
+
+    Raises
+    ------
+    NonFinite
+        If ``exp(3 nu^2 / 2)`` overflows, which happens above nu ~ 21.75.
     """
-    if spec is None:
-        spec = _DEFAULT_SPEC
-    m, nu = fm.m, fm.nu
+    nu = fm.nu
+    nu2 = nu * nu
     sigma = fm.heston.sigma
-    f = volatility_factor(fm)
+    try:
+        growth = math.exp(1.5 * nu2)
+    except OverflowError:
+        growth = math.inf
+    if growth == math.inf:
+        raise NonFinite(
+            f"<f phi'> overflows at nu = {nu!r}: exp(3 nu^2 / 2) is not "
+            "representable"
+        )
 
-    f_bar = gaussian_average(f, m, nu, spec)
-    f2_bar = gaussian_average(lambda y: f(y) ** 2, m, nu, spec)
-    rho_eff = float(np.clip(fm.rho_xz * f_bar, -1.0, 1.0))
-
-    phi_prime = poisson_solve_derivative(
-        lambda y: 0.5 * (f(y) ** 2 - f2_bar), m, nu, spec
-    )
-    psi_prime = poisson_solve_derivative(lambda y: f(y) - f_bar, m, nu, spec)
-
-    phi_p_bar = gaussian_average(phi_prime, m, nu, spec)
-    psi_p_bar = gaussian_average(psi_prime, m, nu, spec)
-    f_phi_p_bar = gaussian_average(lambda y: f(y) * phi_prime(y), m, nu, spec)
-    f_psi_p_bar = gaussian_average(lambda y: f(y) * psi_prime(y), m, nu, spec)
+    f_bar = math.exp(-0.5 * nu2)
+    phi_p_bar = -1.0
+    psi_p_bar = -f_bar
+    f_phi_p_bar = -growth * _expm1_ratio(-2.0 * nu2)
+    f_psi_p_bar = -_expm1_ratio(-nu2)
+    rho_eff = fm.rho_xz * f_bar
 
     root2nu = math.sqrt(2.0) * nu
     v1 = fm.rho_yz * sigma * root2nu * phi_p_bar
@@ -238,9 +142,3 @@ def compute_group_params(
 
     amp = math.sqrt(fm.epsilon)
     return rho_eff, GroupParams(amp * v1, amp * v2, amp * v3, amp * v4)
-
-
-def effective_heston_params(fm: FullModelParams) -> HestonParams:
-    """The averaged single-factor parameters implied by the full model."""
-    rho_eff, _ = compute_group_params(fm)
-    return fm.heston.replace(rho=rho_eff)

@@ -122,6 +122,15 @@ def _chunk_streams(seed: int, n_chunks: int):
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
+def _join_chunks(parts, antithetic: bool) -> np.ndarray:
+    """Join per-chunk [base | mirror] blocks as [all bases | all mirrors]."""
+    if not antithetic:
+        return np.concatenate(parts)
+    halves = [part[: part.size // 2] for part in parts]
+    halves += [part[part.size // 2 :] for part in parts]
+    return np.concatenate(halves)
+
+
 def simulate_paths(
     fm: FullModelParams, horizon: float, cfg: SimConfig
 ) -> TerminalSample:
@@ -130,7 +139,9 @@ def simulate_paths(
     The log price is integrated in its exponential form and returned per unit
     of initial price (scale by spot to price); Z uses full-truncation Euler;
     Y uses the configured fast-factor update.  Reproducible: identical
-    (fm, horizon, cfg) give bit-identical samples.
+    (fm, horizon, cfg) give bit-identical samples.  Antithetic samples hold
+    all base paths first and their mirrors after them in the same order, so
+    path ``i`` and path ``n_paths // 2 + i`` form a pair.
     """
     if not horizon > 0:
         raise ValueError("horizon must be strictly positive")
@@ -214,11 +225,9 @@ def simulate_paths(
         ys.append(y)
         zs.append(z)
 
-    # per-chunk layout: [base block | antithetic block]; callers that pair
-    # antithetic draws rely on this ordering within each chunk
-    x_t = np.concatenate(xs)
-    y_t = np.concatenate(ys)
-    z_t = np.concatenate(zs)
+    x_t, y_t, z_t = (
+        _join_chunks(parts, cfg.antithetic) for parts in (xs, ys, zs)
+    )
     frac = truncated / total_step_states if total_step_states else 0.0
     if frac > cfg.max_truncation_fraction:
         warnings.append("truncation_fraction_above_threshold")
@@ -248,18 +257,8 @@ def mc_price_call(
     payoff = disc * np.maximum(spot * sample.x - strike, 0.0)
 
     if cfg.antithetic:
-        # mirror blocks are chunk-local: [base | anti] per chunk
         n_base = cfg.n_paths // 2
-        n_chunks = max(1, math.ceil(n_base / _CHUNK))
-        means = []
-        offset = 0
-        for chunk_idx in range(n_chunks):
-            lo = chunk_idx * _CHUNK
-            width = min(n_base, lo + _CHUNK) - lo
-            block = payoff[offset : offset + 2 * width]
-            means.append(0.5 * (block[:width] + block[width:]))
-            offset += 2 * width
-        pooled = np.concatenate(means)
+        pooled = 0.5 * (payoff[:n_base] + payoff[n_base:])
     else:
         pooled = payoff
 

@@ -215,17 +215,23 @@ def exp_ou_f_bar(nu: float) -> float:
     return math.exp(-nu * nu / 2.0)
 
 
+def _norm_cdf_diff(a, b):
+    """Phi(a) - Phi(b), taken from the upper tail when the pair lies mostly
+    above the median, so that the two terms do not round to 1 and cancel."""
+    return np.where(a + b > 0.0, norm.sf(b) - norm.sf(a), norm.cdf(a) - norm.cdf(b))
+
+
 def exp_ou_phi_prime(y, m, nu):
     """Closed form for the derivative of the variance-source solution."""
     w = (np.asarray(y, dtype=float) - m) / nu
-    return (norm.cdf(w - 2.0 * nu) - norm.cdf(w)) / (2.0 * nu * norm.pdf(w))
+    return _norm_cdf_diff(w - 2.0 * nu, w) / (2.0 * nu * norm.pdf(w))
 
 
 def exp_ou_psi_prime(y, m, nu):
     w = (np.asarray(y, dtype=float) - m) / nu
     return (
         math.exp(-nu * nu / 2.0)
-        * (norm.cdf(w - nu) - norm.cdf(w))
+        * _norm_cdf_diff(w - nu, w)
         / (nu * norm.pdf(w))
     )
 
@@ -241,8 +247,22 @@ def exp_ou_brackets(nu: float) -> dict:
     }
 
 
-def exp_ou_unit_v(sigma, nu, rho_xy, rho_xz, rho_yz) -> np.ndarray:
-    br = exp_ou_brackets(nu)
+def mp_exp_ou_brackets(nu: float, dps: int = 50) -> dict:
+    """The four averages of ``exp_ou_brackets`` in arbitrary precision."""
+    with mp.workdps(dps):
+        n2 = mp.mpf(nu) ** 2
+        return {
+            "phi_prime": -1.0,
+            "psi_prime": float(-mp.exp(-n2 / 2)),
+            "f_phi_prime": float(-mp.exp(-n2 / 2) * mp.expm1(2 * n2) / (2 * n2)),
+            "f_psi_prime": float(mp.expm1(-n2) / n2),
+        }
+
+
+def exp_ou_unit_v(sigma, nu, rho_xy, rho_xz, rho_yz, brackets=None) -> np.ndarray:
+    """Unit-amplitude (epsilon = 1) V1..V4 from the averages ``brackets``,
+    by default the closed forms of ``exp_ou_brackets``."""
+    br = exp_ou_brackets(nu) if brackets is None else brackets
     root2nu = math.sqrt(2.0) * nu
     return np.array(
         [

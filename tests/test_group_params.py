@@ -1,25 +1,25 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import norm
 
-from msheston.errors import NotCentered
+from msheston.errors import NonFinite
 from msheston.group_params import (
     FullModelParams,
     compute_group_params,
-    gaussian_average,
-    poisson_solve_derivative,
     volatility_factor,
 )
 from msheston.kernel import HestonParams
-from msheston.quadrature import QuadratureSpec
 
 from .helpers import (
-    exp_ou_brackets,
     exp_ou_f_bar,
     exp_ou_phi_prime,
     exp_ou_psi_prime,
     exp_ou_unit_v,
+    mp_exp_ou_brackets,
 )
 
 
@@ -37,6 +37,21 @@ def _full_model(**overrides):
     )
     defaults.update(overrides)
     return FullModelParams(**defaults)
+
+
+def _gaussian_quad(g, m, nu):
+    """E[g(Y)] for Y ~ N(m, nu^2) by QUADPACK.  The window reaches 15 nu past
+    m + 3 nu^2, where the exp-OU tilt of f * phi' puts its mass."""
+    value, _ = quad(
+        lambda y: float(g(y)) * norm.pdf(y, loc=m, scale=nu),
+        m - 15.0 * nu,
+        m + (3.0 * nu + 15.0) * nu,
+        points=[m, m + nu * nu, m + 3.0 * nu * nu],
+        epsabs=0.0,
+        epsrel=1e-12,
+        limit=500,
+    )
+    return value
 
 
 class TestFullModelValidation:
@@ -60,55 +75,53 @@ class TestFullModelValidation:
     def test_factor_is_second_moment_normalized(self):
         fm = _full_model(nu=0.7, m=-0.3)
         f = volatility_factor(fm)
-        val = gaussian_average(lambda y: f(y) ** 2, fm.m, fm.nu)
+        val = _gaussian_quad(lambda y: f(y) ** 2, fm.m, fm.nu)
         assert val == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGaussianAverage:
-    def test_normalization(self):
-        val = gaussian_average(lambda y: np.ones_like(np.asarray(y, float)), 0.06, 1.0)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_mean(self):
-        val = gaussian_average(lambda y: np.asarray(y, float), 0.06, 1.0)
-        assert val == pytest.approx(0.06, abs=1e-12)
+    """The averages the coefficients are built from, by QUADPACK against the
+    closed-form Poisson solutions of ``tests/helpers.py``."""
 
     def test_second_moment_of_factor(self):
         fm = _full_model()
         f = volatility_factor(fm)
-        val = gaussian_average(lambda y: f(y) ** 2, fm.m, fm.nu)
+        val = _gaussian_quad(lambda y: f(y) ** 2, fm.m, fm.nu)
         assert val == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.2, 1.0, 2.0, 3.0])
+    def test_brackets_by_quadrature(self, nu):
+        fm = _full_model(nu=nu, m=-0.4, epsilon=1e-2, rho_xy=-0.2, rho_yz=0.55)
+        m = fm.m
+        f = volatility_factor(fm)
+        phi_p = lambda y: exp_ou_phi_prime(y, m, nu)
+        psi_p = lambda y: exp_ou_psi_prime(y, m, nu)
+        brackets = {
+            "phi_prime": _gaussian_quad(phi_p, m, nu),
+            "psi_prime": _gaussian_quad(psi_p, m, nu),
+            "f_phi_prime": _gaussian_quad(lambda y: f(y) * phi_p(y), m, nu),
+            "f_psi_prime": _gaussian_quad(lambda y: f(y) * psi_p(y), m, nu),
+        }
+        rho_eff, v = compute_group_params(fm)
+        unit = exp_ou_unit_v(
+            fm.heston.sigma, nu, fm.rho_xy, fm.rho_xz, fm.rho_yz, brackets
+        )
+        np.testing.assert_allclose(
+            v.as_array(), math.sqrt(fm.epsilon) * unit, rtol=1e-9, atol=0.0
+        )
+        assert rho_eff == pytest.approx(
+            fm.rho_xz * _gaussian_quad(f, m, nu), rel=1e-9
+        )
 
 
 class TestPoissonSolver:
-    def test_zero_source(self):
-        cp = poisson_solve_derivative(
-            lambda y: np.zeros_like(np.asarray(y, float)), 0.0, 1.0
-        )
-        ys = np.linspace(-3, 3, 7)
-        np.testing.assert_allclose(cp(ys), 0.0, atol=1e-12)
+    """The closed-form Poisson solutions of ``tests/helpers.py`` against the
+    equation nu^2 chi'' + (m - y) chi' = source itself."""
 
-    def test_linear_source_has_constant_minus_one_derivative(self):
-        # nu^2 chi'' + (m - y) chi' = y - m  is solved by chi' = -1
-        m, nu = 0.06, 0.8
-        cp = poisson_solve_derivative(lambda y: np.asarray(y, float) - m, m, nu)
-        ys = np.linspace(m - 3 * nu, m + 3 * nu, 9)
-        np.testing.assert_allclose(cp(ys), -1.0, atol=1e-9)
-
-    def test_not_centered_rejected(self):
-        with pytest.raises(NotCentered):
-            poisson_solve_derivative(
-                lambda y: np.ones_like(np.asarray(y, float)), 0.0, 1.0
-            )
-
-    def test_variance_source_ode_residual(self):
-        # residual of nu^2 chi'' + (m - y) chi' = source, chi'' by central
-        # differences with Richardson extrapolation to kill the h^2 term
-        fm = _full_model()
-        m, nu = fm.m, fm.nu
-        f = volatility_factor(fm)
-        src = lambda y: 0.5 * (f(y) ** 2 - 1.0)
-        cp = poisson_solve_derivative(src, m, nu)
+    @staticmethod
+    def _max_residual(cp, src, m, nu):
+        # chi'' by central differences with Richardson extrapolation to kill
+        # the h^2 term
         ys = np.linspace(m - 5 * nu, m + 5 * nu, 21)
 
         def second(y, h):
@@ -118,22 +131,23 @@ class TestPoissonSolver:
         chi2 = (4.0 * second(ys, h) - second(ys, 2 * h)) / 3.0
         resid = nu**2 * chi2 + (m - ys) * cp(ys) - src(ys)
         scale = 1.0 + np.abs(src(ys)) + np.abs(cp(ys))
-        assert np.max(np.abs(resid) / scale) < 1e-8
+        return np.max(np.abs(resid) / scale)
 
-    def test_matches_closed_form_solutions(self):
-        fm = _full_model(nu=1.0, m=0.06)
+    def test_variance_source_ode_residual(self):
+        fm = _full_model()
         m, nu = fm.m, fm.nu
         f = volatility_factor(fm)
-        f_bar = exp_ou_f_bar(nu)
-        phi_p = poisson_solve_derivative(lambda y: 0.5 * (f(y) ** 2 - 1.0), m, nu)
-        psi_p = poisson_solve_derivative(lambda y: f(y) - f_bar, m, nu)
-        ys = np.linspace(m - 4 * nu, m + 4 * nu, 17)
-        np.testing.assert_allclose(
-            phi_p(ys), exp_ou_phi_prime(ys, m, nu), rtol=1e-9, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            psi_p(ys), exp_ou_psi_prime(ys, m, nu), rtol=1e-9, atol=1e-12
-        )
+        src = lambda y: 0.5 * (f(y) ** 2 - 1.0)
+        cp = lambda y: exp_ou_phi_prime(y, m, nu)
+        assert self._max_residual(cp, src, m, nu) < 1e-8
+
+    def test_mean_source_ode_residual(self):
+        fm = _full_model()
+        m, nu = fm.m, fm.nu
+        f = volatility_factor(fm)
+        src = lambda y: f(y) - exp_ou_f_bar(nu)
+        cp = lambda y: exp_ou_psi_prime(y, m, nu)
+        assert self._max_residual(cp, src, m, nu) < 1e-8
 
 
 class TestGroupParams:
@@ -181,24 +195,25 @@ class TestGroupParams:
         _, v = compute_group_params(_full_model(m=m))
         np.testing.assert_allclose(v.as_array(), v_ref.as_array(), rtol=1e-8)
 
-    def test_phi_weighted_residual(self):
-        # the integrated residual of both Poisson solutions against the
-        # invariant density stays below 1e-8
-        fm = _full_model()
-        m, nu = fm.m, fm.nu
-        f = volatility_factor(fm)
-        f_bar = exp_ou_f_bar(nu)
-        for src in (
-            lambda y: 0.5 * (f(y) ** 2 - 1.0),
-            lambda y: f(y) - f_bar,
-        ):
-            cp = poisson_solve_derivative(src, m, nu)
+    # at nu = 1e-200, nu^2 underflows to 0 in double precision
+    @pytest.mark.parametrize("nu", [1e-200, 1e-6, 1e-2, 1.0, 3.0, 10.0, 21.0])
+    def test_against_mpmath(self, nu):
+        fm = _full_model(nu=nu, epsilon=1e-2, rho_xy=-0.2, rho_yz=0.55)
+        rho_eff, v = compute_group_params(fm)
+        unit = exp_ou_unit_v(
+            fm.heston.sigma, nu, fm.rho_xy, fm.rho_xz, fm.rho_yz,
+            mp_exp_ou_brackets(nu),
+        )
+        np.testing.assert_allclose(
+            v.as_array(), math.sqrt(fm.epsilon) * unit, rtol=1e-13, atol=0.0
+        )
+        with mpmath.workdps(50):
+            rho_ref = float(fm.rho_xz * mpmath.exp(-mpmath.mpf(nu) ** 2 / 2))
+        assert rho_eff == pytest.approx(rho_ref, rel=1e-13)
 
-            def resid(y):
-                h = 1e-4
-                chi2 = (cp(y + h) - cp(y - h)) / (2 * h)
-                return np.abs(nu**2 * chi2 + (m - y) * cp(y) - src(y))
-
-            spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-6, max_subdivisions=64)
-            val = gaussian_average(resid, m, nu, spec)
-            assert val < 1e-8
+    # exp(3 nu^2 / 2) leaves the double range just above nu = 21.75; at
+    # nu = 1e200 already nu^2 is infinite
+    @pytest.mark.parametrize("nu", [22.0, 1e200])
+    def test_overflow_is_nonfinite(self, nu):
+        with pytest.raises(NonFinite, match="overflows"):
+            compute_group_params(_full_model(nu=nu))

@@ -227,6 +227,19 @@ class TestCli:
             -0.35 * math.exp(-0.5), rel=1e-9
         )
 
+    def test_group_params_overflow_is_numeric_error(self, tmp_path, capsys):
+        out = tmp_path / "gp.json"
+        rc = main(
+            ["group-params", "--kappa", "1.0", "--theta", "0.24",
+             "--sigma", "0.39", "--rho-xz", "-0.35", "--z", "0.24",
+             "--rate", "0.05", "--epsilon", "0.01", "--m", "0.06",
+             "--nu", "22", "--rho-xy", "-0.35", "--rho-yz", "0.35",
+             "--y0", "0.06", "--output", str(out)]
+        )
+        assert rc == 3
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_mc_report_shape(self, tmp_path):
         out = tmp_path / "mc.json"
         rc = main(

@@ -124,6 +124,18 @@ class TestSimulatePaths:
         ref = max(100.0 * math.exp(0.05) - 90.0, 0.0) * math.exp(-0.05)
         assert est.price == pytest.approx(ref, abs=1e-5)
 
+    def test_antithetic_layout_pairs_across_chunks(self, monkeypatch):
+        # constant factor and a variance that barely moves: a path and its
+        # mirror take opposite spot shocks, so their log prices sum to the
+        # same value for every pair, including pairs past the first chunk
+        monkeypatch.setattr(mc_mod, "volatility_factor", _constant_factor)
+        fm = _full_model(heston_kwargs=dict(sigma=1e-9, theta=0.24, z=0.24))
+        n_base = mc_mod._CHUNK + 100
+        cfg = SimConfig(n_paths=2 * n_base, dt=0.01, seed=13)
+        log_x = np.log(simulate_paths(fm, 0.02, cfg).x)
+        sums = log_x[:n_base] + log_x[n_base:]
+        assert np.ptp(sums) < 1e-9
+
     def test_euler_fast_factor_requires_fine_steps(self):
         fm = _full_model(epsilon=1e-3)
         cfg = SimConfig(
