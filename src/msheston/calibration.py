@@ -15,7 +15,7 @@ machinery; the reported results are always in natural units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -46,8 +46,9 @@ DEFAULT_BOUNDS = {
 OUT_OF_BAND_RESIDUAL = 1.0
 
 
-def _default_quadrature() -> QuadratureSpec:
-    return QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
+# Quadrature of a fit unless the problem sets its own: residuals are compared
+# in implied vol, so the price tolerances can be looser than the defaults.
+CALIBRATION_QUADRATURE = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
 
 
 @dataclass
@@ -58,7 +59,7 @@ class CalibProblem:
     weights: dict | None = None
     bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
     feller_mode: str = "penalize"
-    quadrature: QuadratureSpec = field(default_factory=_default_quadrature)
+    quadrature: QuadratureSpec = CALIBRATION_QUADRATURE
     k_i: float = 1.5
     feller_penalty_weight: float = 10.0
 
@@ -70,10 +71,13 @@ class CalibProblem:
                 if w < 0:
                     raise ValueError(f"negative weight for {key}")
 
-    def weight(self, expiry: float, strike: float) -> float:
-        if self.weights is None:
-            return 1.0
-        return float(self.weights.get((expiry, strike), 1.0))
+    def sqrt_weights(self) -> np.ndarray:
+        """Square roots of the quote weights, in market point order."""
+        weights = self.weights or {}
+        return np.sqrt([
+            float(weights.get((pt.expiry, pt.strike), 1.0))
+            for pt in self.market.points
+        ])
 
     def require_enough_quotes(self, n_params: int):
         if self.market.n_points < n_params:
@@ -159,7 +163,7 @@ def _transformed_bounds(bounds: dict, multiscale: bool):
 
 
 def _quote_residuals(p: HestonParams, v: GroupParams | None, prob: CalibProblem):
-    """Weighted (sigma_mkt - sigma_model) per quote, in market point order."""
+    """Unweighted (sigma_mkt - sigma_model) per quote, in market point order."""
     market = prob.market
     residuals = np.empty(market.n_points)
     idx = 0
@@ -175,32 +179,31 @@ def _quote_residuals(p: HestonParams, v: GroupParams | None, prob: CalibProblem)
             spec=prob.quadrature, k_i=prob.k_i,
         )
         for strike, vol_mkt, bd in zip(strikes, vols_mkt, breakdowns):
-            w = math.sqrt(prob.weight(expiry, strike))
             try:
                 vol_model = implied_vol(
                     bd.total, market.spot, strike, expiry, rate,
                     dividend_yield=q_div,
                 )
-                residuals[idx] = w * (vol_mkt - vol_model)
+                residuals[idx] = vol_mkt - vol_model
             except (OutOfBand, NonConvergence):
-                residuals[idx] = w * OUT_OF_BAND_RESIDUAL
+                residuals[idx] = OUT_OF_BAND_RESIDUAL
             idx += 1
     return residuals
 
 
 def objective_heston(theta, prob: CalibProblem) -> np.ndarray:
-    """Per-quote residual vector of the baseline model at ``theta``.
+    """Per-quote weighted residual vector of the baseline model at ``theta``.
 
     ``theta`` is either a HestonParams or a natural-space vector in the order
     (kappa, rho, sigma, theta, z).  Total by construction: uninvertible model
     points contribute the finite out-of-band penalty residual.
     """
     p = _as_heston(theta, prob)
-    return _quote_residuals(p, None, prob)
+    return prob.sqrt_weights() * _quote_residuals(p, None, prob)
 
 
 def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
-    """Per-quote residual vector of the corrected model at ``phi``.
+    """Per-quote weighted residual vector of the corrected model at ``phi``.
 
     ``phi`` is a (HestonParams, GroupParams) pair or a natural-space vector
     (kappa, rho, sigma, theta, z, v1e, v2e, v3e, v4e).
@@ -211,7 +214,7 @@ def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
         arr = np.asarray(phi, dtype=float)
         p = _as_heston(arr[:5], prob)
         v = GroupParams(*arr[5:9])
-    return _quote_residuals(p, v, prob)
+    return prob.sqrt_weights() * _quote_residuals(p, v, prob)
 
 
 def _as_heston(theta, prob: CalibProblem) -> HestonParams:
@@ -229,14 +232,12 @@ def _feller_penalty(p: HestonParams, prob: CalibProblem) -> float:
     return prob.feller_penalty_weight * max(0.0, p.sigma**2 - 2.0 * p.kappa * p.theta)
 
 
-def _per_expiry_rss(p, v, prob) -> tuple:
-    """Unweighted mean squared residual per expiry (the marginal report)."""
-    unweighted = replace(prob, weights=None)
-    residuals = _quote_residuals(p, v, unweighted)
+def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
+    """Mean squared unweighted residual per expiry (the marginal report)."""
     rows = []
     idx = 0
-    for expiry in prob.market.expiries():
-        n = len(prob.market.strikes(expiry))
+    for expiry in market.expiries():
+        n = len(market.strikes(expiry))
         block = residuals[idx : idx + n]
         rows.append((expiry, float(np.mean(block**2))))
         idx += n
@@ -244,9 +245,11 @@ def _per_expiry_rss(p, v, prob) -> tuple:
 
 
 def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev, tols):
+    sqrt_w = prob.sqrt_weights()
+
     def fun(x):
         p, v = _unpack(x, rate, multiscale)
-        res = _quote_residuals(p, v, prob)
+        res = sqrt_w * _quote_residuals(p, v, prob)
         return np.append(res, _feller_penalty(p, prob))
 
     res0 = fun(x0)
@@ -271,22 +274,35 @@ def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev, tols):
     return x0, cost0, int(fit.nfev), False
 
 
-def _finish(prob, x, rate, multiscale, iterations, converged, start_natural):
+def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts, restart_seed,
+         max_nfev, tol) -> CalibResult:
+    """Best of the fits from ``x0`` and its restart points, with its report."""
+    rate = prob.market.rate(prob.market.expiries()[0])
+    starts = [x0] + _restart_points(x0, lo, hi, n_restarts, restart_seed)
+    best = None
+    total_nfev = 0
+    for xs in starts:
+        x, cost, nfev, ok = _run_fit(
+            prob, xs, lo, hi, rate, multiscale, max_nfev, tol
+        )
+        total_nfev += nfev
+        if best is None or cost < best[1]:
+            best = (x, cost, ok)
+    x, _, converged = best
     p, v = _unpack(x, rate, multiscale)
     residuals = _quote_residuals(p, v, prob)
-    objective = float(residuals @ residuals)
-    feller_ok = p.feller_satisfied
-    if prob.feller_mode == "enforce" and not feller_ok:
+    weighted = prob.sqrt_weights() * residuals
+    if prob.feller_mode == "enforce" and not p.feller_satisfied:
         converged = False
     return CalibResult(
         heston=p,
         group=v,
-        objective=objective,
-        per_expiry_rss=_per_expiry_rss(p, v, prob),
-        iterations=iterations,
+        objective=float(weighted @ weighted),
+        per_expiry_rss=_per_expiry_rss(residuals, prob.market),
+        iterations=total_nfev,
         converged=converged,
         start_point=tuple(start_natural),
-        feller_satisfied=feller_ok,
+        feller_satisfied=p.feller_satisfied,
     )
 
 
@@ -319,23 +335,13 @@ def calibrate_heston(
     the best final objective wins.  Deterministic for fixed inputs.
     """
     prob.require_enough_quotes(5)
-    rate = prob.market.rate(prob.market.expiries()[0])
     x0 = _pack(start, None)
     lo, hi = _transformed_bounds(prob.bounds, multiscale=False)
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("start point violates bounds")
-    starts = [x0] + _restart_points(x0, lo, hi, n_restarts, restart_seed)
-    best = None
-    total_nfev = 0
-    for xs in starts:
-        x, cost, nfev, ok = _run_fit(
-            prob, xs, lo, hi, rate, False, max_nfev, tol
-        )
-        total_nfev += nfev
-        if best is None or cost < best[1]:
-            best = (x, cost, ok)
     start_natural = [getattr(start, n) for n in THETA_NAMES]
-    return _finish(prob, best[0], rate, False, total_nfev, best[2], start_natural)
+    return _fit(prob, x0, lo, hi, False, start_natural, n_restarts,
+                restart_seed, max_nfev, tol)
 
 
 def calibrate_multiscale(
@@ -356,47 +362,16 @@ def calibrate_multiscale(
     if not heston_result.converged:
         raise ValueError("baseline result did not converge; refusing to seed")
     prob.require_enough_quotes(9)
-    rate = prob.market.rate(prob.market.expiries()[0])
     x0 = _pack(heston_result.heston, GroupParams.zero())
     lo, hi = _transformed_bounds(prob.bounds, multiscale=True)
     x0 = np.clip(x0, lo, hi)
-    starts = [x0] + _restart_points(x0, lo, hi, n_restarts, restart_seed)
-    best = None
-    total_nfev = 0
-    for xs in starts:
-        x, cost, nfev, ok = _run_fit(prob, xs, lo, hi, rate, True, max_nfev, tol)
-        total_nfev += nfev
-        if best is None or cost < best[1]:
-            best = (x, cost, ok)
-    start_natural = [getattr(heston_result.heston, n) for n in THETA_NAMES] + [
-        0.0,
-        0.0,
-        0.0,
-        0.0,
-    ]
-    return _finish(prob, best[0], rate, True, total_nfev, best[2], start_natural)
+    start_natural = [getattr(heston_result.heston, n) for n in THETA_NAMES]
+    start_natural += [0.0, 0.0, 0.0, 0.0]
+    return _fit(prob, x0, lo, hi, True, start_natural, n_restarts,
+                restart_seed, max_nfev, tol)
 
 
 # -- reporting -----------------------------------------------------------------
-
-
-def residual_report(result: CalibResult, prob: CalibProblem) -> list:
-    """Per-expiry marginal mean squared residuals, shortest expiry first.
-
-    Rows are dicts with days (ACT/365), quote count, and the mean squared
-    implied-vol residual of the fitted model at that expiry.
-    """
-    rows = []
-    for expiry, rss in result.per_expiry_rss:
-        rows.append(
-            {
-                "days": round(expiry * 365.0),
-                "expiry_years": expiry,
-                "n_quotes": len(prob.market.strikes(expiry)),
-                "mean_sq_residual": rss,
-            }
-        )
-    return rows
 
 
 def residual_ratio_report(

@@ -21,11 +21,13 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import (
+    CALIBRATION_QUADRATURE,
     CalibProblem,
     DEFAULT_BOUNDS,
     calibrate_heston,
@@ -38,10 +40,8 @@ from .errors import (
     ContourViolation,
     EmptyAfterFilter,
     MsHestonError,
-    NearSingular,
     NonConvergence,
     NonFinite,
-    NotPositiveDefinite,
     OutOfBand,
     ParseError,
     StepExplosion,
@@ -115,16 +115,19 @@ def _group_from_args(args, config) -> GroupParams:
     return GroupParams(*vals)
 
 
-def _quadrature_from_args(args, config) -> QuadratureSpec:
-    return QuadratureSpec(
-        abs_tol=float(_cfg_get(config, "quadrature", "abs_tol", args.abs_tol, 1e-9)),
-        rel_tol=float(_cfg_get(config, "quadrature", "rel_tol", args.rel_tol, 1e-8)),
-        max_subdivisions=int(
-            _cfg_get(
-                config, "quadrature", "max_subdivisions", args.max_subdivisions, 512
-            )
-        ),
-    )
+_QUADRATURE_KEYS = (
+    ("abs_tol", float), ("rel_tol", float), ("max_subdivisions", int)
+)
+
+
+def _quadrature_from_args(args, config, base=QuadratureSpec()) -> QuadratureSpec:
+    """``base`` with the settings given by flag or config; flags win."""
+    values = {}
+    for key, cast in _QUADRATURE_KEYS:
+        value = _cfg_get(config, "quadrature", key, getattr(args, key, None), None)
+        if value is not None:
+            values[key] = cast(value)
+    return replace(base, **values)
 
 
 def _full_model_from_args(args, config) -> FullModelParams:
@@ -271,16 +274,11 @@ def _cmd_calibrate(args, config):
     bounds.update(
         {k: tuple(vv) for k, vv in calib_cfg.get("bounds", {}).items()}
     )
-    quad_cfg = config.get("quadrature", {})
     prob = CalibProblem(
         market=loaded.surface,
         bounds=bounds,
         feller_mode=calib_cfg.get("feller_mode", "penalize"),
-        quadrature=QuadratureSpec(
-            abs_tol=float(quad_cfg.get("abs_tol", 1e-8)),
-            rel_tol=float(quad_cfg.get("rel_tol", 1e-7)),
-            max_subdivisions=int(quad_cfg.get("max_subdivisions", 512)),
-        ),
+        quadrature=_quadrature_from_args(args, config, CALIBRATION_QUADRATURE),
     )
     n_restarts = int(calib_cfg.get("multistart", 0))
     h_res = calibrate_heston(prob, start, n_restarts=n_restarts)
@@ -488,11 +486,9 @@ def main(argv=None) -> int:
     except (
         ValueError,
         NonFinite,
-        NotPositiveDefinite,
-        StepExplosion,
+            StepExplosion,
         OutOfBand,
-        NearSingular,
-        BranchCrossing,
+            BranchCrossing,
         ContourViolation,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

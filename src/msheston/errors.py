@@ -5,14 +5,6 @@ class MsHestonError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NearSingular(MsHestonError):
-    """A kernel denominator fell below its relative floor at some contour point."""
-
-    def __init__(self, message, k=None):
-        super().__init__(message)
-        self.k = k
-
-
 class BranchCrossing(MsHestonError):
     """The rotation-safe log argument landed exactly on the negative real axis.
 
@@ -44,10 +36,6 @@ class OutOfBand(MsHestonError):
     def __init__(self, message, bound):
         super().__init__(message)
         self.bound = bound
-
-
-class NotPositiveDefinite(MsHestonError):
-    """The Brownian correlation matrix is not positive definite."""
 
 
 class StepExplosion(MsHestonError):

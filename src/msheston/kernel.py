@@ -23,10 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCrossing, NearSingular
-
-# Relative floor under which a kernel denominator counts as singular.
-NEAR_SINGULAR_FLOOR = 1e-12
+from .errors import BranchCrossing
 
 # Below this |t*d| the factor (1 - exp(-t*d))/d switches to its Taylor series;
 # the direct form loses ~|t*d|^-1 * eps digits to cancellation there.
@@ -86,25 +83,6 @@ class HestonParams:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class Wavenumber:
-    """A point on the shifted integration contour, ``k = k_r + i*k_i``.
-
-    ``k_i`` is held fixed along a contour; call payoff transforms require
-    ``k_i > 1`` (checked where the transform is evaluated, not here).
-    """
-
-    k_r: float
-    k_i: float
-
-    def __complex__(self) -> complex:
-        return complex(self.k_r, self.k_i)
-
-
-def _as_complex(k) -> complex:
-    return complex(k)
-
-
 def _group_values(v):
     """Accept a GroupParams-like object or a length-4 sequence."""
     try:
@@ -112,13 +90,6 @@ def _group_values(v):
     except AttributeError:
         v1, v2, v3, v4 = v
         return v1, v2, v3, v4
-
-
-# ----------------------------------------------------------------------
-# Array-level primitives.  These are total on valid parameters and accept
-# scalars or ndarrays of complex k; the public scalar API below adds the
-# contract checks that raise.
-# ----------------------------------------------------------------------
 
 
 def _m_of(k, p: HestonParams):
@@ -170,12 +141,6 @@ def _b_coeffs(k, v):
     return -v3 * (1j * k2 * k + k2), v1 * (k2 - 1j * k) + v4 * k2, 1j * k * v2
 
 
-def _b_of(big_d_val, k, v):
-    """Source polynomial of the correction ODE; linear in the coefficients."""
-    b0, b1, b2 = _b_coeffs(k, v)
-    return b0 + big_d_val * (b1 + big_d_val * b2)
-
-
 def _f_hats(tau, k, p: HestonParams, v, d=None, m=None):
     """Correction transforms (f0_hat, f1_hat) at time tau, in closed form.
 
@@ -223,81 +188,3 @@ def _f_hats(tau, k, p: HestonParams, v, d=None, m=None):
         + q2 * w * w * m2
     )
     return f0, f1
-
-
-# ----------------------------------------------------------------------
-# Public scalar operations.
-# ----------------------------------------------------------------------
-
-
-def d(k, p: HestonParams) -> complex:
-    """Discriminant root d(k) = sqrt(sigma^2 (k^2 - ik) + (kappa + i rho k sigma)^2).
-
-    Principal branch: Re(d) >= 0, with the tie at Re(d) = 0 broken toward
-    nonnegative imaginary part.
-    """
-    kc = _as_complex(k)
-    val, _ = _d_of(kc, p)
-    return complex(val)
-
-
-def g(k, p: HestonParams) -> complex:
-    """Ratio g(k) = (M + d) / (M - d) with M = kappa + i rho k sigma.
-
-    Raises
-    ------
-    NearSingular
-        If |M - d| falls below the relative floor; the caller should skip or
-        perturb the contour point rather than abort a whole evaluation.
-    """
-    kc = _as_complex(k)
-    d_val, m = _d_of(kc, p)
-    den = m - d_val
-    if abs(den) < NEAR_SINGULAR_FLOOR * (abs(m) + abs(d_val)):
-        raise NearSingular(f"g(k) denominator vanishes at k={kc}", k=kc)
-    return complex((m + d_val) / den)
-
-
-def big_d(tau: float, k, p: HestonParams) -> complex:
-    """Variance-slope exponent D(tau, k); D(0, k) = 0."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    kc = _as_complex(k)
-    _, d_val, _ = _cd_of(tau, kc, p)
-    return complex(d_val)
-
-
-def big_c(tau: float, k, p: HestonParams) -> complex:
-    """Level exponent C(tau, k) via the rotation-safe zeta representation.
-
-    Continuous in k_r along a fixed-k_i contour; C(0, k) = 0.
-
-    Raises
-    ------
-    BranchCrossing
-        If zeta lands exactly on the negative real axis (diagnostic; not
-        expected for admissible parameters under the principal-branch root).
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    kc = _as_complex(k)
-    c_val, _, _ = _cd_of(tau, kc, p)
-    return complex(c_val)
-
-
-def g_hat(tau: float, k, p: HestonParams) -> complex:
-    """Transform kernel G_hat(tau, k, z) = exp(C + z*D); equals 1 at tau=0 or k=0."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    kc = _as_complex(k)
-    c_val, d_val, _ = _cd_of(tau, kc, p)
-    return complex(np.exp(c_val + p.z * d_val))
-
-
-def b_source(tau: float, k, p: HestonParams, v) -> complex:
-    """Correction source b(tau, k); linear in the coefficients, zero when v = 0."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    kc = _as_complex(k)
-    _, dd, _ = _cd_of(tau, kc, p)
-    return complex(_b_of(dd, kc, v))

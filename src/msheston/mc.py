@@ -26,32 +26,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, StepExplosion
+from .errors import StepExplosion
 from .group_params import FullModelParams, volatility_factor
 
 _CHUNK = 1 << 16
 _FINITE_CHECK_EVERY = 64
+# Share of Z step states floored at zero above which a sample is flagged.
+MAX_TRUNCATION_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, step size and scheme switches for one simulation."""
+    """Path count, step size, antithetic pairing and fast-factor update."""
 
     n_paths: int
     dt: float
     seed: int
     antithetic: bool = True
-    scheme: str = "euler_full_truncation"
     fast_factor_update: str = "exact_ou"
-    max_truncation_fraction: float = 1e-3
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not self.dt > 0:
             raise ValueError("dt must be strictly positive")
-        if self.scheme != "euler_full_truncation":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
         if self.fast_factor_update not in ("exact_ou", "euler"):
             raise ValueError(
                 f"unsupported fast_factor_update {self.fast_factor_update!r}"
@@ -84,15 +82,10 @@ class TerminalSample:
 
 
 def correlation_matrix(rho_xy: float, rho_xz: float, rho_yz: float) -> np.ndarray:
-    """Validated Brownian correlation matrix for (W^x, W^y, W^z)."""
-    for name, val in (("rho_xy", rho_xy), ("rho_xz", rho_xz), ("rho_yz", rho_yz)):
-        if not val * val < 1.0:
-            raise NotPositiveDefinite(f"{name}**2 must be strictly below 1")
-    gram = rho_xy**2 + rho_xz**2 + rho_yz**2 - 2.0 * rho_xy * rho_xz * rho_yz
-    if not gram < 1.0:
-        raise NotPositiveDefinite(
-            f"correlation matrix is not positive definite (criterion {gram:.6g} >= 1)"
-        )
+    """Brownian correlation matrix for (W^x, W^y, W^z).
+
+    ``FullModelParams`` has already checked that it is positive definite.
+    """
     return np.array(
         [
             [1.0, rho_xy, rho_xz],
@@ -100,21 +93,6 @@ def correlation_matrix(rho_xy: float, rho_xz: float, rho_yz: float) -> np.ndarra
             [rho_xz, rho_yz, 1.0],
         ]
     )
-
-
-def correlate_brownians(
-    independent_normals: np.ndarray, rho_xy: float, rho_xz: float, rho_yz: float
-) -> np.ndarray:
-    """Color a (3, n) stream of independent normals to the target correlations."""
-    normals = np.asarray(independent_normals, dtype=float)
-    if normals.ndim != 2 or normals.shape[0] != 3:
-        raise ValueError("expected a (3, n) array of independent normals")
-    corr = correlation_matrix(rho_xy, rho_xz, rho_yz)
-    try:
-        chol = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - gram check above
-        raise NotPositiveDefinite(str(exc)) from exc
-    return chol @ normals
 
 
 def _chunk_streams(seed: int, n_chunks: int):
@@ -229,7 +207,7 @@ def simulate_paths(
         _join_chunks(parts, cfg.antithetic) for parts in (xs, ys, zs)
     )
     frac = truncated / total_step_states if total_step_states else 0.0
-    if frac > cfg.max_truncation_fraction:
+    if frac > MAX_TRUNCATION_FRACTION:
         warnings.append("truncation_fraction_above_threshold")
     # x is the terminal price per unit of initial price; callers scale by spot
     return TerminalSample(

@@ -74,27 +74,22 @@ class GroupParams:
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """One European option: strike, expiry and spot at valuation time."""
+    """One European option: strike, expiry (years from now) and spot."""
 
     strike: float
     expiry: float
     spot: float
     payoff_kind: str = "call"
-    valuation_time: float = 0.0
 
     def __post_init__(self):
         if not self.strike > 0:
             raise ValueError("strike must be positive")
         if not self.spot > 0:
             raise ValueError("spot must be positive")
-        if not self.expiry > self.valuation_time:
-            raise ValueError("expiry must exceed valuation_time")
+        if not self.expiry > 0:
+            raise ValueError("expiry must be positive")
         if self.payoff_kind not in ("call", "put"):
             raise ValueError(f"unsupported payoff_kind {self.payoff_kind!r}")
-
-    @property
-    def tau(self) -> float:
-        return self.expiry - self.valuation_time
 
 
 @dataclass(frozen=True)
@@ -114,47 +109,21 @@ class PriceBreakdown:
         return self.p_heston + self.p_correction
 
 
-def payoff_transform_call(k, strike: float) -> complex:
-    """Closed-form call payoff transform K**(1+ik) / (ik - k^2); needs k_i > 1."""
-    kc = complex(k)
-    if not kc.imag > 1.0:
-        raise ContourViolation(
-            f"call payoff transform requires k_i > 1, got k_i={kc.imag}"
-        )
-    return complex(
-        np.exp((1.0 + 1j * kc) * math.log(strike)) / (1j * kc - kc * kc)
-    )
-
-
-def payoff_transform_put(k, strike: float) -> complex:
-    """Put payoff transform; the same closed form on the strip k_i < 0."""
-    kc = complex(k)
-    if not kc.imag < 0.0:
-        raise ContourViolation(
-            f"put payoff transform requires k_i < 0, got k_i={kc.imag}"
-        )
-    return complex(
-        np.exp((1.0 + 1j * kc) * math.log(strike)) / (1j * kc - kc * kc)
-    )
-
-
 def c_infinity(tau: float, p: HestonParams) -> float:
     """Decay scale of the transform kernel along the contour."""
     return math.sqrt(1.0 - p.rho**2) / p.sigma * (p.z + p.kappa * p.theta * tau)
 
 
-def f1_hat(tau: float, k, p: HestonParams, v) -> complex:
-    """Inner correction transform: integral over s in (0, tau) of b(s,k) e^{A(tau,k,s)}.
+def _payoff_transform(k, log_k, q):
+    """exp(-i k q) times the payoff transform K^(1+ik) / (ik - k^2).
 
-    Evaluated in closed form; zero at tau = 0 and linear in the correction
-    coefficients.
+    One exp keeps the strike power and the contour phase from over- or
+    underflowing separately.  Calls need k_i > 1, puts k_i < 0.
     """
-    if tau == 0.0:
-        return 0.0 + 0.0j
-    return complex(_f_hats(tau, complex(k), p, v)[1])
+    return np.exp(1j * k * (log_k - q) + log_k) / (1j * k - k * k)
 
 
-def _strip_integrals(strikes, tau, spot, p, v, spec, k_i):
+def _strip_integrals(strikes, tau, spot, p, v, spec, k_i, c_inf):
     """Raw integrals (p00, p10, p11) of a strike strip and their error bounds.
 
     One adaptive integration over u; the integrand stacks the rows ``static``,
@@ -163,8 +132,6 @@ def _strip_integrals(strikes, tau, spot, p, v, spec, k_i):
     """
     n_k = len(strikes)
     q = p.r * tau + math.log(spot)
-    c_inf = c_infinity(tau, p)
-    spec = spec.with_c_infinity(c_inf)  # rejects c_inf = 0 (|rho| = 1)
     log_k = np.log(strikes)[:, None]
 
     def integrand(us):
@@ -172,11 +139,7 @@ def _strip_integrals(strikes, tau, spot, p, v, spec, k_i):
         d_val, m_val = _d_of(k, p)
         c_val, big_d_val, _ = _cd_of(tau, k, p, d_val, m_val)
         kernel = np.exp(c_val + p.z * big_d_val)
-        # exp(i k (log K - q) + log K) / (ik - k^2); a single exp keeps the
-        # strike power and contour phase from over/underflowing separately
-        transform = np.exp(1j * k[None, :] * (log_k - q) + log_k) / (
-            1j * k - k * k
-        )[None, :]
+        transform = _payoff_transform(k[None, :], log_k, q)
         static = transform * (kernel / (us * c_inf))[None, :]
         if v is None:
             return static
@@ -253,7 +216,6 @@ def price_strikes(
     spec: QuadratureSpec | None = None,
     k_i: float | None = None,
     payoff: str = "call",
-    valuation_time: float = 0.0,
 ) -> list[PriceBreakdown]:
     """Price a strip of strikes sharing one expiry, spot, and contour.
 
@@ -263,24 +225,30 @@ def price_strikes(
     """
     if spec is None:
         spec = QuadratureSpec()
-    tau = expiry - valuation_time
-    if tau <= 0:
-        raise ValueError("expiry must exceed valuation_time")
+    if not expiry > 0:
+        raise ValueError("expiry must be positive")
     if k_i is None:
         k_i = DEFAULT_CALL_CONTOUR if payoff == "call" else DEFAULT_PUT_CONTOUR
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-    if np.any(strikes <= 0):
-        raise ValueError("strikes must be positive")
+    if not strikes.size or np.any(strikes <= 0):
+        raise ValueError("strikes must be nonempty and positive")
     k_i = float(k_i)
     if payoff == "call" and not k_i > 1.0:
         raise ContourViolation(f"call contour requires k_i > 1, got k_i={k_i}")
     if payoff == "put" and not k_i < 0.0:
         raise ContourViolation(f"put contour requires k_i < 0, got k_i={k_i}")
-    tau = float(tau)
+    tau = float(expiry)
+    c_inf = c_infinity(tau, p)
+    if not c_inf > 0:
+        raise ValueError(
+            "c_infinity must be strictly positive, which needs |rho| < 1"
+        )
     spot = float(spot)
     if v is not None and v.is_zero:
         v = None
-    raw, raw_err, warnings = _strip_integrals(strikes, tau, spot, p, v, spec, k_i)
+    raw, raw_err, warnings = _strip_integrals(
+        strikes, tau, spot, p, v, spec, k_i, c_inf
+    )
     return _assemble(strikes, tau, spot, p, payoff, raw, raw_err, warnings)
 
 
@@ -300,7 +268,6 @@ def price_heston(
         spec=spec,
         k_i=k_i,
         payoff=opt.payoff_kind,
-        valuation_time=opt.valuation_time,
     )[0]
 
 
@@ -321,22 +288,4 @@ def price_corrected(
         spec=spec,
         k_i=k_i,
         payoff=opt.payoff_kind,
-        valuation_time=opt.valuation_time,
     )[0]
-
-
-def price_grid(
-    opts,
-    p: HestonParams,
-    v: GroupParams,
-    spec: QuadratureSpec | None = None,
-) -> list[PriceBreakdown]:
-    """Price a list of options elementwise; never fail-fast.
-
-    Each element is an independent ``price_corrected`` evaluation; per-element
-    quadrature trouble is reported through that element's warnings instead of
-    aborting the grid.
-    """
-    if not opts:
-        raise ValueError("price_grid requires a nonempty list")
-    return [price_corrected(opt, p, v, spec) for opt in opts]

@@ -1,4 +1,4 @@
-"""Adaptive quadrature and the domain transforms used by the pricer.
+"""Adaptive quadrature for the pricer's contour integrals.
 
 The workhorse is a globally adaptive Gauss-Kronrod (7, 15) pair rule that
 integrates vector-valued (optionally complex) integrands: the integrand
@@ -7,14 +7,15 @@ values.  All components share the subdivision so that a whole strip of
 strikes, or a batch of time nodes, rides one refinement.
 
 The rule is open (no endpoint evaluations), which matters because the
-half-line substitution ``k_r = -log(u) / C_inf`` maps infinity to ``u = 0``.
+pricer's half-line substitution ``k_r = -log(u) / C_inf`` maps infinity to
+``u = 0``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,33 +63,17 @@ _WG[1:14:2] = list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF))
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for one adaptive integration.
-
-    ``c_infinity`` is the decay scale of the half-line substitution,
-    ``sqrt(1 - rho^2) / sigma * (z + kappa*theta*tau)``; the pricer fills it
-    per evaluation, the default only has to satisfy the positivity invariant.
-    """
+    """Tolerances and budget for one adaptive integration."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
-    max_subdivisions: int = 256
-    c_infinity: float = 1.0
+    max_subdivisions: int = 512
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be strictly positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if not self.c_infinity > 0:
-            raise ValueError("c_infinity must be strictly positive")
-
-    def with_c_infinity(self, c_inf: float) -> "QuadratureSpec":
-        return replace(self, c_infinity=c_inf)
-
-
-class IntegralEstimate(NamedTuple):
-    value: object  # float, complex, or ndarray of per-component values
-    error: object  # matching nonnegative error bound(s)
 
 
 def _panel_apply(f, a: float, b: float):
@@ -120,13 +105,14 @@ def integrate_adaptive(
     a: float,
     b: float,
     spec: QuadratureSpec,
-) -> IntegralEstimate:
+) -> tuple[np.ndarray, np.ndarray]:
     """Globally adaptive GK15 over (a, b) for a vector-valued integrand.
 
     ``f`` maps an ``(n,)`` array of abscissae to ``(..., n)`` component
     values (real or complex).  Subdivision is worst-panel-first and shared by
     all components; convergence requires every component's accumulated error
-    to satisfy ``max(abs_tol, rel_tol * |component|)``.
+    to satisfy ``max(abs_tol, rel_tol * |component|)``.  Returns the
+    per-component ``(value, error)`` pair.
 
     Raises
     ------
@@ -173,45 +159,10 @@ def integrate_adaptive(
         totals = totals - pval
         tot_err = tot_err - perr
 
-    totals, tot_err = _resum(panels)
-    return IntegralEstimate(totals, tot_err)
+    return _resum(panels)
 
 
 def _resum(panels):
     vals = [v for (_, _, v, _) in panels.values()]
     errs = [e for (_, _, _, e) in panels.values()]
     return np.sum(vals, axis=0), np.sum(errs, axis=0)
-
-
-def integrate_interval(f, a: float, b: float, spec: QuadratureSpec) -> IntegralEstimate:
-    """Scalar convenience wrapper; returns plain floats for scalar integrands."""
-    value, err = integrate_adaptive(f, a, b, spec)
-    if np.ndim(value) == 0:
-        return IntegralEstimate(value.item(), float(err))
-    return IntegralEstimate(value, err)
-
-
-def integrate_unit(f, spec: QuadratureSpec) -> IntegralEstimate:
-    """Integrate over the open unit interval (0, 1).
-
-    ``f`` must accept an ndarray of abscissae strictly inside (0, 1); it is
-    never evaluated at the endpoints, so integrable endpoint behavior (for
-    example ``-log(u)`` or ``u**-0.5``) is handled by subdivision alone.
-    """
-    return integrate_interval(f, 0.0, 1.0, spec)
-
-
-def halfline_via_u(f, spec: QuadratureSpec) -> IntegralEstimate:
-    """Integrate f over k_r in (0, inf) by the substitution k_r = -log(u)/C_inf.
-
-    Maps the half line onto the unit interval with Jacobian ``1/(u C_inf)``,
-    so no truncation cutoff is ever introduced; the integrand must decay at
-    least exponentially with rate of order ``1/C_inf`` for the transformed
-    integrand to stay bounded near ``u = 0``.
-    """
-    c_inf = spec.c_infinity
-
-    def transformed(u):
-        return f(-np.log(u) / c_inf) / (u * c_inf)
-
-    return integrate_unit(transformed, spec)

@@ -110,32 +110,6 @@ class VolSurface:
             writer.writerow([repr(pt.expiry), repr(pt.strike), repr(pt.implied_vol), pt.source])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str, spot: float, rates, dividend_yields=None) -> "VolSurface":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != ["expiry_years", "strike", "implied_vol", "source"]:
-            raise ValueError(f"unexpected surface header {header!r}")
-        points = []
-        for row in reader:
-            if not row:
-                continue
-            points.append(
-                VolPoint(float(row[0]), float(row[1]), float(row[2]), row[3])
-            )
-        if isinstance(rates, (int, float)):
-            rates = {pt.expiry: float(rates) for pt in points}
-        if dividend_yields is None:
-            dividend_yields = {}
-        elif isinstance(dividend_yields, (int, float)):
-            dividend_yields = {pt.expiry: float(dividend_yields) for pt in points}
-        return cls(
-            spot=spot,
-            points=tuple(points),
-            rates=dict(rates),
-            dividend_yields=dict(dividend_yields),
-        )
-
 
 def bs_call(
     spot: float,

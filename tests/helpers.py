@@ -30,14 +30,6 @@ def mp_d(k, p, dps: int = 50):
         return complex(val)
 
 
-def mp_g(k, p, dps: int = 50):
-    with mp.workdps(dps):
-        kc = mp.mpc(complex(k))
-        m = p.kappa + 1j * p.rho * p.sigma * kc
-        d = mp.sqrt(p.sigma**2 * (kc * kc - 1j * kc) + m * m)
-        return complex((m + d) / (m - d))
-
-
 def mp_big_a(tau, k, s, p, dps: int = 60):
     """High-precision A via the pointwise-log zeta representation."""
     with mp.workdps(dps):
@@ -237,13 +229,17 @@ def exp_ou_psi_prime(y, m, nu):
 
 
 def exp_ou_brackets(nu: float) -> dict:
-    """The four averaged quantities entering the correction coefficients."""
+    """The four averaged quantities entering the correction coefficients.
+
+    The differences of exponentials in <f phi'> and <f psi'> are taken with
+    expm1, which keeps full relative precision as nu -> 0.
+    """
+    n2 = nu * nu
     return {
         "phi_prime": -1.0,
-        "psi_prime": -math.exp(-nu * nu / 2.0),
-        "f_phi_prime": -(math.exp(1.5 * nu * nu) - math.exp(-0.5 * nu * nu))
-        / (2.0 * nu * nu),
-        "f_psi_prime": -(1.0 - math.exp(-nu * nu)) / (nu * nu),
+        "psi_prime": -math.exp(-n2 / 2.0),
+        "f_phi_prime": math.exp(1.5 * n2) * math.expm1(-2.0 * n2) / (2.0 * n2),
+        "f_psi_prime": math.expm1(-n2) / n2,
     }
 
 

@@ -11,7 +11,6 @@ from msheston.calibration import (
     objective_heston,
     objective_multiscale,
     residual_ratio_report,
-    residual_report,
 )
 from msheston.calibration import _per_expiry_rss
 from msheston.errors import NonFinite
@@ -265,19 +264,15 @@ class TestResidualReport:
             dividend_yields={},
         )
         prob = _problem(market)
-        rows = _per_expiry_rss(TRUTH_P, None, prob)
+        rows = _per_expiry_rss(objective_heston(TRUTH_P, prob), market)
         assert len(rows) == 1
         assert rows[0][1] == pytest.approx((a * a + b * b) / 2.0, rel=1e-6)
 
     def test_zero_residuals(self, heston_market):
         prob = _problem(heston_market)
         res = calibrate_heston(prob, TRUTH_P)
-        report = residual_report(res, prob)
-        assert len(report) == len(EXPIRIES)
-        assert all(row["mean_sq_residual"] < 1e-14 for row in report)
-        assert [row["days"] for row in report] == [
-            round(t * 365) for t in EXPIRIES
-        ]
+        assert [expiry for expiry, _ in res.per_expiry_rss] == EXPIRIES
+        assert all(rss < 1e-14 for _, rss in res.per_expiry_rss)
 
     def test_ratio_report_consistent_with_stored_residuals(self, multiscale_market):
         prob = _problem(multiscale_market)

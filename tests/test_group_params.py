@@ -15,6 +15,7 @@ from msheston.group_params import (
 from msheston.kernel import HestonParams
 
 from .helpers import (
+    exp_ou_brackets,
     exp_ou_f_bar,
     exp_ou_phi_prime,
     exp_ou_psi_prime,
@@ -112,6 +113,16 @@ class TestGaussianAverage:
         assert rho_eff == pytest.approx(
             fm.rho_xz * _gaussian_quad(f, m, nu), rel=1e-9
         )
+
+
+class TestOracleBrackets:
+    """The closed forms of ``tests/helpers.py`` against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("nu", [1e-6, 1e-4, 1e-2, 1.0, 3.0])
+    def test_against_mpmath(self, nu):
+        got = exp_ou_brackets(nu)
+        for name, ref in mp_exp_ou_brackets(nu).items():
+            assert got[name] == pytest.approx(ref, rel=1e-13, abs=0.0), name
 
 
 class TestPoissonSolver:

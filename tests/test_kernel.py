@@ -2,18 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from msheston.errors import NearSingular
-from msheston.kernel import (
-    HestonParams,
-    Wavenumber,
-    _f_hats,
-    b_source,
-    big_c,
-    big_d,
-    d,
-    g,
-    g_hat,
-)
+from msheston.kernel import HestonParams, _b_coeffs, _cd_of, _d_of, _f_hats
 from msheston.pricer import GroupParams
 
 from .conftest import (
@@ -22,7 +11,7 @@ from .conftest import (
     d_zero_call_contour,
     group_at_epsilon,
 )
-from .helpers import mp_d, mp_g, naive_big_c, ode_transforms
+from .helpers import mp_d, naive_big_c, ode_transforms
 
 # At sigma = 1e-3 and one day beta*w ~ 1e-9, where the direct log ratios of
 # the closed-form f0_hat cancel to nothing; only their series branch passes.
@@ -48,6 +37,32 @@ _ODE_CASES = [
 ]
 
 
+def d(k, p):
+    """Discriminant root d(k) at one contour point."""
+    return complex(_d_of(complex(k), p)[0])
+
+
+def big_c(tau, k, p):
+    return complex(_cd_of(tau, complex(k), p)[0])
+
+
+def big_d(tau, k, p):
+    return complex(_cd_of(tau, complex(k), p)[1])
+
+
+def g_hat(tau, k, p):
+    """Transform kernel exp(C + z*D)."""
+    c_val, d_val, _ = _cd_of(tau, complex(k), p)
+    return complex(np.exp(c_val + p.z * d_val))
+
+
+def b_source(tau, k, p, v):
+    """Correction source b = B0 + B1*D + B2*D**2 from the kernel's coefficients."""
+    b0, b1, b2 = _b_coeffs(k, v)
+    d_val = big_d(tau, k, p)
+    return complex(b0 + d_val * (b1 + d_val * b2))
+
+
 class TestHestonParams:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -68,9 +83,6 @@ class TestHestonParams:
         )
         assert not p.feller_satisfied
 
-    def test_wavenumber_complex(self):
-        assert complex(Wavenumber(1.0, 1.5)) == 1.0 + 1.5j
-
 
 class TestDiscriminantRoot:
     def test_at_k_equal_i_collapses(self, table1_heston):
@@ -78,7 +90,7 @@ class TestDiscriminantRoot:
         p = table1_heston
         expected = p.kappa - p.rho * p.sigma
         assert d(1j, p) == pytest.approx(expected, abs=1e-14)
-        assert d(Wavenumber(0.0, 1.0), p).imag == pytest.approx(0.0, abs=1e-14)
+        assert d(1j, p).imag == pytest.approx(0.0, abs=1e-14)
 
     def test_at_zero(self, table1_heston):
         assert d(0j, table1_heston) == pytest.approx(table1_heston.kappa)
@@ -92,22 +104,6 @@ class TestDiscriminantRoot:
         ks = np.array([0.3 + 1.5j, -4 + 1.5j, 10 + 1.5j, 200 + 1.5j])
         for k in ks:
             assert d(k, table1_heston).real >= 0.0
-
-
-class TestG:
-    def test_near_singular_at_k_equal_i(self, table1_heston):
-        with pytest.raises(NearSingular):
-            g(1j, table1_heston)
-
-    def test_finite_value_against_oracle(self, table1_heston):
-        val = g(2j, table1_heston)
-        assert val == pytest.approx(mp_g(2j, table1_heston), rel=1e-13)
-
-    def test_conjugate_symmetry_on_contour(self, table1_heston):
-        for kr in (0.3, 1.7, 8.0, 33.0):
-            left = g(-kr + 1.5j, table1_heston)
-            right = g(kr + 1.5j, table1_heston)
-            assert left == pytest.approx(np.conj(right), rel=1e-12)
 
 
 class TestBigD:
@@ -236,8 +232,6 @@ class TestBSource:
 class TestContourContinuity:
     @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
     def test_no_branch_jumps_in_c(self, table1_heston, tau):
-        from msheston.kernel import _cd_of
-
         kr = np.arange(0.0, 50.0, 0.01)
         c_val, _, _ = _cd_of(tau, kr + 1.5j, table1_heston)
         jumps = np.abs(np.diff(c_val))
@@ -248,8 +242,6 @@ class TestContourContinuity:
         assert np.all(jumps[1:-1] <= 10.0 * neighbor + 1e-9)
 
     def test_conjugate_symmetry_of_kernel(self, table1_heston):
-        from msheston.kernel import _cd_of
-
         kr = np.array([0.4, 2.2, 9.7, 31.0])
         c_pos, d_pos, _ = _cd_of(0.7, kr + 1.5j, table1_heston)
         c_neg, d_neg, _ = _cd_of(0.7, -kr + 1.5j, table1_heston)

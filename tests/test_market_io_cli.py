@@ -331,6 +331,15 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_unit_correlation_exit_code(self, capsys):
+        rc = main(
+            ["price", "--spot", "100", "--strike", "100", "--expiry", "1",
+             "--kappa", "1.0", "--theta", "0.24", "--sigma", "0.39",
+             "--rho", "1", "--z", "0.24", "--rate", "0.05"]
+        )
+        assert rc == 3
+        assert "c_infinity" in capsys.readouterr().err
+
     def test_nonconvergence_exit_code(self):
         rc = main(
             ["price", "--spot", "100", "--strike", "100", "--expiry", "1",

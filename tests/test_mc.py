@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import msheston.mc as mc_mod
-from msheston.errors import NotPositiveDefinite, StepExplosion
+from msheston.errors import StepExplosion
 from msheston.group_params import FullModelParams
 from msheston.kernel import HestonParams
-from msheston.mc import SimConfig, correlate_brownians, mc_price_call, simulate_paths
+from msheston.mc import SimConfig, correlation_matrix, mc_price_call, simulate_paths
 from msheston.vol_surface import bs_call
 
 
@@ -29,6 +29,11 @@ def _full_model(**overrides):
     return FullModelParams(**defaults)
 
 
+def correlate_brownians(normals, rho_xy, rho_xz, rho_yz):
+    """Color independent normals the way ``simulate_paths`` does."""
+    return np.linalg.cholesky(correlation_matrix(rho_xy, rho_xz, rho_yz)) @ normals
+
+
 def _constant_factor(fm):
     return lambda y: np.ones_like(np.asarray(y, dtype=float))
 
@@ -42,7 +47,7 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_paths=11, dt=1e-3, seed=1, antithetic=True)
         with pytest.raises(ValueError):
-            SimConfig(n_paths=10, dt=1e-3, seed=1, scheme="milstein")
+            SimConfig(n_paths=10, dt=1e-3, seed=1, fast_factor_update="milstein")
 
 
 class TestCorrelateBrownians:
@@ -50,16 +55,6 @@ class TestCorrelateBrownians:
         normals = np.random.default_rng(0).standard_normal((3, 100))
         out = correlate_brownians(normals, 0.0, 0.0, 0.0)
         np.testing.assert_array_equal(out, normals)
-
-    def test_rejects_unit_correlation(self):
-        normals = np.zeros((3, 4))
-        with pytest.raises(NotPositiveDefinite):
-            correlate_brownians(normals, 0.0, 1.0, 0.0)
-
-    def test_rejects_indefinite_triple(self):
-        normals = np.zeros((3, 4))
-        with pytest.raises(NotPositiveDefinite):
-            correlate_brownians(normals, 0.9, 0.9, -0.9)
 
     def test_sample_correlations_converge(self):
         n = 1_000_000

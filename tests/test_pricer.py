@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msheston.errors import ContourViolation
-from msheston.kernel import _cd_of
+from msheston.kernel import _b_coeffs, _cd_of, _f_hats
 from msheston.pricer import (
     GroupParams,
     OptionSpec,
+    _payoff_transform,
     c_infinity,
-    f1_hat,
-    payoff_transform_call,
-    payoff_transform_put,
     price_corrected,
-    price_grid,
     price_heston,
     price_strikes,
 )
@@ -30,6 +27,15 @@ from .helpers import (
 )
 
 
+def payoff_transform(k, strike):
+    """The pricer's payoff transform K**(1+ik) / (ik - k^2), without phase."""
+    return complex(_payoff_transform(complex(k), math.log(strike), 0.0))
+
+
+def f1_hat(tau, k, p, v):
+    return complex(_f_hats(tau, complex(k), p, v)[1])
+
+
 @pytest.fixture(scope="module")
 def atm_option():
     return OptionSpec(strike=100.0, expiry=1.0, spot=100.0)
@@ -37,20 +43,20 @@ def atm_option():
 
 class TestPayoffTransform:
     def test_unit_strike_pure_imaginary(self):
-        assert payoff_transform_call(2j, 1.0) == pytest.approx(0.5)
+        assert payoff_transform(2j, 1.0) == pytest.approx(0.5)
 
-    def test_contour_violations(self):
+    def test_contour_violations(self, table1_heston):
         with pytest.raises(ContourViolation):
-            payoff_transform_call(1.0 + 1.0j, 100.0)
+            price_strikes([100.0], 1.0, 100.0, table1_heston, k_i=1.0)
         with pytest.raises(ContourViolation):
-            payoff_transform_put(1.0 + 0.0j, 100.0)
+            price_strikes([100.0], 1.0, 100.0, table1_heston, k_i=0.0, payoff="put")
 
     def test_against_high_precision(self):
-        val = payoff_transform_call(1 + 1.5j, 100.0)
+        val = payoff_transform(1 + 1.5j, 100.0)
         assert val == pytest.approx(mp_payoff_transform(1 + 1.5j, 100.0), rel=1e-13)
 
     def test_put_strip(self):
-        val = payoff_transform_put(1 - 0.5j, 100.0)
+        val = payoff_transform(1 - 0.5j, 100.0)
         assert val == pytest.approx(mp_payoff_transform(1 - 0.5j, 100.0), rel=1e-13)
 
 
@@ -110,9 +116,9 @@ class TestF1Hat:
         _, big_d_val, _ = _cd_of(tau, k, p)
         m = p.kappa + 1j * p.rho * p.sigma * k
         a_coef = p.sigma**2 * big_d_val - m
-        from msheston.kernel import b_source
-
-        rhs = a_coef * f1_hat(tau, k, p, v) + b_source(tau, k, p, v)
+        b0, b1, b2 = _b_coeffs(k, v)
+        b_val = b0 + big_d_val * (b1 + big_d_val * b2)
+        rhs = a_coef * f1_hat(tau, k, p, v) + b_val
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(rhs))
 
     @pytest.mark.parametrize(
@@ -243,28 +249,20 @@ class TestGrid:
     def test_singleton_matches_single_call(self, table1_heston):
         v = GroupParams(0.01, 0.0, -0.02, 0.0)
         opt = OptionSpec(strike=95.0, expiry=0.5, spot=100.0)
-        grid = price_grid([opt], table1_heston, v)
+        strip = price_strikes([95.0], 0.5, 100.0, table1_heston, v)
         single = price_corrected(opt, table1_heston, v)
-        assert grid[0] == single
+        assert strip[0] == single
 
     def test_permutation_invariance(self, table1_heston):
+        # the refinement is shared by all rows and driven by their largest
+        # error, so the order of the strikes does not change the prices
         v = GroupParams(0.01, 0.0, -0.02, 0.0)
-        opts = [
-            OptionSpec(strike=k, expiry=t, spot=100.0)
-            for k, t in ((80.0, 0.5), (100.0, 1.0), (120.0, 0.25))
-        ]
-        fwd = price_grid(opts, table1_heston, v)
-        rev = price_grid(opts[::-1], table1_heston, v)
-        assert fwd == rev[::-1]
-
-    def test_matches_elementwise_serial_evaluation(self, table1_heston):
-        strikes = np.linspace(60.0, 160.0, 100)
-        opts = [OptionSpec(strike=k, expiry=1.0, spot=100.0) for k in strikes]
-        grid = price_grid(opts, table1_heston, GroupParams.zero())
-        serial = [
-            price_corrected(o, table1_heston, GroupParams.zero()) for o in opts
-        ]
-        assert grid == serial
+        strikes = [80.0, 100.0, 120.0]
+        fwd = price_strikes(strikes, 0.5, 100.0, table1_heston, v)
+        rev = price_strikes(strikes[::-1], 0.5, 100.0, table1_heston, v)
+        for a, b in zip(fwd, rev[::-1]):
+            assert a.total == pytest.approx(b.total, rel=1e-13, abs=0.0)
+            assert a.quadrature_error == pytest.approx(b.quadrature_error, rel=1e-12)
 
     def test_strip_agrees_with_solo_within_bounds(self, table1_heston):
         v = group_at_epsilon(1e-2)
@@ -280,8 +278,8 @@ class TestGrid:
             assert abs(bd.total - solo.total) <= tol
 
     def test_rejects_empty(self, table1_heston):
-        with pytest.raises(ValueError):
-            price_grid([], table1_heston, GroupParams.zero())
+        with pytest.raises(ValueError, match="nonempty"):
+            price_strikes([], 1.0, 100.0, table1_heston)
 
 
 class TestContourChoice:
@@ -304,6 +302,14 @@ class TestContourChoice:
             bd = price_corrected(atm_option, p, v, k_i=k_i)
             tol = ref.quadrature_error + bd.quadrature_error
             assert abs(bd.total - ref.total) <= tol
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_unit_correlation_rejected(self, table1_heston, rho):
+        # c_infinity = 0 leaves the half-line substitution without a scale
+        p = table1_heston.replace(rho=rho)
+        assert c_infinity(1.0, p) == 0.0
+        with pytest.raises(ValueError, match="c_infinity"):
+            price_strikes([100.0], 1.0, 100.0, p)
 
     def test_call_contour_validated(self, atm_option, table1_heston):
         with pytest.raises(ContourViolation):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -133,9 +135,13 @@ class TestSurfaceContainer:
             spot=100.0, points=pts, rates={0.25: 0.05, 1.0: 0.05},
             dividend_yields={},
         )
-        text = surf.to_csv()
-        back = VolSurface.from_csv(text, spot=100.0, rates=0.05)
-        assert back.points == surf.points
+        rows = list(csv.DictReader(io.StringIO(surf.to_csv())))
+        back = tuple(
+            VolPoint(float(row["expiry_years"]), float(row["strike"]),
+                     float(row["implied_vol"]), row["source"])
+            for row in rows
+        )
+        assert back == surf.points
 
 
 class TestModelSurface:
