@@ -22,7 +22,7 @@ from scipy.optimize import least_squares
 
 from .errors import NonConvergence, NonFinite, OutOfBand
 from .kernel import HestonParams
-from .pricer import GroupParams, price_strikes
+from .pricer import DEFAULT_CALL_CONTOUR, GroupParams, price_strikes
 from .quadrature import QuadratureSpec
 from .vol_surface import VolSurface, implied_vol
 
@@ -60,7 +60,7 @@ class CalibProblem:
     bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
     feller_mode: str = "penalize"
     quadrature: QuadratureSpec = CALIBRATION_QUADRATURE
-    k_i: float = 1.5
+    k_i: float = DEFAULT_CALL_CONTOUR
     feller_penalty_weight: float = 10.0
 
     def __post_init__(self):
@@ -89,7 +89,13 @@ class CalibProblem:
 
 @dataclass(frozen=True)
 class CalibResult:
-    """A fitted parameter set with its objective and per-expiry diagnostics."""
+    """A fitted parameter set with its objective and per-expiry diagnostics.
+
+    ``iterations`` is ``least_squares``' nfev summed over the start and its
+    restarts: residual evaluations on accepted or rejected trust-region
+    steps.  The finite-difference Jacobian passes (one residual evaluation
+    per free parameter and Jacobian) are not counted.
+    """
 
     heston: HestonParams
     group: GroupParams | None
@@ -244,7 +250,7 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
     return tuple(rows)
 
 
-def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev, tols):
+def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev):
     sqrt_w = prob.sqrt_weights()
 
     def fun(x):
@@ -255,15 +261,15 @@ def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev, tols):
     res0 = fun(x0)
     if not np.all(np.isfinite(res0)):
         raise NonFinite("objective is non-finite at the start point")
+    # SciPy's default 1e-8 tolerances: the forward-difference Jacobian (a 1e-6
+    # step on quadrature output) cannot resolve finer steps, and tighter ones
+    # only cycle through rejected trust-region steps at the cost's noise floor
     fit = least_squares(
         fun,
         x0,
         bounds=(lo, hi),
         method="trf",
         diff_step=1e-6,
-        xtol=tols,
-        ftol=tols,
-        gtol=tols,
         max_nfev=max_nfev,
     )
     cost0 = float(res0 @ res0)
@@ -275,16 +281,14 @@ def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev, tols):
 
 
 def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts, restart_seed,
-         max_nfev, tol) -> CalibResult:
+         max_nfev) -> CalibResult:
     """Best of the fits from ``x0`` and its restart points, with its report."""
     rate = prob.market.rate(prob.market.expiries()[0])
     starts = [x0] + _restart_points(x0, lo, hi, n_restarts, restart_seed)
     best = None
     total_nfev = 0
     for xs in starts:
-        x, cost, nfev, ok = _run_fit(
-            prob, xs, lo, hi, rate, multiscale, max_nfev, tol
-        )
+        x, cost, nfev, ok = _run_fit(prob, xs, lo, hi, rate, multiscale, max_nfev)
         total_nfev += nfev
         if best is None or cost < best[1]:
             best = (x, cost, ok)
@@ -326,7 +330,6 @@ def calibrate_heston(
     n_restarts: int = 0,
     restart_seed: int = 0,
     max_nfev: int = 400,
-    tol: float = 1e-14,
 ) -> CalibResult:
     """Fit the five baseline parameters by trust-region least squares.
 
@@ -341,7 +344,7 @@ def calibrate_heston(
         raise ValueError("start point violates bounds")
     start_natural = [getattr(start, n) for n in THETA_NAMES]
     return _fit(prob, x0, lo, hi, False, start_natural, n_restarts,
-                restart_seed, max_nfev, tol)
+                restart_seed, max_nfev)
 
 
 def calibrate_multiscale(
@@ -350,7 +353,6 @@ def calibrate_multiscale(
     n_restarts: int = 0,
     restart_seed: int = 0,
     max_nfev: int = 600,
-    tol: float = 1e-14,
 ) -> CalibResult:
     """Two-stage corrected-model fit seeded from the baseline optimum.
 
@@ -368,7 +370,7 @@ def calibrate_multiscale(
     start_natural = [getattr(heston_result.heston, n) for n in THETA_NAMES]
     start_natural += [0.0, 0.0, 0.0, 0.0]
     return _fit(prob, x0, lo, hi, True, start_natural, n_restarts,
-                restart_seed, max_nfev, tol)
+                restart_seed, max_nfev)
 
 
 # -- reporting -----------------------------------------------------------------

@@ -83,15 +83,6 @@ class HestonParams:
         return replace(self, **kwargs)
 
 
-def _group_values(v):
-    """Accept a GroupParams-like object or a length-4 sequence."""
-    try:
-        return v.v1e, v.v2e, v.v3e, v.v4e
-    except AttributeError:
-        v1, v2, v3, v4 = v
-        return v1, v2, v3, v4
-
-
 def _m_of(k, p: HestonParams):
     return p.kappa + 1j * p.rho * p.sigma * k
 
@@ -136,9 +127,12 @@ def _cd_of(tau, k, p: HestonParams, d=None, m=None):
 
 def _b_coeffs(k, v):
     """(B0, B1, B2) of the correction source b = B0 + B1*D + B2*D**2; linear in v."""
-    v1, v2, v3, v4 = _group_values(v)
     k2 = k * k
-    return -v3 * (1j * k2 * k + k2), v1 * (k2 - 1j * k) + v4 * k2, 1j * k * v2
+    return (
+        -v.v3e * (1j * k2 * k + k2),
+        v.v1e * (k2 - 1j * k) + v.v4e * k2,
+        1j * k * v.v2e,
+    )
 
 
 def _f_hats(tau, k, p: HestonParams, v, d=None, m=None):

@@ -18,8 +18,6 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from scipy.stats import norm
-
 from .errors import NonConvergence, OutOfBand
 from .kernel import HestonParams
 from .pricer import GroupParams, price_strikes
@@ -29,6 +27,14 @@ VOL_BRACKET = (1e-4, 5.0)
 PRICE_TOL = 1e-10
 
 _SOURCES = ("market", "heston_model", "multiscale_model")
+
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF; erfc keeps full relative precision in the left tail."""
+    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ def bs_call(
     d1 = (math.log(s_eff / strike) + (rate + 0.5 * vol * vol) * expiry) / sq
     d2 = d1 - sq
     return float(
-        s_eff * norm.cdf(d1) - strike * math.exp(-rate * expiry) * norm.cdf(d2)
+        s_eff * _norm_cdf(d1) - strike * math.exp(-rate * expiry) * _norm_cdf(d2)
     )
 
 
@@ -135,7 +141,7 @@ def bs_vega(spot, strike, expiry, vol, rate, dividend_yield=0.0) -> float:
     s_eff = spot * math.exp(-dividend_yield * expiry)
     sq = vol * math.sqrt(expiry)
     d1 = (math.log(s_eff / strike) + (rate + 0.5 * vol * vol) * expiry) / sq
-    return float(s_eff * norm.pdf(d1) * math.sqrt(expiry))
+    return float(s_eff * math.exp(-0.5 * d1 * d1) / _SQRT_2PI * math.sqrt(expiry))
 
 
 def implied_vol(

@@ -86,6 +86,14 @@ def mp_bs_call(spot, strike, expiry, vol, rate, dps: int = 50):
         return float(s * cdf(d1) - k * mp.e ** (-r * t) * cdf(d2))
 
 
+def mp_bs_vega(spot, strike, expiry, vol, rate, dps: int = 50):
+    """Black-Scholes vega through mpmath's normal density."""
+    with mp.workdps(dps):
+        s, k, t, v, r = (mp.mpf(repr(x)) for x in (spot, strike, expiry, vol, rate))
+        d1 = (mp.log(s / k) + (r + v * v / 2) * t) / (v * mp.sqrt(t))
+        return float(s * mp.npdf(d1) * mp.sqrt(t))
+
+
 # ----------------------------------------------------------------------
 # Naive (branch-unsafe) representations, valid before any crossing.
 # ----------------------------------------------------------------------

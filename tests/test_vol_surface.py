@@ -1,6 +1,11 @@
 import csv
 import io
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import msheston
 from msheston.errors import OutOfBand
 from msheston.pricer import GroupParams, price_strikes
 from msheston.quadrature import QuadratureSpec
@@ -15,11 +21,19 @@ from msheston.vol_surface import (
     VolPoint,
     VolSurface,
     bs_call,
+    bs_vega,
     implied_vol,
     model_surface,
 )
 
-from .helpers import mp_bs_call
+from .helpers import mp_bs_call, mp_bs_vega
+
+# Wing grid: moneyness 0.3-3, tau from one day to 10 y, vol 0.01-3.
+WINGS = list(itertools.product(
+    np.geomspace(0.3, 3.0, 10).tolist(),
+    np.geomspace(1.0 / 365.0, 10.0, 8).tolist(),
+    np.geomspace(0.01, 3.0, 8).tolist(),
+))
 
 
 class TestBsCall:
@@ -43,6 +57,28 @@ class TestBsCall:
         val = bs_call(100.0, 100.0, 1.0, 0.2, 0.05)
         assert val == pytest.approx(mp_bs_call(100.0, 100.0, 1.0, 0.2, 0.05), rel=1e-13)
 
+    def test_against_mpmath_in_the_wings(self):
+        # 1e-12 of the sum of the terms S N(d1) and K e^{-rT} N(d2), which is
+        # 1e-12 of the price wherever they do not cancel.  Deep out of the
+        # money at short tau and low vol the difference of the terms loses up
+        # to |d1| / (vol sqrt(tau)) in relative precision whatever the normal
+        # CDF, which no double-precision evaluation of the formula recovers.
+        spot, rate = 100.0, 0.03
+        checked = 0
+        for moneyness, expiry, vol in WINGS:
+            strike = spot * moneyness
+            ref = mp_bs_call(spot, strike, expiry, vol, rate)
+            if ref <= 1e-250:
+                continue
+            sq = vol * math.sqrt(expiry)
+            d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * expiry) / sq
+            discount = math.exp(-rate * expiry)
+            scale = spot * norm.cdf(d1) + strike * discount * norm.cdf(d1 - sq)
+            got = bs_call(spot, strike, expiry, vol, rate)
+            assert abs(got - ref) <= 1e-12 * scale, (moneyness, expiry, vol, got, ref)
+            checked += 1
+        assert checked > len(WINGS) // 2
+
     def test_monotone_in_vol(self):
         prices = [bs_call(100, 110, 0.5, v, 0.02) for v in (0.1, 0.2, 0.4, 0.8)]
         assert all(a < b for a, b in zip(prices, prices[1:]))
@@ -51,6 +87,21 @@ class TestBsCall:
         with_div = bs_call(100.0, 100.0, 2.0, 0.3, 0.05, dividend_yield=0.03)
         equivalent = bs_call(100.0 * math.exp(-0.03 * 2.0), 100.0, 2.0, 0.3, 0.05)
         assert with_div == pytest.approx(equivalent, rel=1e-14)
+
+
+class TestBsVega:
+    def test_against_mpmath_in_the_wings(self):
+        spot, rate = 100.0, 0.03
+        checked = 0
+        for moneyness, expiry, vol in WINGS:
+            strike = spot * moneyness
+            ref = mp_bs_vega(spot, strike, expiry, vol, rate)
+            if ref <= 1e-250:
+                continue
+            got = bs_vega(spot, strike, expiry, vol, rate)
+            assert got == pytest.approx(ref, rel=1e-12), (moneyness, expiry, vol)
+            checked += 1
+        assert checked > len(WINGS) // 2
 
 
 class TestImpliedVol:
@@ -216,3 +267,15 @@ class TestModelSurface:
         assert surf.errors or surf.points
         if surf.errors:
             assert surf.errors[0][0] == 0.1
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone doubled the package's import time; the normal CDF and
+    # density come from the standard library
+    src = str(Path(msheston.__file__).resolve().parent.parent)
+    code = "import sys, msheston; assert 'scipy.stats' not in sys.modules"
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
