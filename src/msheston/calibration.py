@@ -22,7 +22,7 @@ from scipy.optimize import least_squares
 
 from .errors import NonConvergence, NonFinite, OutOfBand
 from .kernel import HestonParams
-from .pricer import DEFAULT_CALL_CONTOUR, GroupParams, price_strikes
+from .pricer import GroupParams, price_strikes
 from .quadrature import QuadratureSpec
 from .vol_surface import VolSurface, implied_vol
 
@@ -50,6 +50,15 @@ OUT_OF_BAND_RESIDUAL = 1.0
 # in implied vol, so the price tolerances can be looser than the defaults.
 CALIBRATION_QUADRATURE = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
 
+# Weight of the Feller residual sigma^2 - 2 kappa theta (when positive).
+FELLER_PENALTY_WEIGHT = 10.0
+
+# Seed of the restart points, and the residual evaluations one least-squares
+# run may spend, per stage.
+RESTART_SEED = 0
+HESTON_MAX_NFEV = 400
+MULTISCALE_MAX_NFEV = 600
+
 
 @dataclass
 class CalibProblem:
@@ -60,8 +69,6 @@ class CalibProblem:
     bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
     feller_mode: str = "penalize"
     quadrature: QuadratureSpec = CALIBRATION_QUADRATURE
-    k_i: float = DEFAULT_CALL_CONTOUR
-    feller_penalty_weight: float = 10.0
 
     def __post_init__(self):
         if self.feller_mode not in ("penalize", "enforce"):
@@ -181,8 +188,7 @@ def _quote_residuals(p: HestonParams, v: GroupParams | None, prob: CalibProblem)
         spot_eff = market.spot * math.exp(-q_div * expiry)
         p_exp = p if p.r == rate else p.replace(r=rate)
         breakdowns = price_strikes(
-            strikes, expiry, spot_eff, p_exp, v=v,
-            spec=prob.quadrature, k_i=prob.k_i,
+            strikes, expiry, spot_eff, p_exp, v=v, spec=prob.quadrature
         )
         for strike, vol_mkt, bd in zip(strikes, vols_mkt, breakdowns):
             try:
@@ -234,8 +240,8 @@ def _as_heston(theta, prob: CalibProblem) -> HestonParams:
     )
 
 
-def _feller_penalty(p: HestonParams, prob: CalibProblem) -> float:
-    return prob.feller_penalty_weight * max(0.0, p.sigma**2 - 2.0 * p.kappa * p.theta)
+def _feller_penalty(p: HestonParams) -> float:
+    return FELLER_PENALTY_WEIGHT * max(0.0, p.sigma**2 - 2.0 * p.kappa * p.theta)
 
 
 def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
@@ -250,13 +256,13 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
     return tuple(rows)
 
 
-def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev):
+def _run_fit(prob, x0, lo, hi, rate, multiscale):
     sqrt_w = prob.sqrt_weights()
 
     def fun(x):
         p, v = _unpack(x, rate, multiscale)
         res = sqrt_w * _quote_residuals(p, v, prob)
-        return np.append(res, _feller_penalty(p, prob))
+        return np.append(res, _feller_penalty(p))
 
     res0 = fun(x0)
     if not np.all(np.isfinite(res0)):
@@ -270,7 +276,7 @@ def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev):
         bounds=(lo, hi),
         method="trf",
         diff_step=1e-6,
-        max_nfev=max_nfev,
+        max_nfev=MULTISCALE_MAX_NFEV if multiscale else HESTON_MAX_NFEV,
     )
     cost0 = float(res0 @ res0)
     cost1 = float(fit.fun @ fit.fun)
@@ -280,15 +286,14 @@ def _run_fit(prob, x0, lo, hi, rate, multiscale, max_nfev):
     return x0, cost0, int(fit.nfev), False
 
 
-def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts, restart_seed,
-         max_nfev) -> CalibResult:
+def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts) -> CalibResult:
     """Best of the fits from ``x0`` and its restart points, with its report."""
     rate = prob.market.rate(prob.market.expiries()[0])
-    starts = [x0] + _restart_points(x0, lo, hi, n_restarts, restart_seed)
+    starts = [x0] + _restart_points(x0, lo, hi, n_restarts)
     best = None
     total_nfev = 0
     for xs in starts:
-        x, cost, nfev, ok = _run_fit(prob, xs, lo, hi, rate, multiscale, max_nfev)
+        x, cost, nfev, ok = _run_fit(prob, xs, lo, hi, rate, multiscale)
         total_nfev += nfev
         if best is None or cost < best[1]:
             best = (x, cost, ok)
@@ -310,9 +315,9 @@ def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts, restart_seed,
     )
 
 
-def _restart_points(x0, lo, hi, n, seed):
+def _restart_points(x0, lo, hi, n):
     """Latin-hypercube jitter around the start, in transformed coordinates."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RESTART_SEED)
     dim = len(x0)
     points = []
     perm = np.array([rng.permutation(n) for _ in range(dim)])
@@ -328,8 +333,6 @@ def calibrate_heston(
     prob: CalibProblem,
     start: HestonParams,
     n_restarts: int = 0,
-    restart_seed: int = 0,
-    max_nfev: int = 400,
 ) -> CalibResult:
     """Fit the five baseline parameters by trust-region least squares.
 
@@ -343,16 +346,13 @@ def calibrate_heston(
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("start point violates bounds")
     start_natural = [getattr(start, n) for n in THETA_NAMES]
-    return _fit(prob, x0, lo, hi, False, start_natural, n_restarts,
-                restart_seed, max_nfev)
+    return _fit(prob, x0, lo, hi, False, start_natural, n_restarts)
 
 
 def calibrate_multiscale(
     prob: CalibProblem,
     heston_result: CalibResult,
     n_restarts: int = 0,
-    restart_seed: int = 0,
-    max_nfev: int = 600,
 ) -> CalibResult:
     """Two-stage corrected-model fit seeded from the baseline optimum.
 
@@ -369,8 +369,7 @@ def calibrate_multiscale(
     x0 = np.clip(x0, lo, hi)
     start_natural = [getattr(heston_result.heston, n) for n in THETA_NAMES]
     start_natural += [0.0, 0.0, 0.0, 0.0]
-    return _fit(prob, x0, lo, hi, True, start_natural, n_restarts,
-                restart_seed, max_nfev)
+    return _fit(prob, x0, lo, hi, True, start_natural, n_restarts)
 
 
 # -- reporting -----------------------------------------------------------------

@@ -85,10 +85,6 @@ class ChainLoadResult:
     counts: dict
     total_rows: int
 
-    @property
-    def rows_used(self) -> int:
-        return self.counts.get("passed", 0)
-
 
 def _parse_row(raw: dict, line_number: int) -> OptionChainRow:
     try:

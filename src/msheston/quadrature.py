@@ -4,7 +4,9 @@ The workhorse is a globally adaptive Gauss-Kronrod (7, 15) pair rule that
 integrates vector-valued (optionally complex) integrands: the integrand
 receives an ndarray of abscissae and returns ``(..., n)`` stacked component
 values.  All components share the subdivision so that a whole strip of
-strikes, or a batch of time nodes, rides one refinement.
+strikes rides one refinement.  Refinement runs in rounds, and each round
+evaluates all the panels it creates in one integrand call, so the kernel work
+is vectorized over panels as well as over components.
 
 The rule is open (no endpoint evaluations), which matters because the
 pricer's half-line substitution ``k_r = -log(u) / C_inf`` maps infinity to
@@ -13,7 +15,6 @@ pricer's half-line substitution ``k_r = -log(u) / C_inf`` maps infinity to
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,13 +77,17 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be at least 1")
 
 
-def _panel_apply(f, a: float, b: float):
-    """Evaluate one GK15 panel; returns (value, error) per component."""
-    hw = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + hw * _NODES
-    vals = np.asarray(f(xs))
-    if vals.shape[-1] != 15:
+def _panels(f, lo, hi):
+    """GK15 on every panel (lo[j], hi[j]) through one call of ``f``.
+
+    Returns per-component (value, error) of shape ``(..., n_panels)``.
+    """
+    hw = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + hw[:, None] * _NODES
+    vals = np.asarray(f(xs.ravel()))
+    if vals.shape[-1] != xs.size:
         raise ValueError("integrand must return (..., n) for n abscissae")
+    vals = vals.reshape(vals.shape[:-1] + xs.shape)
     resk = vals @ _WK
     resg = vals @ _WG
     value = resk * hw
@@ -96,7 +101,7 @@ def _panel_apply(f, a: float, b: float):
             asc * np.minimum(1.0, (200.0 * raw / np.where(asc > 0, asc, 1.0)) ** 1.5),
             raw,
         )
-    err = np.maximum(scaled, 50.0 * _EPS * resabs * abs(hw))
+    err = np.maximum(scaled, 50.0 * _EPS * resabs * np.abs(hw))
     return value, err
 
 
@@ -109,60 +114,48 @@ def integrate_adaptive(
     """Globally adaptive GK15 over (a, b) for a vector-valued integrand.
 
     ``f`` maps an ``(n,)`` array of abscissae to ``(..., n)`` component
-    values (real or complex).  Subdivision is worst-panel-first and shared by
-    all components; convergence requires every component's accumulated error
-    to satisfy ``max(abs_tol, rel_tol * |component|)``.  Returns the
-    per-component ``(value, error)`` pair.
+    values (real or complex).  Refinement runs in rounds shared by all
+    components: a round bisects every panel whose error, in the worst
+    component, exceeds its equal share ``tol / n_panels`` of that
+    component's tolerance ``tol = max(abs_tol, rel_tol * |component|)``
+    (worst panels first, up to ``max_subdivisions`` panels in all) and
+    evaluates all the children in one call of ``f``.  Returns the
+    per-component ``(value, error)`` pair once every component's summed
+    error meets its tolerance.
 
     Raises
     ------
     NonConvergence
-        When the subdivision budget is exhausted; carries the best estimate
+        When no panel may be split (the budget is spent, or the panels that
+        need it are at floating-point resolution); carries the best estimate
         and its error bound.
     """
-    value, err = _panel_apply(f, a, b)
-    panels = {0: (a, b, value, err)}
-    heap = [(-float(np.max(err)), 0)]
-    next_id = 1
-    totals = np.array(value, copy=True)
-    tot_err = np.array(err, copy=True)
-
-    def _converged():
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(totals))
-        return np.all(tot_err <= tol)
-
-    while not _converged():
-        if len(panels) >= spec.max_subdivisions or not heap:
-            totals, tot_err = _resum(panels)
-            if _converged():
-                break
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    value, err = _panels(f, lo, hi)
+    while True:
+        total, bound = value.sum(axis=-1), err.sum(axis=-1)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        if np.all(bound <= tol):
+            return total, bound
+        n = lo.size
+        mid = 0.5 * (lo + hi)
+        # each panel's worst component error over its share tol / n; panels
+        # at floating-point resolution are never split
+        share = (err / tol[..., None]).reshape(-1, n).max(axis=0) * n
+        share[(mid <= lo) | (mid >= hi)] = 0.0
+        order = np.argsort(-share, kind="stable")
+        split = order[share[order] > 1.0][: spec.max_subdivisions - n]
+        if not split.size:
             raise NonConvergence(
-                f"quadrature did not converge in {len(panels)} panels "
-                f"(max error {float(np.max(tot_err)):.3e})",
-                estimate=totals,
-                error_bound=tot_err,
+                f"quadrature did not converge in {n} panels "
+                f"(max error {float(np.max(bound)):.3e})",
+                estimate=total,
+                error_bound=bound,
             )
-        _, pid = heapq.heappop(heap)
-        pa, pb, pval, perr = panels.pop(pid)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # interval at floating-point resolution; keep it as-is
-            panels[pid] = (pa, pb, pval, perr)
-            continue
-        for (ca, cb) in ((pa, mid), (mid, pb)):
-            cval, cerr = _panel_apply(f, ca, cb)
-            panels[next_id] = (ca, cb, cval, cerr)
-            heapq.heappush(heap, (-float(np.max(cerr)), next_id))
-            next_id += 1
-            totals = totals + cval
-            tot_err = tot_err + cerr
-        totals = totals - pval
-        tot_err = tot_err - perr
-
-    return _resum(panels)
-
-
-def _resum(panels):
-    vals = [v for (_, _, v, _) in panels.values()]
-    errs = [e for (_, _, _, e) in panels.values()]
-    return np.sum(vals, axis=0), np.sum(errs, axis=0)
+        new_lo = np.concatenate((lo[split], mid[split]))
+        new_hi = np.concatenate((mid[split], hi[split]))
+        new_value, new_err = _panels(f, new_lo, new_hi)
+        lo = np.concatenate((np.delete(lo, split), new_lo))
+        hi = np.concatenate((np.delete(hi, split), new_hi))
+        value = np.concatenate((np.delete(value, split, axis=-1), new_value), axis=-1)
+        err = np.concatenate((np.delete(err, split, axis=-1), new_err), axis=-1)

@@ -4,7 +4,7 @@ Implied volatility is the common coordinate in which market data, the
 baseline model, and the corrected model are compared, so the inversion here
 favors unconditional convergence over speed: a bracketing bisection on
 [1e-4, 5.0] refined by safeguarded Newton steps, stopping when the price is
-reproduced to 1e-10.
+reproduced to 1e-10 and to 1e-8 of its time value.
 
 Dividends enter as a continuous yield through the forward adjustment
 ``spot * exp(-q*T)``, applied identically on the Black-Scholes side and on
@@ -156,15 +156,17 @@ def implied_vol(
 
     Bisection on the vol bracket with Newton refinement wherever vega is
     informative; converges unconditionally and reproduces ``price`` through
-    ``bs_call`` to 1e-10 absolute.
+    ``bs_call`` to 1e-10 absolute and to 1e-8 of its time value
+    ``price - lower``, whichever is tighter.
 
     Raises
     ------
     OutOfBand
         If the price is at or outside the band; ``bound`` says which side.
     NonConvergence
-        If no bracket vol reproduces the price to tolerance (prices implying
-        vols outside [1e-4, 5.0]).
+        If no bracket vol reproduces the price to tolerance: prices implying
+        vols outside [1e-4, 5.0], or time values too small for the float
+        price to resolve.
     """
     s_eff = spot * math.exp(-dividend_yield * expiry)
     lower = max(s_eff - strike * math.exp(-rate * expiry), 0.0)
@@ -179,15 +181,14 @@ def implied_vol(
         )
 
     lo, hi = VOL_BRACKET
+    # relative to the time value, so a tiny price is not matched by any vol
+    # whose price is within an absolute tolerance of it
+    tol = min(PRICE_TOL, 1e-8 * (price - lower))
 
     def f(v):
         return bs_call(spot, strike, expiry, v, rate, dividend_yield) - price
 
     f_lo, f_hi = f(lo), f(hi)
-    if abs(f_lo) <= PRICE_TOL:
-        return lo
-    if abs(f_hi) <= PRICE_TOL:
-        return hi
     if f_lo > 0 or f_hi < 0:
         raise NonConvergence(
             "price lies within the no-arbitrage band but implies a vol "
@@ -199,7 +200,7 @@ def implied_vol(
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         f_mid = f(mid)
-        if abs(f_mid) <= PRICE_TOL:
+        if abs(f_mid) <= tol:
             return mid
         if f_mid > 0:
             hi = mid
@@ -211,7 +212,7 @@ def implied_vol(
         newton = mid - f_mid / vega if vega > 1e-14 else None
         mid = newton if newton is not None and lo < newton < hi else 0.5 * (lo + hi)
     f_mid = f(mid)
-    if abs(f_mid) <= PRICE_TOL:
+    if abs(f_mid) <= tol:
         return mid
     raise NonConvergence(
         "implied vol iteration stalled", estimate=mid, error_bound=abs(f_mid)
@@ -226,7 +227,6 @@ def model_surface(
     spec: QuadratureSpec | None = None,
     spot: float = 100.0,
     dividend_yields=None,
-    k_i: float | None = None,
 ) -> VolSurface:
     """Implied-vol surface of the (corrected) model on an expiry/strike grid.
 
@@ -255,9 +255,7 @@ def model_surface(
         q_div = dividend_yields.get(expiry, 0.0)
         spot_eff = spot * math.exp(-q_div * expiry)
         rates[expiry] = p.r
-        breakdowns = price_strikes(
-            strikes, expiry, spot_eff, p, v=v, spec=spec, k_i=k_i
-        )
+        breakdowns = price_strikes(strikes, expiry, spot_eff, p, v=v, spec=spec)
         for strike, bd in zip(strikes, breakdowns):
             try:
                 vol = implied_vol(

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from msheston.errors import NonConvergence
+import msheston.pricer as pricer
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
+
+from .conftest import group_at_epsilon
 
 
 def integrate_unit(f, spec):
@@ -144,3 +147,65 @@ class TestErrorEstimates:
                 err = float(np.max(exc.error_bound))
             errs.append(err)
         assert all(e2 <= e1 * (1 + 1e-12) for e1, e2 in zip(errs, errs[1:]))
+
+
+class TestRounds:
+    @staticmethod
+    def _counting(f):
+        sizes = []
+
+        def g(u):
+            assert np.all((u > 0.0) & (u < 1.0))  # the open rule
+            sizes.append(u.size)
+            return f(u)
+
+        return g, sizes
+
+    @staticmethod
+    def _panels(sizes):
+        # each round replaces a panel by its two children: one more panel per
+        # pair of panel evaluations after the first
+        return 1 + (sum(sizes) // 15 - 1) // 2
+
+    @pytest.mark.parametrize("max_subdivisions", [512, 24])
+    def test_corrected_strip_one_call_per_round(
+        self, monkeypatch, table1_heston, max_subdivisions
+    ):
+        sizes = []
+
+        def counted(f, a, b, spec):
+            g, seen = self._counting(f)
+            try:
+                return integrate_adaptive(g, a, b, spec)
+            finally:
+                sizes.extend(seen)
+
+        monkeypatch.setattr(pricer, "integrate_adaptive", counted)
+        spec = QuadratureSpec(max_subdivisions=max_subdivisions)
+        strikes = np.linspace(30.0, 300.0, 25)
+        bds = pricer.price_strikes(
+            strikes, 1.0, 100.0, table1_heston, v=group_at_epsilon(1e-2), spec=spec
+        )
+        assert sizes[0] == 15
+        assert all(n % 30 == 0 for n in sizes[1:])
+        assert self._panels(sizes) <= max_subdivisions
+        # rounds, not panels: fewer integrand calls than panel evaluations
+        assert len(sizes) < sum(sizes) // 15
+        failed = "nonconvergence:p00,p10,p11" in bds[0].warnings
+        assert failed == (max_subdivisions == 24)
+        if failed:
+            assert self._panels(sizes) == max_subdivisions
+
+    def test_interior_singularity_raises(self):
+        def f(u):
+            return np.stack([1.0 / np.abs(u - 1.0 / 3.0), u])
+
+        g, sizes = self._counting(f)
+        spec = QuadratureSpec(max_subdivisions=40)
+        with pytest.raises(NonConvergence) as excinfo:
+            integrate_adaptive(g, 0.0, 1.0, spec)
+        assert len(sizes) <= spec.max_subdivisions
+        assert self._panels(sizes) <= spec.max_subdivisions
+        assert np.shape(excinfo.value.estimate) == (2,)
+        assert np.shape(excinfo.value.error_bound) == (2,)
+        assert excinfo.value.error_bound[0] > spec.abs_tol

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import msheston
-from msheston.errors import OutOfBand
+from msheston.errors import NonConvergence, OutOfBand
 from msheston.pricer import GroupParams, price_strikes
 from msheston.quadrature import QuadratureSpec
 from msheston.vol_surface import (
+    VOL_BRACKET,
     VolPoint,
     VolSurface,
     bs_call,
@@ -27,6 +28,8 @@ from msheston.vol_surface import (
 )
 
 from .helpers import mp_bs_call, mp_bs_vega
+
+EPS = sys.float_info.epsilon
 
 # Wing grid: moneyness 0.3-3, tau from one day to 10 y, vol 0.01-3.
 WINGS = list(itertools.product(
@@ -130,6 +133,32 @@ class TestImpliedVol:
         assert bs_call(100.0, 100.0, 1.0, vol, 0.05) == pytest.approx(
             bd.total, abs=1e-10
         )
+
+    def test_wings_against_mpmath(self):
+        # each point inverts to the true vol or raises; a tiny price must not
+        # read as the bracket's lower end, as it did under an absolute 1e-10
+        spot, rate = 100.0, 0.05
+        inverted = 0
+        for moneyness, expiry, vol in WINGS:
+            strike = spot * moneyness
+            price = mp_bs_call(spot, strike, expiry, vol, rate)
+            try:
+                got = implied_vol(price, spot, strike, expiry, rate)
+            except (OutOfBand, NonConvergence):
+                continue
+            assert got not in VOL_BRACKET, (moneyness, expiry, vol, price)
+            # bs_call rounds to about eps times the size of its two terms,
+            # S N(d1) + K e^(-rT) N(d2) = price + 2 K e^(-rT) N(d2); that
+            # resolves the vol to about eps * terms / vega
+            d2 = (math.log(spot / strike) + (rate - 0.5 * vol * vol) * expiry) / (
+                vol * math.sqrt(expiry))
+            terms = price + strike * math.exp(-rate * expiry) * math.erfc(-d2 / math.sqrt(2))
+            vega = mp_bs_vega(spot, strike, expiry, vol, rate)
+            resolved = 4.0 * EPS * terms / vega if vega > 0 else math.inf
+            assert abs(got - vol) <= max(1e-6 * vol, resolved), (
+                moneyness, expiry, vol, price, got)
+            inverted += 1
+        assert inverted > len(WINGS) // 2
 
     @given(
         vol=st.floats(0.01, 3.0),
