@@ -214,7 +214,7 @@ def _cmd_surface(args, config):
     strikes = _parse_floats(args.strikes)
     surface = model_surface(
         expiries, strikes, p, v, spec, spot=args.spot,
-        dividend_yields=args.dividend_yield,
+        dividend_yield=args.dividend_yield,
     )
     _emit(surface.to_csv(), args.output)
     return 0
@@ -237,7 +237,7 @@ def _cmd_sweep(args, config):
         v = GroupParams(**fields)
         surface = model_surface(
             [args.expiry], strikes, p, v, spec, spot=args.spot,
-            dividend_yields=args.dividend_yield,
+            dividend_yield=args.dividend_yield,
         )
         name = f"sweep_{args.vary}_{value:+.6f}.csv"
         (out_dir / name).write_text(surface.to_csv())

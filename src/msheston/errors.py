@@ -18,10 +18,11 @@ class ContourViolation(MsHestonError):
 
 
 class NonConvergence(MsHestonError):
-    """Adaptive quadrature exhausted its subdivision budget.
+    """Adaptive quadrature exhausted its subdivision budget, or no implied vol
+    reproduces a price.
 
-    Carries the best available estimate and its error bound so callers can
-    degrade gracefully instead of losing the work.
+    Carries the best available estimate (None when there is none) and its
+    error bound so callers can degrade gracefully instead of losing the work.
     """
 
     def __init__(self, message, estimate=None, error_bound=None):

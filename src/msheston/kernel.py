@@ -12,9 +12,13 @@ Conventions used throughout:
 * ``M(k) = kappa + i*rho*sigma*k``
 * ``d(k)`` is the principal square root of ``sigma^2*(k^2 - i k) + M(k)^2``,
   so ``Re(d) >= 0`` and every exponential below decays.
-* ``zeta(t, k) = 1 + (M - d) * (1 - exp(-t*d)) / (2*d)``, an algebraic
-  rearrangement of the textbook ratio form that never divides by the
-  near-singular ``g`` and has a removable limit at ``d -> 0``.
+* ``w(t, k) = (1 - exp(-t*d)) / d``, evaluated as ``-expm1(-t*d) / d`` at
+  every ``t``, which keeps full relative precision down to ``t*d -> 0``
+  without a series branch.  Both roots of ``d**2`` in ``k`` lie on the
+  imaginary axis, so ``d = 0`` only at ``k_r = 0``, which the open quadrature
+  rule never evaluates.
+* ``zeta(t, k) = 1 + (M - d) * w / 2``, an algebraic rearrangement of the
+  textbook ratio form that never divides by the near-singular ``g``.
 """
 
 from __future__ import annotations
@@ -24,10 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCrossing
-
-# Below this |t*d| the factor (1 - exp(-t*d))/d switches to its Taylor series;
-# the direct form loses ~|t*d|^-1 * eps digits to cancellation there.
-_SERIES_CUTOFF = 1e-4
 
 # Below this |x| the two log ratios of the closed-form correction transform
 # switch to their power series (coefficients highest power first, as polyval
@@ -83,27 +83,20 @@ class HestonParams:
         return replace(self, **kwargs)
 
 
-def _m_of(k, p: HestonParams):
-    return p.kappa + 1j * p.rho * p.sigma * k
-
-
 def _d_of(k, p: HestonParams):
-    """Principal square root; nonnegative real part, ties toward +i."""
-    m = _m_of(k, p)
+    """d(k) and M(k); d is the principal root, nonnegative real part, ties toward +i."""
+    m = p.kappa + 1j * p.rho * p.sigma * k
     return np.sqrt(p.sigma**2 * (k * k - 1j * k) + m * m), m
 
 
-def _w_factor(t, d):
-    """(1 - exp(-t*d)) / d with a series fallback near t*d = 0."""
-    x = np.asarray(t * d)
-    small = np.abs(x) < _SERIES_CUTOFF
-    d_safe = np.where(small, 1.0, d)
-    series = t * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
-    return np.where(small, series, (1.0 - np.exp(-x)) / d_safe)
+def _cd_of(tau, k, p: HestonParams):
+    """The exponent pair (C, D) of the transform kernel, zeta form.
 
-
-def _zeta_log(w, d, m):
-    """zeta = 1 + (M - d) * w / 2 and its principal log, rejecting the cut."""
+    The third value is the tuple (d, M, w, zeta, log zeta) at each point,
+    which ``_f_hats`` takes so that the correction transforms reuse it.
+    """
+    d, m = _d_of(k, p)
+    w = -np.expm1(-tau * d) / d
     zeta = 1.0 + (m - d) * w / 2.0
     z_arr = np.asarray(zeta)
     if np.any((z_arr.imag == 0.0) & (z_arr.real <= 0.0)):
@@ -111,18 +104,10 @@ def _zeta_log(w, d, m):
             "zeta landed exactly on the negative real axis; "
             "the contour log would be discontinuous here"
         )
-    return zeta, np.log(zeta)
-
-
-def _cd_of(tau, k, p: HestonParams, d=None, m=None):
-    """The exponent pair (C, D) of the transform kernel, zeta form."""
-    if d is None:
-        d, m = _d_of(k, p)
-    w = _w_factor(tau, d)
-    zeta, log_zeta = _zeta_log(w, d, m)
+    log_zeta = np.log(zeta)
     c_val = p.kappa * p.theta / p.sigma**2 * ((m - d) * tau - 2.0 * log_zeta)
     d_val = -(k * k - 1j * k) * w / (2.0 * zeta)
-    return c_val, d_val, log_zeta
+    return c_val, d_val, (d, m, w, zeta, log_zeta)
 
 
 def _b_coeffs(k, v):
@@ -135,26 +120,22 @@ def _b_coeffs(k, v):
     )
 
 
-def _f_hats(tau, k, p: HestonParams, v, d=None, m=None):
+def _f_hats(tau, k, v, parts):
     """Correction transforms (f0_hat, f1_hat) at time tau, in closed form.
 
     f1_hat(tau) = int_0^tau b(s) exp(A(tau, k, s)) ds solves the correction
     ODE and f0_hat(tau) = int_0^tau f1_hat(t) dt.  Both zeta and D*zeta are
     linear in E = exp(-s*d), so zeta^2 * b = q0 + q1*E + q2*E^2 and the two
-    time integrals are elementary; the only log is the rotation-safe log
-    zeta of ``_cd_of``.
+    time integrals are elementary.  ``parts`` is the third value of
+    ``_cd_of(tau, k, p)``: the only log is its rotation-safe log zeta, and w
+    carries the full relative precision that the O(tau^2) q0 and q1 brackets
+    of f0 need at short tau.
     """
-    if d is None:
-        d, m = _d_of(k, p)
+    d, m, w, zeta, log_zeta = parts
     a = -(k * k - 1j * k) / 2.0
     beta = (m - d) / 2.0
     c = (m + d) / 2.0
-    # expm1 keeps w to full relative precision at short tau, where the q0
-    # and q1 brackets of f0 cancel down to O(tau^2); d = 0 is excluded anyway
-    # by the 1/d^2 of the q's
-    w = -np.expm1(-tau * d) / d
     e = np.exp(-tau * d)
-    zeta, log_zeta = _zeta_log(w, d, m)
     b0, b1, b2 = _b_coeffs(k, v)
     d2 = d * d
     q0 = (b0 * c * c + b1 * a * c + b2 * a * a) / d2
@@ -162,18 +143,16 @@ def _f_hats(tau, k, p: HestonParams, v, d=None, m=None):
     q2 = (b0 * beta * beta + b1 * a * beta + b2 * a * a) / d2
     f1 = (q0 * w + q1 * tau * e + q2 * e * w) / (zeta * zeta)
     # log(1 + x)/x and (log(1 + x) + 1/(1 + x) - 1)/x^2 at x = beta*w, with
-    # 1 + x = zeta; the direct forms cancel to eps/|x| and eps/|x|^2
-    x = beta * w
+    # 1 + x = zeta; the direct forms cancel to eps/|x| and eps/|x|^2, so the
+    # nodes below the cutoff (x = 0 included) take the series instead
+    x = np.asarray(beta * w)
     small = np.abs(x) < _LOG_SERIES_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(
-            small, np.polyval(_LOG_RATIO_SERIES, x), log_zeta / x
-        )
-        m2 = np.where(
-            small,
-            np.polyval(_M2_SERIES, x),
-            (log_zeta + 1.0 / zeta - 1.0) / (x * x),
-        )
+        log_ratio = np.asarray(log_zeta / x)
+        m2 = np.asarray((log_zeta + 1.0 / zeta - 1.0) / (x * x))
+    if np.any(small):
+        log_ratio[small] = np.polyval(_LOG_RATIO_SERIES, x[small])
+        m2[small] = np.polyval(_M2_SERIES, x[small])
     # x * log_ratio is log1p(x), which the O(tau^2) q0 bracket needs: log
     # zeta itself carries an absolute eps that the bracket divides by c^2
     f0 = (

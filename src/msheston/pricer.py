@@ -11,7 +11,12 @@ scaling).  The correction's time integrals have closed forms
 contour: the integrand of ``p00`` times 1, f0_hat(tau, k) or f1_hat(tau, k).
 All three are evaluated on the half line ``k_r > 0`` (conjugate symmetry
 folds the full line into twice the real part) after the substitution
-``k_r = -log(u)/C_inf`` mapping the half line onto the unit interval.
+``k_r = -log(u)/c`` mapping the half line onto the unit interval.  The scale
+``c`` is the kernel's exponential decay rate ``c_infinity``, capped at
+``4*sqrt(V)`` with ``V`` the expected integrated variance: below
+``|k| ~ 1/sigma`` the kernel decays like the Black-Scholes Gaussian
+``exp(-V*k**2/2)``, which at small sigma sets in long before the exponential
+tail that ``c_infinity ~ 1/sigma`` describes.
 
 A strip of strikes at one expiry is priced by one adaptive integration whose
 integrand stacks the three rows of every strike, so the strike-independent
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourViolation, NonConvergence
-from .kernel import HestonParams, _cd_of, _d_of, _f_hats
+from .kernel import HestonParams, _cd_of, _f_hats
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 DEFAULT_CALL_CONTOUR = 1.5
@@ -123,7 +128,7 @@ def _payoff_transform(k, log_k, q):
     return np.exp(1j * k * (log_k - q) + log_k) / (1j * k - k * k)
 
 
-def _strip_integrals(strikes, tau, spot, p, v, spec, k_i, c_inf):
+def _strip_integrals(strikes, tau, spot, p, v, spec, k_i, scale):
     """Raw integrals (p00, p10, p11) of a strike strip and their error bounds.
 
     One adaptive integration over u; the integrand stacks the rows ``static``,
@@ -135,15 +140,14 @@ def _strip_integrals(strikes, tau, spot, p, v, spec, k_i, c_inf):
     log_k = np.log(strikes)[:, None]
 
     def integrand(us):
-        k = -np.log(us) / c_inf + 1j * k_i
-        d_val, m_val = _d_of(k, p)
-        c_val, big_d_val, _ = _cd_of(tau, k, p, d_val, m_val)
+        k = -np.log(us) / scale + 1j * k_i
+        c_val, big_d_val, parts = _cd_of(tau, k, p)
         kernel = np.exp(c_val + p.z * big_d_val)
         transform = _payoff_transform(k[None, :], log_k, q)
-        static = transform * (kernel / (us * c_inf))[None, :]
+        static = transform * (kernel / (us * scale))[None, :]
         if v is None:
             return static
-        f0, f1 = _f_hats(tau, k, p, v, d_val, m_val)
+        f0, f1 = _f_hats(tau, k, v, parts)
         return np.concatenate((static, static * f0, static * f1))
 
     warnings = ()
@@ -243,11 +247,13 @@ def price_strikes(
         raise ValueError(
             "c_infinity must be strictly positive, which needs |rho| < 1"
         )
+    variance = p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
+    scale = min(c_inf, 4.0 * math.sqrt(variance))
     spot = float(spot)
     if v is not None and v.is_zero:
         v = None
     raw, raw_err, warnings = _strip_integrals(
-        strikes, tau, spot, p, v, spec, k_i, c_inf
+        strikes, tau, spot, p, v, spec, k_i, scale
     )
     return _assemble(strikes, tau, spot, p, payoff, raw, raw_err, warnings)
 

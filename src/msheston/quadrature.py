@@ -9,7 +9,7 @@ evaluates all the panels it creates in one integrand call, so the kernel work
 is vectorized over panels as well as over components.
 
 The rule is open (no endpoint evaluations), which matters because the
-pricer's half-line substitution ``k_r = -log(u) / C_inf`` maps infinity to
+pricer's half-line substitution ``k_r = -log(u) / c`` maps infinity to
 ``u = 0``.
 """
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import NonConvergence, OutOfBand
@@ -28,6 +29,7 @@ PRICE_TOL = 1e-10
 
 _SOURCES = ("market", "heston_model", "multiscale_model")
 
+_EPS = sys.float_info.epsilon
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -169,7 +171,8 @@ def implied_vol(
         price to resolve.
     """
     s_eff = spot * math.exp(-dividend_yield * expiry)
-    lower = max(s_eff - strike * math.exp(-rate * expiry), 0.0)
+    discounted_strike = strike * math.exp(-rate * expiry)
+    lower = max(s_eff - discounted_strike, 0.0)
     upper = s_eff
     if price <= lower:
         raise OutOfBand(
@@ -178,6 +181,15 @@ def implied_vol(
     if price >= upper:
         raise OutOfBand(
             f"price {price} at or above spot bound {upper}", bound="upper"
+        )
+    # bs_call rounds to about eps times its two terms S N(d1) and
+    # K e^(-rT) N(d2), whose sum is at most price + 2 K e^(-rT); a time value
+    # below that rounding is reproduced bit for bit by a whole range of vols
+    if lower > 0 and price - lower <= 4.0 * _EPS * (price + 2.0 * discounted_strike):
+        raise NonConvergence(
+            f"time value {price - lower} of price {price} is below the "
+            "rounding of its Black-Scholes terms; no vol is resolved",
+            error_bound=price - lower,
         )
 
     lo, hi = VOL_BRACKET
@@ -221,45 +233,33 @@ def implied_vol(
 
 def model_surface(
     expiries,
-    strikes_per_expiry,
+    strikes,
     p: HestonParams,
     v: GroupParams | None,
     spec: QuadratureSpec | None = None,
     spot: float = 100.0,
-    dividend_yields=None,
+    dividend_yield: float = 0.0,
 ) -> VolSurface:
     """Implied-vol surface of the (corrected) model on an expiry/strike grid.
 
-    ``strikes_per_expiry`` is either one strike list shared by all expiries
-    or a mapping expiry -> strikes.  With ``v`` zero or None the surface is
-    the pure baseline-model surface.  Points whose model price cannot be
-    inverted (possible for extreme correction sizes) are collected into
-    ``surface.errors`` instead of failing the grid.
+    Every expiry is priced at the same ``strikes``.  With ``v`` zero or None
+    the surface is the pure baseline-model surface.  Points whose model price
+    cannot be inverted (possible for extreme correction sizes) are collected
+    into ``surface.errors`` instead of failing the grid.
     """
-    if dividend_yields is None:
-        dividend_yields = {}
-    elif isinstance(dividend_yields, (int, float)):
-        dividend_yields = {float(t): float(dividend_yields) for t in expiries}
     source = (
         "heston_model" if v is None or v.is_zero else "multiscale_model"
     )
     points = []
     errors = []
-    rates = {}
     for expiry in expiries:
-        strikes = (
-            strikes_per_expiry[expiry]
-            if isinstance(strikes_per_expiry, dict)
-            else strikes_per_expiry
-        )
-        q_div = dividend_yields.get(expiry, 0.0)
-        spot_eff = spot * math.exp(-q_div * expiry)
-        rates[expiry] = p.r
+        spot_eff = spot * math.exp(-dividend_yield * expiry)
         breakdowns = price_strikes(strikes, expiry, spot_eff, p, v=v, spec=spec)
         for strike, bd in zip(strikes, breakdowns):
             try:
                 vol = implied_vol(
-                    bd.total, spot, strike, expiry, p.r, dividend_yield=q_div
+                    bd.total, spot, strike, expiry, p.r,
+                    dividend_yield=dividend_yield,
                 )
             except (OutOfBand, NonConvergence) as exc:
                 errors.append((expiry, strike, type(exc).__name__, str(exc)))
@@ -268,7 +268,7 @@ def model_surface(
     return VolSurface(
         spot=spot,
         points=tuple(points),
-        rates=rates,
-        dividend_yields=dict(dividend_yields),
+        rates={expiry: p.r for expiry in expiries},
+        dividend_yields={expiry: dividend_yield for expiry in expiries},
         errors=tuple(errors),
     )

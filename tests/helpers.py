@@ -30,6 +30,27 @@ def mp_d(k, p, dps: int = 50):
         return complex(val)
 
 
+def mp_cd(tau, k, p, dps: int = 50):
+    """Direct high-precision exponent pair (C, D) of the transform kernel.
+
+    The parameters and tau enter as the exact values of their doubles, and
+    (1 - exp(-tau*d)) / d is formed directly: 50 digits leave over 40 after
+    its cancellation at tau*d ~ 1e-9.
+    """
+    with mp.workdps(dps):
+        kc = mp.mpc(complex(k))
+        kappa, theta, sigma, rho, t = (
+            mp.mpf(x) for x in (p.kappa, p.theta, p.sigma, p.rho, tau)
+        )
+        m = kappa + 1j * rho * sigma * kc
+        d = mp.sqrt(sigma**2 * (kc * kc - 1j * kc) + m * m)
+        w = (1 - mp.exp(-t * d)) / d
+        zeta = 1 + (m - d) * w / 2
+        big_c = kappa * theta / sigma**2 * ((m - d) * t - 2 * mp.log(zeta))
+        big_d = -(kc * kc - 1j * kc) * w / (2 * zeta)
+        return complex(big_c), complex(big_d)
+
+
 def mp_big_a(tau, k, s, p, dps: int = 60):
     """High-precision A via the pointwise-log zeta representation."""
     with mp.workdps(dps):

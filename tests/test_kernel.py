@@ -11,13 +11,14 @@ from .conftest import (
     d_zero_call_contour,
     group_at_epsilon,
 )
-from .helpers import mp_d, naive_big_c, ode_transforms
+from .helpers import mp_cd, mp_d, naive_big_c, ode_transforms
 
 # At sigma = 1e-3 and one day beta*w ~ 1e-9, where the direct log ratios of
 # the closed-form f0_hat cancel to nothing; only their series branch passes.
 _SMALL_SIGMA = HestonParams(
     kappa=1.0, theta=0.24, sigma=1e-3, rho=-0.5, z=0.24, r=0.05
 )
+_MP_SETS = {"table1": TABLE1_HESTON, **EDGE_HESTON, "sigma_1e-3": _SMALL_SIGMA}
 _ODE_CASES = [
     pytest.param(p, tau, kr, ki, id=f"{name}-tau{tau:.3g}-kr{kr:g}-ki{ki:g}")
     for name, p, taus in [
@@ -54,6 +55,11 @@ def g_hat(tau, k, p):
     """Transform kernel exp(C + z*D)."""
     c_val, d_val, _ = _cd_of(tau, complex(k), p)
     return complex(np.exp(c_val + p.z * d_val))
+
+
+def f_hats(tau, k, p, v):
+    """(f0_hat, f1_hat) at one contour point, from the kernel's own bundle."""
+    return _f_hats(tau, k, v, _cd_of(tau, k, p)[2])
 
 
 def b_source(tau, k, p, v):
@@ -109,6 +115,19 @@ class TestDiscriminantRoot:
 class TestBigD:
     def test_zero_at_tau_zero(self, table1_heston):
         assert big_d(0.0, 0.5 + 1.5j, table1_heston) == 0.0
+
+    @pytest.mark.parametrize("p", _MP_SETS.values(), ids=_MP_SETS.keys())
+    def test_against_mpmath(self, p):
+        # tau from 1e-9 to ten years, dense around |tau*d| = 1e-4, where a
+        # Taylor switch for w cost D up to 7e-13; C is not checked relative,
+        # since C = O(tau^2) cancels at short tau
+        for tau in (1e-9, 1e-6, 3e-5, 1e-4, 2e-4, 1e-3, 1 / 365, 0.1, 1.0, 10.0):
+            for kr in (0.01, 0.5, 3.0, 40.0):
+                for ki in (1.5, -0.5):
+                    k = complex(kr, ki)
+                    ref = mp_cd(tau, k, p)[1]
+                    assert abs(big_d(tau, k, p) - ref) <= 1e-14 * abs(ref), (
+                        tau, k)
 
     def test_riccati_residual(self, table1_heston):
         p = table1_heston
@@ -175,7 +194,7 @@ class TestCorrectionTransforms:
     def test_against_ode(self, p, tau, kr, ki):
         k = complex(kr, ki)
         v = group_at_epsilon(1e-2)
-        f0, f1 = _f_hats(tau, k, p, v)
+        f0, f1 = f_hats(tau, k, p, v)
         _, _, ode_f1, ode_f0 = ode_transforms(tau, k, p, v)
         assert complex(f1) == pytest.approx(ode_f1, rel=1e-10, abs=0.0)
         assert complex(f0) == pytest.approx(ode_f0, rel=1e-10, abs=0.0)
@@ -204,7 +223,7 @@ class TestCorrectionTransforms:
         ref_im = dblquad(
             lambda s, t: f(t, s).imag, 0, tau, 0, lambda t: t, epsabs=1e-10
         )[0]
-        f0, _ = _f_hats(tau, k, p, v)
+        f0, _ = f_hats(tau, k, p, v)
         assert complex(f0) == pytest.approx(complex(ref_re, ref_im), abs=1e-9)
 
 

@@ -33,7 +33,8 @@ def payoff_transform(k, strike):
 
 
 def f1_hat(tau, k, p, v):
-    return complex(_f_hats(tau, complex(k), p, v)[1])
+    k = complex(k)
+    return complex(_f_hats(tau, k, v, _cd_of(tau, k, p)[2])[1])
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,18 @@ class TestHestonPrice:
         assert bd.total == pytest.approx(ref, abs=2e-7)
         assert bd.p_correction == 0.0
         assert bd.p10 == 0.0 and bd.p11 == 0.0
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.05])
+    @pytest.mark.parametrize("tau", [5 / 365, 0.25, 1.0, 5.0])
+    def test_small_sigma_against_independent_pricer(self, table1_heston, sigma, tau):
+        # c_infinity ~ 1/sigma would squeeze the kernel's Gaussian decay onto
+        # u ~ 0, where the quadrature gave up with nonconvergence:p00
+        p = table1_heston.replace(sigma=sigma)
+        strikes = [60.0, 100.0, 160.0]
+        for strike, bd in zip(strikes, price_strikes(strikes, tau, 100.0, p)):
+            assert bd.warnings == ()
+            ref = gil_pelaez_heston_call(100.0, strike, p.r, tau, p)
+            assert abs(bd.total - ref) <= bd.quadrature_error + 1e-9, strike
 
     def test_deep_itm_short_dated_limit(self, table1_heston):
         opt = OptionSpec(strike=1.0, expiry=0.01, spot=100.0)

@@ -160,6 +160,16 @@ class TestImpliedVol:
             inverted += 1
         assert inverted > len(WINGS) // 2
 
+    def test_unresolved_time_value_raises(self):
+        # K = 38.7 at 3.2 days: the float price 61.27 is the same for every
+        # true vol from 0.01 to 0.59, so no inverted vol would mean anything
+        spot, rate = 100.0, 0.05
+        for moneyness, expiry, vol in WINGS[72:78]:  # indices [1][1][0..5]
+            strike = spot * moneyness
+            price = mp_bs_call(spot, strike, expiry, vol, rate)
+            with pytest.raises(NonConvergence):
+                implied_vol(price, spot, strike, expiry, rate)
+
     @given(
         vol=st.floats(0.01, 3.0),
         moneyness=st.floats(0.5, 1.8),
