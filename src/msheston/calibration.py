@@ -10,10 +10,15 @@ Internals optimize in a transformed space: log for the positive parameters,
 atanh for the correlation, identity with a symmetric box for the correction
 coefficients.  Iterates therefore stay feasible without constraint
 machinery; the reported results are always in natural units.
+
+Each residual evaluation prices every expiry in one ``price_strips`` call,
+and each Jacobian prices the iterate and its forward-difference neighbours,
+every expiry of each, in one more.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +27,7 @@ from scipy.optimize import least_squares
 
 from .errors import NonConvergence, NonFinite, OutOfBand
 from .kernel import HestonParams
-from .pricer import GroupParams, price_strikes
+from .pricer import GroupParams, price_strips
 from .quadrature import QuadratureSpec
 from .vol_surface import VolSurface, implied_vol
 
@@ -100,8 +105,9 @@ class CalibResult:
 
     ``iterations`` is ``least_squares``' nfev summed over the start and its
     restarts: residual evaluations on accepted or rejected trust-region
-    steps.  The finite-difference Jacobian passes (one residual evaluation
-    per free parameter and Jacobian) are not counted.
+    steps.  The forward-difference Jacobians are not counted; each is one
+    batched integration that prices the iterate and its neighbours, one per
+    free parameter.
     """
 
     heston: HestonParams
@@ -175,32 +181,32 @@ def _transformed_bounds(bounds: dict, multiscale: bool):
 # -- objective -----------------------------------------------------------------
 
 
-def _quote_residuals(p: HestonParams, v: GroupParams | None, prob: CalibProblem):
-    """Unweighted (sigma_mkt - sigma_model) per quote, in market point order."""
+def _quote_residuals(points, prob: CalibProblem) -> np.ndarray:
+    """Unweighted (sigma_mkt - sigma_model), one row per (p, v) point.
+
+    Every point and expiry is priced in one ``price_strips`` call; columns
+    follow market point order.
+    """
     market = prob.market
-    residuals = np.empty(market.n_points)
-    idx = 0
-    for expiry in market.expiries():
-        strikes = market.strikes(expiry)
-        vols_mkt = market.vols(expiry)
-        rate = market.rate(expiry)
-        q_div = market.dividend_yield(expiry)
-        spot_eff = market.spot * math.exp(-q_div * expiry)
-        p_exp = p if p.r == rate else p.replace(r=rate)
-        breakdowns = price_strikes(
-            strikes, expiry, spot_eff, p_exp, v=v, spec=prob.quadrature
-        )
-        for strike, vol_mkt, bd in zip(strikes, vols_mkt, breakdowns):
-            try:
-                vol_model = implied_vol(
-                    bd.total, market.spot, strike, expiry, rate,
-                    dividend_yield=q_div,
-                )
-                residuals[idx] = vol_mkt - vol_model
-            except (OutOfBand, NonConvergence):
-                residuals[idx] = OUT_OF_BAND_RESIDUAL
-            idx += 1
-    return residuals
+    strips = []
+    for p, v in points:
+        for expiry in market.expiries():
+            rate = market.rate(expiry)
+            spot_eff = market.spot * math.exp(-market.dividend_yield(expiry) * expiry)
+            p_exp = p if p.r == rate else p.replace(r=rate)
+            strips.append((market.strikes(expiry), expiry, spot_eff, p_exp, v))
+    breakdowns = [bd for strip in price_strips(strips, prob.quadrature) for bd in strip]
+    residuals = np.empty(len(breakdowns))
+    for i, (pt, bd) in enumerate(zip(itertools.cycle(market.points), breakdowns)):
+        try:
+            vol_model = implied_vol(
+                bd.total, market.spot, pt.strike, pt.expiry, market.rate(pt.expiry),
+                dividend_yield=market.dividend_yield(pt.expiry),
+            )
+            residuals[i] = pt.implied_vol - vol_model
+        except (OutOfBand, NonConvergence):
+            residuals[i] = OUT_OF_BAND_RESIDUAL
+    return residuals.reshape(len(points), market.n_points)
 
 
 def objective_heston(theta, prob: CalibProblem) -> np.ndarray:
@@ -211,7 +217,7 @@ def objective_heston(theta, prob: CalibProblem) -> np.ndarray:
     points contribute the finite out-of-band penalty residual.
     """
     p = _as_heston(theta, prob)
-    return prob.sqrt_weights() * _quote_residuals(p, None, prob)
+    return prob.sqrt_weights() * _quote_residuals([(p, None)], prob)[0]
 
 
 def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
@@ -226,7 +232,7 @@ def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
         arr = np.asarray(phi, dtype=float)
         p = _as_heston(arr[:5], prob)
         v = GroupParams(*arr[5:9])
-    return prob.sqrt_weights() * _quote_residuals(p, v, prob)
+    return prob.sqrt_weights() * _quote_residuals([(p, v)], prob)[0]
 
 
 def _as_heston(theta, prob: CalibProblem) -> HestonParams:
@@ -256,13 +262,37 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
     return tuple(rows)
 
 
+def _residuals(xs, prob, rate, multiscale) -> np.ndarray:
+    """Weighted residuals, Feller row last, at each row of ``xs``: one pricing pass."""
+    points = [_unpack(x, rate, multiscale) for x in xs]
+    res = prob.sqrt_weights() * _quote_residuals(points, prob)
+    return np.column_stack((res, [_feller_penalty(p) for p, _ in points]))
+
+
+def _forward_jacobian(x, lo, hi, residuals) -> np.ndarray:
+    """Forward-difference Jacobian at ``x`` from one call of ``residuals``.
+
+    SciPy's 2-point rule: the step along x_j is 1e-6 sign(x_j) max(1, |x_j|),
+    flipped inward where it would leave the bounds.  ``residuals`` maps the
+    rows x and x + h_j e_j to their residual vectors in one batch, so every
+    column is a difference of one fixed quadrature rule.
+    """
+    h = 1e-6 * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where((x + h < lo) | (x + h > hi), -h, h)
+    neighbours = x + np.diag(h)
+    r = residuals(np.vstack((x, neighbours)))
+    return ((r[1:] - r[0]) / (np.diag(neighbours) - x)[:, None]).T
+
+
 def _run_fit(prob, x0, lo, hi, rate, multiscale):
-    sqrt_w = prob.sqrt_weights()
+    def residuals(xs):
+        return _residuals(xs, prob, rate, multiscale)
 
     def fun(x):
-        p, v = _unpack(x, rate, multiscale)
-        res = sqrt_w * _quote_residuals(p, v, prob)
-        return np.append(res, _feller_penalty(p))
+        return residuals(x[None, :])[0]
+
+    def jac(x):
+        return _forward_jacobian(x, lo, hi, residuals)
 
     res0 = fun(x0)
     if not np.all(np.isfinite(res0)):
@@ -273,9 +303,9 @@ def _run_fit(prob, x0, lo, hi, rate, multiscale):
     fit = least_squares(
         fun,
         x0,
+        jac=jac,
         bounds=(lo, hi),
         method="trf",
-        diff_step=1e-6,
         max_nfev=MULTISCALE_MAX_NFEV if multiscale else HESTON_MAX_NFEV,
     )
     cost0 = float(res0 @ res0)
@@ -299,7 +329,7 @@ def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts) -> CalibResult
             best = (x, cost, ok)
     x, _, converged = best
     p, v = _unpack(x, rate, multiscale)
-    residuals = _quote_residuals(p, v, prob)
+    residuals = _quote_residuals([(p, v)], prob)[0]
     weighted = prob.sqrt_weights() * residuals
     if prob.feller_mode == "enforce" and not p.feller_satisfied:
         converged = False
@@ -336,7 +366,8 @@ def calibrate_heston(
 ) -> CalibResult:
     """Fit the five baseline parameters by trust-region least squares.
 
-    Finite-difference Jacobians use a 1e-6 relative step.  Optional
+    Forward-difference Jacobians step 1e-6 max(1, |x|) in the transformed
+    coordinates, all columns from one batched pricing pass.  Optional
     Latin-hypercube restarts around ``start`` guard against local minima;
     the best final objective wins.  Deterministic for fixed inputs.
     """

@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import BranchCrossing
 
-# Below this |x| the two log ratios of the closed-form correction transform
-# switch to their power series (coefficients highest power first, as polyval
-# takes them): sixteen terms truncate at |x|**16 = 1e-16, and just above the
-# cutoff the direct forms lose at most eps/|x|**2 = 2.2e-14 relative.
+# Below this |x| the second log ratio of the closed-form correction
+# transform switches to its power series (coefficients highest power first,
+# as polyval takes them): sixteen terms truncate at |x|**16 = 1e-16, and just
+# above the cutoff the direct form loses at most eps/|x| = 2.2e-15 relative.
 _LOG_SERIES_CUTOFF = 0.1
-_LOG_RATIO_SERIES = np.array([(-1.0) ** n / (n + 1) for n in range(15, -1, -1)])
 _M2_SERIES = np.array([(-1.0) ** n * (n + 1) / (n + 2) for n in range(15, -1, -1)])
 
 
@@ -89,25 +88,46 @@ def _d_of(k, p: HestonParams):
     return np.sqrt(p.sigma**2 * (k * k - 1j * k) + m * m), m
 
 
+def _log1p(x):
+    """Principal log(1 + x), to full precision relative to |x| as x -> 0.
+
+    NumPy's complex log1p loses the real part at small |x|.
+    """
+    a, b = x.real, x.imag
+    return 0.5 * np.log1p(a * (2.0 + a) + b * b) + 1j * np.arctan2(b, 1.0 + a)
+
+
 def _cd_of(tau, k, p: HestonParams):
     """The exponent pair (C, D) of the transform kernel, zeta form.
 
-    The third value is the tuple (d, M, w, zeta, log zeta) at each point,
-    which ``_f_hats`` takes so that the correction transforms reuse it.
+    The third value is the tuple (d, M - d, M + d, w, zeta, log zeta) at each
+    point, which ``_f_hats`` takes so that the correction transforms reuse
+    it.  ``tau``, ``k`` and the fields of ``p`` may be arrays that broadcast
+    together.
     """
     d, m = _d_of(k, p)
+    kk = k * k - 1j * k
+    # (M - d)(M + d) = -sigma^2 (k^2 - ik): the larger of the two is formed
+    # directly and the smaller as that product over it, so neither cancels
+    # (M - d is O(sigma^2) at small sigma)
+    plus = m.real * d.real + m.imag * d.imag >= 0.0
+    big = np.where(plus, m + d, m - d)
+    small = -(p.sigma**2) * kk / big
+    m_minus_d = np.where(plus, small, big)
+    m_plus_d = np.where(plus, big, small)
     w = -np.expm1(-tau * d) / d
-    zeta = 1.0 + (m - d) * w / 2.0
+    x = m_minus_d * w / 2.0
+    zeta = 1.0 + x
     z_arr = np.asarray(zeta)
     if np.any((z_arr.imag == 0.0) & (z_arr.real <= 0.0)):
         raise BranchCrossing(
             "zeta landed exactly on the negative real axis; "
             "the contour log would be discontinuous here"
         )
-    log_zeta = np.log(zeta)
-    c_val = p.kappa * p.theta / p.sigma**2 * ((m - d) * tau - 2.0 * log_zeta)
-    d_val = -(k * k - 1j * k) * w / (2.0 * zeta)
-    return c_val, d_val, (d, m, w, zeta, log_zeta)
+    log_zeta = _log1p(x)
+    c_val = p.kappa * p.theta / p.sigma**2 * (m_minus_d * tau - 2.0 * log_zeta)
+    d_val = -kk * w / (2.0 * zeta)
+    return c_val, d_val, (d, m_minus_d, m_plus_d, w, zeta, log_zeta)
 
 
 def _b_coeffs(k, v):
@@ -127,14 +147,14 @@ def _f_hats(tau, k, v, parts):
     ODE and f0_hat(tau) = int_0^tau f1_hat(t) dt.  Both zeta and D*zeta are
     linear in E = exp(-s*d), so zeta^2 * b = q0 + q1*E + q2*E^2 and the two
     time integrals are elementary.  ``parts`` is the third value of
-    ``_cd_of(tau, k, p)``: the only log is its rotation-safe log zeta, and w
-    carries the full relative precision that the O(tau^2) q0 and q1 brackets
-    of f0 need at short tau.
+    ``_cd_of(tau, k, p)``: the only log is its rotation-safe log zeta, which
+    carries full precision relative to beta*w = zeta - 1, as the O(tau^2) q0
+    and q1 brackets of f0 need at short tau.
     """
-    d, m, w, zeta, log_zeta = parts
+    d, m_minus_d, m_plus_d, w, zeta, log_zeta = parts
     a = -(k * k - 1j * k) / 2.0
-    beta = (m - d) / 2.0
-    c = (m + d) / 2.0
+    beta = m_minus_d / 2.0
+    c = m_plus_d / 2.0
     e = np.exp(-tau * d)
     b0, b1, b2 = _b_coeffs(k, v)
     d2 = d * d
@@ -142,22 +162,20 @@ def _f_hats(tau, k, v, parts):
     q1 = -(2.0 * b0 * c * beta + b1 * a * (c + beta) + 2.0 * b2 * a * a) / d2
     q2 = (b0 * beta * beta + b1 * a * beta + b2 * a * a) / d2
     f1 = (q0 * w + q1 * tau * e + q2 * e * w) / (zeta * zeta)
-    # log(1 + x)/x and (log(1 + x) + 1/(1 + x) - 1)/x^2 at x = beta*w, with
-    # 1 + x = zeta; the direct forms cancel to eps/|x| and eps/|x|^2, so the
-    # nodes below the cutoff (x = 0 included) take the series instead
+    # (log(1 + x) + 1/(1 + x) - 1)/x^2 at x = beta*w, with 1 + x = zeta; the
+    # direct form cancels to eps/|x|, so the nodes below the cutoff (x = 0
+    # included) take the series instead
     x = np.asarray(beta * w)
     small = np.abs(x) < _LOG_SERIES_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.asarray(log_zeta / x)
-        m2 = np.asarray((log_zeta + 1.0 / zeta - 1.0) / (x * x))
+        m2 = np.asarray((log_zeta - x / zeta) / (x * x))
     if np.any(small):
-        log_ratio[small] = np.polyval(_LOG_RATIO_SERIES, x[small])
         m2[small] = np.polyval(_M2_SERIES, x[small])
-    # x * log_ratio is log1p(x), which the O(tau^2) q0 bracket needs: log
-    # zeta itself carries an absolute eps that the bracket divides by c^2
+    # w * log(zeta) / x = log(zeta) / beta, and beta * c = a * sigma^2 / 2
+    # never vanishes on the contour
     f0 = (
-        q0 * ((d * tau + x * log_ratio) / (c * c) - w / (c * zeta))
-        + q1 * (tau * w / zeta - tau / c + w * log_ratio / c)
+        q0 * ((d * tau + log_zeta) / (c * c) - w / (c * zeta))
+        + q1 * (tau * w / zeta - tau / c + log_zeta / (beta * c))
         + q2 * w * w * m2
     )
     return f0, f1

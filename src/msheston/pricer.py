@@ -18,20 +18,26 @@ folds the full line into twice the real part) after the substitution
 ``exp(-V*k**2/2)``, which at small sigma sets in long before the exponential
 tail that ``c_infinity ~ 1/sigma`` describes.
 
-A strip of strikes at one expiry is priced by one adaptive integration whose
-integrand stacks the three rows of every strike, so the strike-independent
-kernel work and the refinement are shared.  A baseline strip integrates the
-``p00`` rows only.
+A list of strips (strike lists, each with its own expiry, spot, parameters
+and correction coefficients) is priced by one adaptive integration whose
+integrand stacks the rows of every strike of every strip: the ``p00`` row,
+plus the ``p10`` and ``p11`` rows where the strip's coefficients are
+nonzero.  Each strip evaluates its kernel once per node on its own map scale
+and hands it to its strikes, and all rows share the refinement, so a
+calibration residual pass or Jacobian, or a whole surface, costs one
+integration.
 
-Quadrature trouble never aborts a price: each breakdown of the strip carries a
-``nonconvergence:<components>`` warning and the best available estimate, with
-the error bound inflated accordingly.
+Quadrature trouble never aborts a price: each breakdown of a strip whose own
+integrals miss their tolerance carries a ``nonconvergence:<components>``
+warning and the best available estimate, with the error bound inflated
+accordingly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -128,43 +134,80 @@ def _payoff_transform(k, log_k, q):
     return np.exp(1j * k * (log_k - q) + log_k) / (1j * k - k * k)
 
 
-def _strip_integrals(strikes, tau, spot, p, v, spec, k_i, scale):
-    """Raw integrals (p00, p10, p11) of a strike strip and their error bounds.
+def _columns(objs, names):
+    """The fields ``names`` of ``objs`` as (n, 1) column arrays."""
+    return SimpleNamespace(**{
+        name: np.array([getattr(o, name) for o in objs], dtype=float)[:, None]
+        for name in names
+    })
 
-    One adaptive integration over u; the integrand stacks the rows ``static``,
-    ``static*f0_hat`` and ``static*f1_hat`` per strike, so all three share one
-    refinement.  ``v = None`` integrates the baseline rows only.
+
+def _strip_integrals(strips, spec, k_i):
+    """Raw integrals (p00, p10, p11) of a list of strips and their error bounds.
+
+    ``strips`` holds validated ``(strikes, tau, spot, p, v, scale)`` tuples.
+    One adaptive integration over u covers them all: each strip maps u to
+    its own ``k = -log(u)/scale + i*k_i`` and evaluates its kernel once per
+    node, with its parameters held as column arrays, and a row-to-strip index
+    gathers that kernel into the rows ``static`` of its strikes.  Strips with
+    a nonzero ``v`` add the rows ``static*f0_hat`` and ``static*f1_hat``; the
+    correction integrals of the others are exactly 0.  Returns per strip the
+    (3, n_strikes) raw values, their bounds and the strip's warnings.
     """
-    n_k = len(strikes)
-    q = p.r * tau + math.log(spot)
-    log_k = np.log(strikes)[:, None]
+    sizes = [len(s[0]) for s in strips]
+    row_strip = np.repeat(np.arange(len(strips)), sizes)
+    log_k = np.log(np.concatenate([s[0] for s in strips]))[:, None]
+    q = np.array([s[3].r * s[1] + math.log(s[2]) for s in strips])[row_strip, None]
+    tau = np.array([s[1] for s in strips])[:, None]
+    scale = np.array([s[5] for s in strips])[:, None]
+    p = _columns([s[3] for s in strips], ("kappa", "theta", "sigma", "rho", "z"))
+    corrected = np.array([s[4] is not None for s in strips])
+    corr_strips = np.flatnonzero(corrected)
+    corr_rows = np.flatnonzero(corrected[row_strip])
+    # each corrected row's strip, counted among the corrected strips
+    corr_of_row = np.searchsorted(corr_strips, row_strip[corr_rows])
+    v = _columns([strips[i][4] for i in corr_strips], ("v1e", "v2e", "v3e", "v4e"))
 
     def integrand(us):
         k = -np.log(us) / scale + 1j * k_i
         c_val, big_d_val, parts = _cd_of(tau, k, p)
-        kernel = np.exp(c_val + p.z * big_d_val)
-        transform = _payoff_transform(k[None, :], log_k, q)
-        static = transform * (kernel / (us * scale))[None, :]
-        if v is None:
+        kernel = np.exp(c_val + p.z * big_d_val) / (us * scale)
+        static = _payoff_transform(k[row_strip], log_k, q) * kernel[row_strip]
+        if not corr_strips.size:
             return static
-        f0, f1 = _f_hats(tau, k, v, parts)
-        return np.concatenate((static, static * f0, static * f1))
+        f0, f1 = _f_hats(
+            tau[corr_strips], k[corr_strips], v, [x[corr_strips] for x in parts]
+        )
+        own = static[corr_rows]
+        return np.concatenate((static, own * f0[corr_of_row], own * f1[corr_of_row]))
 
-    warnings = ()
     try:
         value, err = integrate_adaptive(integrand, 0.0, 1.0, spec)
     except NonConvergence as exc:
         # quadrature trouble never aborts a price: keep the best estimate
         value, err = np.asarray(exc.estimate), np.asarray(exc.error_bound)
-        tag = "p00" if v is None else "p00,p10,p11"
-        warnings = (f"nonconvergence:{tag}",)
-    raw = 2.0 * value.real.reshape(-1, n_k)
-    raw_err = 2.0 * err.reshape(-1, n_k)
-    if v is None:
-        zeros = np.zeros((2, n_k))
-        raw = np.concatenate((raw, zeros))
-        raw_err = np.concatenate((raw_err, zeros))
-    return raw, raw_err, warnings
+    # integrand row -> (integral, strike row): the p00 rows of every strike,
+    # then the p10 and the p11 rows of the corrected strikes
+    n_rows, n_corr = row_strip.size, corr_rows.size
+    comp = np.repeat([0, 1, 2], [n_rows, n_corr, n_corr])
+    col = np.concatenate((np.arange(n_rows), corr_rows, corr_rows))
+    raw = np.zeros((3, n_rows))
+    raw_err = np.zeros((3, n_rows))
+    raw[comp, col] = 2.0 * value.real
+    raw_err[comp, col] = 2.0 * err
+    missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    strip_missed = np.zeros(len(strips), dtype=bool)
+    np.logical_or.at(strip_missed, row_strip[col], missed)
+    edges = np.cumsum(sizes)[:-1]
+    return [
+        (values, bounds, (f"nonconvergence:{tag}",) if missed_i else ())
+        for values, bounds, missed_i, tag in zip(
+            np.split(raw, edges, axis=1),
+            np.split(raw_err, edges, axis=1),
+            strip_missed,
+            np.where(corrected, "p00,p10,p11", "p00"),
+        )
+    ]
 
 
 def _assemble(
@@ -211,6 +254,61 @@ def _assemble(
     return results
 
 
+def price_strips(
+    strips,
+    spec: QuadratureSpec | None = None,
+    k_i: float | None = None,
+    payoff: str = "call",
+) -> list[list[PriceBreakdown]]:
+    """Price several strike strips in one adaptive integration.
+
+    Each strip is a tuple ``(strikes, expiry, spot, p, v)``: a strike list
+    with its own expiry, spot, HestonParams and GroupParams (None or zero
+    for the baseline).  All strips share the contour, the payoff and the
+    refinement; a strip is tagged ``nonconvergence:...`` only if one of its
+    own integrals misses its tolerance.  Returns one list of breakdowns per
+    strip, in order; each strip agrees with its own ``price_strikes`` call
+    within both quadrature bounds.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    if k_i is None:
+        k_i = DEFAULT_CALL_CONTOUR if payoff == "call" else DEFAULT_PUT_CONTOUR
+    k_i = float(k_i)
+    if payoff == "call" and not k_i > 1.0:
+        raise ContourViolation(f"call contour requires k_i > 1, got k_i={k_i}")
+    if payoff == "put" and not k_i < 0.0:
+        raise ContourViolation(f"put contour requires k_i < 0, got k_i={k_i}")
+    prepared = []
+    for strikes, expiry, spot, p, v in strips:
+        if not expiry > 0:
+            raise ValueError("expiry must be positive")
+        strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
+        if not strikes.size or np.any(strikes <= 0):
+            raise ValueError("strikes must be nonempty and positive")
+        tau = float(expiry)
+        c_inf = c_infinity(tau, p)
+        if not c_inf > 0:
+            raise ValueError(
+                "c_infinity must be strictly positive, which needs |rho| < 1"
+            )
+        variance = (
+            p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
+        )
+        scale = min(c_inf, 4.0 * math.sqrt(variance))
+        if v is not None and v.is_zero:
+            v = None
+        prepared.append((strikes, tau, float(spot), p, v, scale))
+    if not prepared:
+        return []
+    return [
+        _assemble(strikes, tau, spot, p, payoff, raw, raw_err, warnings)
+        for (strikes, tau, spot, p, _, _), (raw, raw_err, warnings) in zip(
+            prepared, _strip_integrals(prepared, spec, k_i)
+        )
+    ]
+
+
 def price_strikes(
     strikes,
     expiry: float,
@@ -223,39 +321,10 @@ def price_strikes(
 ) -> list[PriceBreakdown]:
     """Price a strip of strikes sharing one expiry, spot, and contour.
 
-    Strike-independent kernel work is shared across the strip, so this is the
-    fast path for surfaces and calibration objectives.  Each breakdown agrees
-    with a solo ``price_corrected`` call to within both quadrature bounds.
+    The one-strip case of ``price_strips``: strike-independent kernel work
+    is shared across the strip.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    if not expiry > 0:
-        raise ValueError("expiry must be positive")
-    if k_i is None:
-        k_i = DEFAULT_CALL_CONTOUR if payoff == "call" else DEFAULT_PUT_CONTOUR
-    strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-    if not strikes.size or np.any(strikes <= 0):
-        raise ValueError("strikes must be nonempty and positive")
-    k_i = float(k_i)
-    if payoff == "call" and not k_i > 1.0:
-        raise ContourViolation(f"call contour requires k_i > 1, got k_i={k_i}")
-    if payoff == "put" and not k_i < 0.0:
-        raise ContourViolation(f"put contour requires k_i < 0, got k_i={k_i}")
-    tau = float(expiry)
-    c_inf = c_infinity(tau, p)
-    if not c_inf > 0:
-        raise ValueError(
-            "c_infinity must be strictly positive, which needs |rho| < 1"
-        )
-    variance = p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
-    scale = min(c_inf, 4.0 * math.sqrt(variance))
-    spot = float(spot)
-    if v is not None and v.is_zero:
-        v = None
-    raw, raw_err, warnings = _strip_integrals(
-        strikes, tau, spot, p, v, spec, k_i, scale
-    )
-    return _assemble(strikes, tau, spot, p, payoff, raw, raw_err, warnings)
+    return price_strips([(strikes, expiry, spot, p, v)], spec, k_i, payoff)[0]
 
 
 def price_heston(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import NonConvergence, OutOfBand
 from .kernel import HestonParams
-from .pricer import GroupParams, price_strikes
+from .pricer import GroupParams, price_strips
 from .quadrature import QuadratureSpec
 
 VOL_BRACKET = (1e-4, 5.0)
@@ -100,9 +100,6 @@ class VolSurface:
 
     def strikes(self, expiry: float) -> list:
         return [pt.strike for pt in self.points if pt.expiry == expiry]
-
-    def vols(self, expiry: float) -> list:
-        return [pt.implied_vol for pt in self.points if pt.expiry == expiry]
 
     def rate(self, expiry: float) -> float:
         return self.rates[expiry]
@@ -242,19 +239,22 @@ def model_surface(
 ) -> VolSurface:
     """Implied-vol surface of the (corrected) model on an expiry/strike grid.
 
-    Every expiry is priced at the same ``strikes``.  With ``v`` zero or None
-    the surface is the pure baseline-model surface.  Points whose model price
-    cannot be inverted (possible for extreme correction sizes) are collected
-    into ``surface.errors`` instead of failing the grid.
+    Every expiry is priced at the same ``strikes``, all expiries in one
+    integration.  With ``v`` zero or None the surface is the pure
+    baseline-model surface.  Points whose model price cannot be inverted
+    (possible for extreme correction sizes) are collected into
+    ``surface.errors`` instead of failing the grid.
     """
     source = (
         "heston_model" if v is None or v.is_zero else "multiscale_model"
     )
     points = []
     errors = []
-    for expiry in expiries:
-        spot_eff = spot * math.exp(-dividend_yield * expiry)
-        breakdowns = price_strikes(strikes, expiry, spot_eff, p, v=v, spec=spec)
+    strips = [
+        (strikes, expiry, spot * math.exp(-dividend_yield * expiry), p, v)
+        for expiry in expiries
+    ]
+    for expiry, breakdowns in zip(expiries, price_strips(strips, spec)):
         for strike, bd in zip(strikes, breakdowns):
             try:
                 vol = implied_vol(

@@ -1,8 +1,16 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from msheston.kernel import HestonParams, _b_coeffs, _cd_of, _d_of, _f_hats
+from msheston.kernel import (
+    HestonParams,
+    _b_coeffs,
+    _cd_of,
+    _d_of,
+    _f_hats,
+    _log1p,
+)
 from msheston.pricer import GroupParams
 
 from .conftest import (
@@ -13,12 +21,19 @@ from .conftest import (
 )
 from .helpers import mp_cd, mp_d, naive_big_c, ode_transforms
 
-# At sigma = 1e-3 and one day beta*w ~ 1e-9, where the direct log ratios of
-# the closed-form f0_hat cancel to nothing; only their series branch passes.
+# At sigma = 1e-3 and one day beta*w ~ 1e-9: f0_hat then needs log zeta to
+# full precision relative to beta*w, and its second log ratio cancels to
+# nothing unless it takes the series branch.  M - d is O(sigma^2), so C
+# loses eps*kappa*theta*tau/sigma^2 if M - d is formed by subtraction.
 _SMALL_SIGMA = HestonParams(
     kappa=1.0, theta=0.24, sigma=1e-3, rho=-0.5, z=0.24, r=0.05
 )
-_MP_SETS = {"table1": TABLE1_HESTON, **EDGE_HESTON, "sigma_1e-3": _SMALL_SIGMA}
+_MP_SETS = {
+    "table1": TABLE1_HESTON,
+    **EDGE_HESTON,
+    "sigma_1e-3": _SMALL_SIGMA,
+    "sigma_1e-4": _SMALL_SIGMA.replace(sigma=1e-4),
+}
 _ODE_CASES = [
     pytest.param(p, tau, kr, ki, id=f"{name}-tau{tau:.3g}-kr{kr:g}-ki{ki:g}")
     for name, p, taus in [
@@ -119,15 +134,25 @@ class TestBigD:
     @pytest.mark.parametrize("p", _MP_SETS.values(), ids=_MP_SETS.keys())
     def test_against_mpmath(self, p):
         # tau from 1e-9 to ten years, dense around |tau*d| = 1e-4, where a
-        # Taylor switch for w cost D up to 7e-13; C is not checked relative,
-        # since C = O(tau^2) cancels at short tau
+        # Taylor switch for w cost D up to 7e-13.  C is checked absolute,
+        # since C = O(tau^2) cancels at short tau: |C| reaches 1.7e3 here and
+        # is met to 2.3e-13, where M - d by subtraction missed it by 3.8e-10
+        # at sigma = 1e-3 and 2.8e-8 at sigma = 1e-4
         for tau in (1e-9, 1e-6, 3e-5, 1e-4, 2e-4, 1e-3, 1 / 365, 0.1, 1.0, 10.0):
             for kr in (0.01, 0.5, 3.0, 40.0):
                 for ki in (1.5, -0.5):
                     k = complex(kr, ki)
-                    ref = mp_cd(tau, k, p)[1]
-                    assert abs(big_d(tau, k, p) - ref) <= 1e-14 * abs(ref), (
+                    ref_c, ref_d = mp_cd(tau, k, p)
+                    assert abs(big_d(tau, k, p) - ref_d) <= 1e-14 * abs(ref_d), (
                         tau, k)
+                    assert abs(big_c(tau, k, p) - ref_c) <= 1e-12, (tau, k)
+
+    def test_log1p_against_mpmath(self):
+        # log zeta = log1p(beta*w); NumPy's complex log1p returns a real part
+        # of 1.000089e-12 at the first point
+        for x in (1e-12 + 1e-13j, -1e-9 + 3e-5j, 0.3 - 0.2j, -0.5 + 1e-17j):
+            ref = complex(mp.log1p(mp.mpc(x)))
+            assert abs(complex(_log1p(np.asarray(x))) - ref) <= 4e-16 * abs(ref)
 
     def test_riccati_residual(self, table1_heston):
         p = table1_heston

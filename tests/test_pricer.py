@@ -15,6 +15,7 @@ from msheston.pricer import (
     price_corrected,
     price_heston,
     price_strikes,
+    price_strips,
 )
 from msheston.quadrature import QuadratureSpec
 
@@ -81,6 +82,19 @@ class TestHestonPrice:
         for strike, bd in zip(strikes, price_strikes(strikes, tau, 100.0, p)):
             assert bd.warnings == ()
             ref = gil_pelaez_heston_call(100.0, strike, p.r, tau, p)
+            assert abs(bd.total - ref) <= bd.quadrature_error + 1e-9, strike
+
+    def test_one_day_figure1_strip_against_independent_pricer(self, figure1_heston):
+        # low variance over one day: the oracle's integrands decay only past
+        # u = 300 (it was 6.5e-4 off with a fixed cut there); the strip meets
+        # it to 9e-10 within bounds of 1.8e-7.  The K = 120 price is -6e-10,
+        # which its negative_total tag reports.
+        strikes = [90.0, 95.0, 98.0, 100.0, 102.0, 105.0, 110.0, 120.0]
+        for strike, bd in zip(
+            strikes, price_strikes(strikes, 1 / 365, 100.0, figure1_heston)
+        ):
+            assert not any(w.startswith("nonconvergence") for w in bd.warnings)
+            ref = gil_pelaez_heston_call(100.0, strike, 0.0, 1 / 365, figure1_heston)
             assert abs(bd.total - ref) <= bd.quadrature_error + 1e-9, strike
 
     def test_deep_itm_short_dated_limit(self, table1_heston):
@@ -293,6 +307,74 @@ class TestGrid:
     def test_rejects_empty(self, table1_heston):
         with pytest.raises(ValueError, match="nonempty"):
             price_strikes([], 1.0, 100.0, table1_heston)
+
+
+class TestPriceStrips:
+    def _mixed(self, table1_heston, figure1_heston):
+        # different expiries, parameters and strike counts; baseline (None
+        # and zero) and corrected strips side by side
+        return [
+            ([100.0], 1.0, 100.0, table1_heston, None),
+            (np.linspace(70.0, 140.0, 8), 0.25, 100.0, figure1_heston,
+             GroupParams(-0.001, 0.0005, 0.002, -0.0005)),
+            ([90.0, 110.0], 3.0, 95.0, EDGE_HESTON["rho_minus_099"],
+             GroupParams.zero()),
+            (np.linspace(60.0, 160.0, 5), 1 / 365, 100.0, table1_heston,
+             GroupParams(0.01, 0.0, -0.02, 0.005)),
+            ([80.0, 100.0, 125.0], 0.5, 100.0, EDGE_HESTON["feller_violated"],
+             None),
+        ]
+
+    def test_agrees_with_one_strip_at_a_time(self, table1_heston, figure1_heston):
+        strips = self._mixed(table1_heston, figure1_heston)
+        batch = price_strips(strips)
+        assert [len(b) for b in batch] == [len(s[0]) for s in strips]
+        for strip, priced in zip(strips, batch):
+            alone = price_strikes(*strip)
+            corrected = strip[4] is not None and not strip[4].is_zero
+            for a, b in zip(priced, alone):
+                assert a.warnings == b.warnings
+                assert not any(w.startswith("nonconvergence") for w in a.warnings)
+                tol = a.quadrature_error + b.quadrature_error
+                assert abs(a.total - b.total) <= tol
+                assert abs(a.p_heston - b.p_heston) <= tol
+                if not corrected:
+                    # no correction rows are integrated for a zero v
+                    assert a.p10 == a.p11 == a.p_correction == 0.0
+
+    def test_repeat_is_byte_identical(self, table1_heston, figure1_heston):
+        strips = self._mixed(table1_heston, figure1_heston)
+        assert repr(price_strips(strips)) == repr(price_strips(strips))
+
+    def test_soft_failure_tags_only_the_strips_that_miss(self, table1_heston):
+        # a one-day 25-strike corrected strip needs more panels than the
+        # budget; the ATM baseline strip at one year converges on the panels
+        # both share
+        p = table1_heston
+        strips = [
+            ([100.0], 1.0, 100.0, p, None),
+            (np.linspace(30.0, 300.0, 25), 1 / 365, 100.0, p, group_at_epsilon(1e-2)),
+        ]
+        easy, hard = price_strips(strips, QuadratureSpec(max_subdivisions=80))
+        assert easy[0].warnings == ()
+        assert all("nonconvergence:p00,p10,p11" in bd.warnings for bd in hard)
+        # every strip keeps its best estimate and its bound
+        full_easy, full_hard = price_strips(strips)
+        assert not any(
+            w.startswith("nonconvergence") for bd in full_easy + full_hard
+            for w in bd.warnings
+        )
+        tol = easy[0].quadrature_error + full_easy[0].quadrature_error
+        assert abs(easy[0].total - full_easy[0].total) <= tol
+        spec = QuadratureSpec()
+        assert max(bd.quadrature_error for bd in hard) > spec.abs_tol
+        for bd, ref in zip(hard, full_hard):
+            assert np.isfinite(bd.total)
+            assert abs(bd.total - ref.total) <= bd.quadrature_error + ref.quadrature_error
+
+    def test_no_strips_no_prices(self):
+        # an empty market's objective and an empty surface stay empty
+        assert price_strips([]) == []
 
 
 class TestContourChoice:
