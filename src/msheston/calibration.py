@@ -11,9 +11,12 @@ atanh for the correlation, identity with a symmetric box for the correction
 coefficients.  Iterates therefore stay feasible without constraint
 machinery; the reported results are always in natural units.
 
-Each residual evaluation prices every expiry in one ``price_strips`` call,
-and each Jacobian prices the iterate and its forward-difference neighbours,
-every expiry of each, in one more.
+Each stage is one ``least_squares`` run per start point.  Each residual
+evaluation prices every expiry in one ``price_strips`` call, and each
+Jacobian prices the iterate and its forward-difference neighbours, every
+expiry of each, in one more: a run costs nfev + njev integrations.  The
+reported objective and per-expiry residuals are read off the winning run's
+final residual vector, not priced again.
 """
 
 from __future__ import annotations
@@ -67,29 +70,31 @@ MULTISCALE_MAX_NFEV = 600
 
 @dataclass
 class CalibProblem:
-    """Market data plus the knobs of the least-squares formulation."""
+    """Market data plus the knobs of the least-squares formulation.
+
+    Every quote weighs the same.  ``bounds`` maps parameter names to
+    (lo, hi) boxes that override ``DEFAULT_BOUNDS``.  ``feller_mode``
+    "enforce" reports a fit that ends with sigma^2 > 2 kappa theta as not
+    converged; both modes fit with the same Feller penalty residual.
+
+    Raises
+    ------
+    NonFinite
+        If a market implied vol is non-finite.  Model residuals fall back
+        to a finite penalty, so a quote is the only source of a non-finite
+        residual.
+    """
 
     market: VolSurface
-    weights: dict | None = None
-    bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
+    bounds: dict = field(default_factory=dict)
     feller_mode: str = "penalize"
     quadrature: QuadratureSpec = CALIBRATION_QUADRATURE
 
     def __post_init__(self):
         if self.feller_mode not in ("penalize", "enforce"):
             raise ValueError(f"unknown feller_mode {self.feller_mode!r}")
-        if self.weights is not None:
-            for key, w in self.weights.items():
-                if w < 0:
-                    raise ValueError(f"negative weight for {key}")
-
-    def sqrt_weights(self) -> np.ndarray:
-        """Square roots of the quote weights, in market point order."""
-        weights = self.weights or {}
-        return np.sqrt([
-            float(weights.get((pt.expiry, pt.strike), 1.0))
-            for pt in self.market.points
-        ])
+        if not all(math.isfinite(pt.implied_vol) for pt in self.market.points):
+            raise NonFinite("market implied vols must be finite")
 
     def require_enough_quotes(self, n_params: int):
         if self.market.n_points < n_params:
@@ -103,6 +108,9 @@ class CalibProblem:
 class CalibResult:
     """A fitted parameter set with its objective and per-expiry diagnostics.
 
+    ``objective`` is the sum of squared quote residuals (the Feller row left
+    out) and ``per_expiry_rss`` their mean square per expiry, both from the
+    final residual vector of the winning ``least_squares`` run.
     ``iterations`` is ``least_squares``' nfev summed over the start and its
     restarts: residual evaluations on accepted or rejected trust-region
     steps.  The forward-difference Jacobians are not counted; each is one
@@ -182,7 +190,7 @@ def _transformed_bounds(bounds: dict, multiscale: bool):
 
 
 def _quote_residuals(points, prob: CalibProblem) -> np.ndarray:
-    """Unweighted (sigma_mkt - sigma_model), one row per (p, v) point.
+    """Residuals sigma_mkt - sigma_model, one row per (p, v) point.
 
     Every point and expiry is priced in one ``price_strips`` call; columns
     follow market point order.
@@ -209,41 +217,18 @@ def _quote_residuals(points, prob: CalibProblem) -> np.ndarray:
     return residuals.reshape(len(points), market.n_points)
 
 
-def objective_heston(theta, prob: CalibProblem) -> np.ndarray:
-    """Per-quote weighted residual vector of the baseline model at ``theta``.
+def objective_heston(p: HestonParams, prob: CalibProblem) -> np.ndarray:
+    """Per-quote residual vector of the baseline model at ``p``.
 
-    ``theta`` is either a HestonParams or a natural-space vector in the order
-    (kappa, rho, sigma, theta, z).  Total by construction: uninvertible model
-    points contribute the finite out-of-band penalty residual.
+    Total by construction: uninvertible model points contribute the finite
+    out-of-band penalty residual.
     """
-    p = _as_heston(theta, prob)
-    return prob.sqrt_weights() * _quote_residuals([(p, None)], prob)[0]
+    return _quote_residuals([(p, None)], prob)[0]
 
 
 def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
-    """Per-quote weighted residual vector of the corrected model at ``phi``.
-
-    ``phi`` is a (HestonParams, GroupParams) pair or a natural-space vector
-    (kappa, rho, sigma, theta, z, v1e, v2e, v3e, v4e).
-    """
-    if isinstance(phi, tuple) and isinstance(phi[0], HestonParams):
-        p, v = phi
-    else:
-        arr = np.asarray(phi, dtype=float)
-        p = _as_heston(arr[:5], prob)
-        v = GroupParams(*arr[5:9])
-    return prob.sqrt_weights() * _quote_residuals([(p, v)], prob)[0]
-
-
-def _as_heston(theta, prob: CalibProblem) -> HestonParams:
-    if isinstance(theta, HestonParams):
-        return theta
-    kappa, rho, sigma, theta_v, z = np.asarray(theta, dtype=float)
-    rate = prob.market.rate(prob.market.expiries()[0])
-    return HestonParams(
-        kappa=kappa, theta=theta_v, sigma=sigma, rho=rho, z=z, r=rate,
-        allow_feller_violation=True,
-    )
+    """Per-quote residual vector of the corrected model at the (p, v) pair ``phi``."""
+    return _quote_residuals([phi], prob)[0]
 
 
 def _feller_penalty(p: HestonParams) -> float:
@@ -251,7 +236,7 @@ def _feller_penalty(p: HestonParams) -> float:
 
 
 def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
-    """Mean squared unweighted residual per expiry (the marginal report)."""
+    """Mean squared residual per expiry (the marginal report)."""
     rows = []
     idx = 0
     for expiry in market.expiries():
@@ -263,9 +248,9 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
 
 
 def _residuals(xs, prob, rate, multiscale) -> np.ndarray:
-    """Weighted residuals, Feller row last, at each row of ``xs``: one pricing pass."""
+    """Quote residuals, Feller row last, at each row of ``xs``: one pricing pass."""
     points = [_unpack(x, rate, multiscale) for x in xs]
-    res = prob.sqrt_weights() * _quote_residuals(points, prob)
+    res = _quote_residuals(points, prob)
     return np.column_stack((res, [_feller_penalty(p) for p, _ in points]))
 
 
@@ -284,7 +269,14 @@ def _forward_jacobian(x, lo, hi, residuals) -> np.ndarray:
     return ((r[1:] - r[0]) / (np.diag(neighbours) - x)[:, None]).T
 
 
-def _run_fit(prob, x0, lo, hi, rate, multiscale):
+def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts) -> CalibResult:
+    """Best of the least-squares runs from ``x0`` and its restart points.
+
+    The lowest final cost wins, the first start on a tie.  SciPy's TRF
+    accepts a step only when the cost falls, so no run ends above its start.
+    """
+    rate = prob.market.rate(prob.market.expiries()[0])
+
     def residuals(xs):
         return _residuals(xs, prob, rate, multiscale)
 
@@ -294,51 +286,32 @@ def _run_fit(prob, x0, lo, hi, rate, multiscale):
     def jac(x):
         return _forward_jacobian(x, lo, hi, residuals)
 
-    res0 = fun(x0)
-    if not np.all(np.isfinite(res0)):
-        raise NonFinite("objective is non-finite at the start point")
     # SciPy's default 1e-8 tolerances: the forward-difference Jacobian (a 1e-6
     # step on quadrature output) cannot resolve finer steps, and tighter ones
     # only cycle through rejected trust-region steps at the cost's noise floor
-    fit = least_squares(
-        fun,
-        x0,
-        jac=jac,
-        bounds=(lo, hi),
-        method="trf",
-        max_nfev=MULTISCALE_MAX_NFEV if multiscale else HESTON_MAX_NFEV,
-    )
-    cost0 = float(res0 @ res0)
-    cost1 = float(fit.fun @ fit.fun)
-    if cost1 <= cost0:
-        return fit.x, cost1, int(fit.nfev), bool(fit.status > 0)
-    # a failed line search should never beat the start point; keep the start
-    return x0, cost0, int(fit.nfev), False
-
-
-def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts) -> CalibResult:
-    """Best of the fits from ``x0`` and its restart points, with its report."""
-    rate = prob.market.rate(prob.market.expiries()[0])
-    starts = [x0] + _restart_points(x0, lo, hi, n_restarts)
-    best = None
-    total_nfev = 0
-    for xs in starts:
-        x, cost, nfev, ok = _run_fit(prob, xs, lo, hi, rate, multiscale)
-        total_nfev += nfev
-        if best is None or cost < best[1]:
-            best = (x, cost, ok)
-    x, _, converged = best
-    p, v = _unpack(x, rate, multiscale)
-    residuals = _quote_residuals([(p, v)], prob)[0]
-    weighted = prob.sqrt_weights() * residuals
+    fits = [
+        least_squares(
+            fun,
+            xs,
+            jac=jac,
+            bounds=(lo, hi),
+            method="trf",
+            max_nfev=MULTISCALE_MAX_NFEV if multiscale else HESTON_MAX_NFEV,
+        )
+        for xs in [x0] + _restart_points(x0, lo, hi, n_restarts)
+    ]
+    best = min(fits, key=lambda fit: fit.cost)
+    p, v = _unpack(best.x, rate, multiscale)
+    quotes = best.fun[:-1]
+    converged = bool(best.status > 0)
     if prob.feller_mode == "enforce" and not p.feller_satisfied:
         converged = False
     return CalibResult(
         heston=p,
         group=v,
-        objective=float(weighted @ weighted),
-        per_expiry_rss=_per_expiry_rss(residuals, prob.market),
-        iterations=total_nfev,
+        objective=float(quotes @ quotes),
+        per_expiry_rss=_per_expiry_rss(quotes, prob.market),
+        iterations=sum(int(fit.nfev) for fit in fits),
         converged=converged,
         start_point=tuple(start_natural),
         feller_satisfied=p.feller_satisfied,

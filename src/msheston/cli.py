@@ -29,7 +29,6 @@ import numpy as np
 from .calibration import (
     CALIBRATION_QUADRATURE,
     CalibProblem,
-    DEFAULT_BOUNDS,
     calibrate_heston,
     calibrate_multiscale,
     format_residual_table,
@@ -255,10 +254,11 @@ def _cmd_calibrate(args, config):
             "(the visual-tuning start point is a user judgment)",
             0,
         )
-    filters = ChainFilters(
-        min_days=int(calib_cfg.get("min_days", 45)),
-        min_open_interest=int(calib_cfg.get("min_open_interest", 100)),
-    )
+    filters = ChainFilters(**{
+        key: int(calib_cfg[key])
+        for key in ("min_days", "min_open_interest")
+        if key in calib_cfg
+    })
     loaded = load_chain(args.chain, filters)
     rate = loaded.surface.rate(loaded.surface.expiries()[0])
     start = HestonParams(
@@ -270,13 +270,9 @@ def _cmd_calibrate(args, config):
         r=rate,
         allow_feller_violation=True,
     )
-    bounds = dict(DEFAULT_BOUNDS)
-    bounds.update(
-        {k: tuple(vv) for k, vv in calib_cfg.get("bounds", {}).items()}
-    )
     prob = CalibProblem(
         market=loaded.surface,
-        bounds=bounds,
+        bounds={k: tuple(vv) for k, vv in calib_cfg.get("bounds", {}).items()},
         feller_mode=calib_cfg.get("feller_mode", "penalize"),
         quadrature=_quadrature_from_args(args, config, CALIBRATION_QUADRATURE),
     )

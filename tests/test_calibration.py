@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from msheston.calibration import (
     CalibProblem,
@@ -12,9 +13,8 @@ from msheston.calibration import (
     objective_multiscale,
     residual_ratio_report,
 )
-from msheston import pricer
+from msheston import calibration, pricer
 from msheston.calibration import (
-    DEFAULT_BOUNDS,
     _forward_jacobian,
     _pack,
     _per_expiry_rss,
@@ -66,6 +66,19 @@ def multiscale_market():
 
 def _problem(market, **kwargs):
     return CalibProblem(market=market, quadrature=SPEC, **kwargs)
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The OptimizeResult of every least_squares run, in call order."""
+    recorded = []
+
+    def recording(*args, **kwargs):
+        recorded.append(least_squares(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(calibration, "least_squares", recording)
+    return recorded
 
 
 class TestObjective:
@@ -197,20 +210,35 @@ class TestCalibrateHeston:
         with pytest.raises(NonFinite):
             calibrate_heston(_problem(bad), TRUTH_P)
 
-    def test_weight_scaling_leaves_argmin(self, heston_market):
+    def test_restarts(self, fits, heston_market):
+        prob = _problem(heston_market)
         start = TRUTH_P.replace(kappa=1.4, z=0.05)
-        prob1 = _problem(heston_market)
-        weights = {
-            (pt.expiry, pt.strike): 4.0 for pt in heston_market.points
+        single = calibrate_heston(prob, start)
+        fits.clear()
+        a = calibrate_heston(prob, start, n_restarts=2)
+        assert len(fits) == 3
+        assert a.iterations == sum(fit.nfev for fit in fits)
+        assert a == calibrate_heston(prob, start, n_restarts=2)
+        assert a.objective <= single.objective
+        recomputed = float(np.sum(objective_heston(a.heston, prob) ** 2))
+        assert abs(recomputed - a.objective) <= 1e-12
+
+    def test_feller_enforce_flags_a_violating_fit(self):
+        # the penalized optimum sits just outside the Feller boundary
+        # (sigma^2 - 2 kappa theta = +3.9e-6); both modes fit the same point,
+        # and only "enforce" calls it not converged
+        truth = TRUTH_P.replace(sigma=0.7, allow_feller_violation=True)
+        market = _as_market(model_surface(EXPIRIES, STRIKES, truth, None, SPEC))
+        results = {
+            mode: calibrate_heston(_problem(market, feller_mode=mode), truth)
+            for mode in ("penalize", "enforce")
         }
-        prob4 = _problem(heston_market, weights=weights)
-        res1 = calibrate_heston(prob1, start)
-        res4 = calibrate_heston(prob4, start)
-        assert res4.objective == pytest.approx(4.0 * res1.objective, abs=1e-10)
-        for name in ("kappa", "rho", "sigma", "theta", "z"):
-            assert getattr(res4.heston, name) == pytest.approx(
-                getattr(res1.heston, name), abs=1e-7
-            )
+        penalized, enforced = results["penalize"], results["enforce"]
+        assert enforced.heston == penalized.heston
+        assert enforced.objective == penalized.objective
+        assert not penalized.feller_satisfied
+        for mode, res in results.items():
+            assert res.converged == (mode != "enforce" or res.feller_satisfied)
 
 
 class TestCalibrateMultiscale:
@@ -255,13 +283,38 @@ class TestCalibrateMultiscale:
             calibrate_multiscale(prob, broken)
 
 
+class TestOneRunPerStart:
+    """A stage is its least_squares run, and its report is that run's result."""
+
+    def test_stage_costs_nfev_plus_njev(self, fits, monkeypatch, multiscale_market):
+        integrations = []
+
+        def counted(*args, **kwargs):
+            integrations.append(1)
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(pricer, "integrate_adaptive", counted)
+        prob = _problem(multiscale_market)
+        h_res = calibrate_heston(prob, TRUTH_P.replace(kappa=1.4, sigma=0.5, z=0.05))
+        stages = [(h_res, fits[-1], len(integrations))]
+        integrations.clear()
+        m_res = calibrate_multiscale(prob, h_res)
+        stages.append((m_res, fits[-1], len(integrations)))
+        assert len(fits) == 2
+        for res, fit, n_integrations in stages:
+            assert n_integrations == fit.nfev + fit.njev
+            quotes = fit.fun[:-1]
+            assert res.objective == quotes @ quotes
+            assert res.iterations == fit.nfev
+
+
 class TestBatchedPasses:
     """A residual pass and a Jacobian each price all their points in one integration."""
 
     def _setup(self, market, spec=SPEC):
         # a box on v1e that the start point nearly touches, so that the
         # forward step along v1e has to be flipped inward
-        bounds = dict(DEFAULT_BOUNDS, v1e=(-0.01, 0.01))
+        bounds = {"v1e": (-0.01, 0.01)}
         prob = CalibProblem(market=market, bounds=bounds, quadrature=spec)
         lo, hi = _transformed_bounds(bounds, multiscale=True)
         x = _pack(

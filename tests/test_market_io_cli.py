@@ -5,6 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from msheston import cli
 from msheston.cli import main
 from msheston.errors import EmptyAfterFilter, ParseError
 from msheston.kernel import HestonParams
@@ -322,6 +323,30 @@ class TestCli:
             "kappa": 1, "rho": -0.3, "sigma": 0.3, "theta": 0.1, "z": 0.1}}}))
         rc = main(["--config", str(cfg_path), "calibrate", "--chain", str(bad)])
         assert rc == 2
+
+    def test_calibrate_config_sets_only_its_keys(
+        self, tmp_path, chain_path, monkeypatch, capsys
+    ):
+        # unset filter keys keep ChainFilters' defaults, and the config's
+        # bounds override the defaults: the start's kappa falls outside them
+        seen = []
+
+        def recording(path, filters):
+            seen.append(filters)
+            return load_chain(path, filters)
+
+        monkeypatch.setattr(cli, "load_chain", recording)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"calibration": {
+            "start": {"kappa": 1.5, "rho": -0.3, "sigma": 0.3, "theta": 0.1,
+                      "z": 0.1},
+            "min_open_interest": 0,
+            "bounds": {"kappa": [0.5, 1.0]},
+        }}))
+        rc = main(["--config", str(cfg_path), "calibrate", "--chain", str(chain_path)])
+        assert seen == [ChainFilters(min_open_interest=0)]
+        assert rc == 3
+        assert "violates bounds" in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self):
         rc = main(
