@@ -73,9 +73,9 @@ class CalibProblem:
     """Market data plus the knobs of the least-squares formulation.
 
     Every quote weighs the same.  ``bounds`` maps parameter names to
-    (lo, hi) boxes that override ``DEFAULT_BOUNDS``.  ``feller_mode``
-    "enforce" reports a fit that ends with sigma^2 > 2 kappa theta as not
-    converged; both modes fit with the same Feller penalty residual.
+    (lo, hi) boxes that override ``DEFAULT_BOUNDS``.  The fit penalizes
+    sigma^2 > 2 kappa theta softly; ``CalibResult.feller_satisfied`` reports
+    whether the fitted point meets the Feller condition.
 
     Raises
     ------
@@ -87,12 +87,9 @@ class CalibProblem:
 
     market: VolSurface
     bounds: dict = field(default_factory=dict)
-    feller_mode: str = "penalize"
     quadrature: QuadratureSpec = CALIBRATION_QUADRATURE
 
     def __post_init__(self):
-        if self.feller_mode not in ("penalize", "enforce"):
-            raise ValueError(f"unknown feller_mode {self.feller_mode!r}")
         if not all(math.isfinite(pt.implied_vol) for pt in self.market.points):
             raise NonFinite("market implied vols must be finite")
 
@@ -303,16 +300,13 @@ def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts) -> CalibResult
     best = min(fits, key=lambda fit: fit.cost)
     p, v = _unpack(best.x, rate, multiscale)
     quotes = best.fun[:-1]
-    converged = bool(best.status > 0)
-    if prob.feller_mode == "enforce" and not p.feller_satisfied:
-        converged = False
     return CalibResult(
         heston=p,
         group=v,
         objective=float(quotes @ quotes),
         per_expiry_rss=_per_expiry_rss(quotes, prob.market),
         iterations=sum(int(fit.nfev) for fit in fits),
-        converged=converged,
+        converged=bool(best.status > 0),
         start_point=tuple(start_natural),
         feller_satisfied=p.feller_satisfied,
     )

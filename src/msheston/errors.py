@@ -49,10 +49,11 @@ class StepExplosion(MsHestonError):
 
 
 class ParseError(MsHestonError):
-    """A chain CSV row failed validation; carries the 1-based line number."""
+    """An input failed validation: a chain CSV row, with its 1-based line
+    number, or a command-line setting, with line number 0 and no prefix."""
 
     def __init__(self, message, line_number):
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(f"line {line_number}: {message}" if line_number else message)
         self.line_number = line_number
 
 

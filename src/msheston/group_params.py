@@ -48,7 +48,8 @@ class FullModelParams:
     """Complete two-factor dynamics for the Monte Carlo oracle.
 
     ``heston.rho`` holds the *raw* spot/variance correlation rho_xz; the
-    effective correlation of the averaged model is derived, not stored.
+    effective correlation of the averaged model is derived, not stored.  The
+    fast factor is exponential-OU (``volatility_factor``).
     """
 
     heston: HestonParams
@@ -58,7 +59,6 @@ class FullModelParams:
     rho_xy: float
     rho_yz: float
     y0: float
-    f_kind: str = "exp_ou"
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -79,8 +79,6 @@ class FullModelParams:
                 "correlations do not form a positive-definite Brownian "
                 f"covariance (criterion value {gram:.6g} >= 1)"
             )
-        if self.f_kind != "exp_ou":
-            raise ValueError(f"unsupported f_kind {self.f_kind!r}")
 
     @property
     def rho_xz(self) -> float:

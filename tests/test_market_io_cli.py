@@ -179,6 +179,38 @@ HESTON_FLAGS = [
     "--kappa", "1.0", "--theta", "0.24", "--sigma", "0.39",
     "--rho", "-0.2122857", "--z", "0.24", "--rate", "0.05",
 ]
+HESTON_CONFIG = {"kappa": 1.0, "theta": 0.24, "sigma": 0.39,
+                 "rho": -0.2122857, "z": 0.24, "rate": 0.05}
+PRICE = ["price", "--spot", "100", "--strike", "100", "--expiry", "1"]
+FULL_MODEL_FLAGS = [
+    "--kappa", "1.0", "--theta", "0.24", "--sigma", "0.39", "--rho-xz", "-0.35",
+    "--z", "0.24", "--rate", "0.05", "--epsilon", "0.01", "--m", "0.06",
+    "--nu", "1.0", "--rho-xy", "-0.35", "--rho-yz", "0.35", "--y0", "0.06",
+]
+CALIB_START = {"kappa": 1.5, "rho": -0.3, "sigma": 0.3, "theta": 0.1, "z": 0.1}
+
+# a config that does not parse, the command that reads it, and the key the
+# error must name
+MALFORMED = [
+    ({"calibration": {"start": {k: v for k, v in CALIB_START.items()
+                                if k != "z"}}},
+     "calibrate", "calibration.start.z"),
+    ({"heston": {"kappa": [1]}}, "price", "heston.kappa"),
+    ({"heston": 5}, "price", "heston"),
+    ({"calibration": {"start": CALIB_START, "feller_mode": "enforce"}},
+     "calibrate", "calibration.feller_mode"),
+    ({"full_model": {"f_kind": "exp_ou"}}, "group-params", "full_model.f_kind"),
+    ({"calibration": {"start": CALIB_START, "bounds": {"kappa": [1, "2"]}}},
+     "calibrate", "calibration.bounds.kappa[1]"),
+    ({"sim": {"n_paths": 1.5}}, "validate-mc", "sim.n_paths"),
+    ({"hestn": {}}, "price", "hestn"),
+]
+
+
+def _config(tmp_path, cfg) -> list:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["--config", str(path)]
 
 
 class TestCli:
@@ -372,3 +404,47 @@ class TestCli:
              "--max-subdivisions", "2"]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize("cfg, command, key", MALFORMED,
+                             ids=[key for _, _, key in MALFORMED])
+    def test_malformed_config_exits_2_naming_the_key(
+        self, tmp_path, chain_path, capsys, cfg, command, key
+    ):
+        argv = {
+            "price": PRICE + HESTON_FLAGS[2:],  # kappa from the config
+            "calibrate": ["calibrate", "--chain", str(chain_path)],
+            "group-params": ["group-params", *FULL_MODEL_FLAGS],
+            "validate-mc": ["validate-mc", "--spot", "100", "--strike", "100",
+                            "--expiry", "0.5", *FULL_MODEL_FLAGS],
+        }[command]
+        assert main(_config(tmp_path, cfg) + argv) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_config_only_price_matches_flags(self, tmp_path, capsys):
+        assert main(PRICE + HESTON_FLAGS + ["--v3e", "0.0096"]) == 0
+        from_flags = capsys.readouterr().out
+        cfg = {"heston": HESTON_CONFIG, "group": {"v3e": 0.0096}}
+        assert main(_config(tmp_path, cfg) + PRICE) == 0
+        assert capsys.readouterr().out == from_flags
+
+    def test_flag_overrides_its_config_key(self, tmp_path, capsys):
+        assert main(PRICE + HESTON_FLAGS + ["--abs-tol", "1e-7"]) == 0
+        from_flags = capsys.readouterr().out
+        cfg = {"heston": {**HESTON_CONFIG, "kappa": 2.0},
+               "quadrature": {"abs_tol": 1e-3}}
+        argv = PRICE + ["--kappa", "1.0", "--abs-tol", "1e-7"]
+        assert main(_config(tmp_path, cfg) + argv) == 0
+        assert capsys.readouterr().out == from_flags
+
+    def test_validate_mc_reads_sim_section(self, tmp_path, capsys):
+        argv = ["validate-mc", "--spot", "100", "--strike", "100",
+                "--expiry", "0.5", *FULL_MODEL_FLAGS]
+        assert main(argv + ["--n-paths", "200", "--dt", "0.01", "--seed", "3"]) == 0
+        from_flags = capsys.readouterr().out
+        cfg = {"sim": {"n_paths": 200, "dt": 0.01, "seed": 3}}
+        assert main(_config(tmp_path, cfg) + argv) == 0
+        assert capsys.readouterr().out == from_flags
+        payload = json.loads(from_flags)
+        assert (payload["n_paths"], payload["dt"], payload["seed"]) == (200, 0.01, 3)

@@ -1,0 +1,46 @@
+"""The command-line examples in the README parse as written.
+
+Run as a script, ``python tests/test_readme_cli.py price surface`` prints the
+README's examples of those subcommands, one shell line each, so that they
+can be run as written.
+"""
+
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from msheston.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list:
+    """The argv of each ``msheston`` command in the README's CLI block."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("msheston ")]
+
+
+def _subcommand(argv) -> str:
+    return argv[2] if argv[0] == "--config" else argv[0]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=_subcommand)
+def test_readme_example_parses(argv):
+    args = build_parser().parse_args(argv)
+    assert args.command == _subcommand(argv)
+
+
+def test_readme_shows_every_subcommand():
+    shown = {_subcommand(argv) for argv in readme_commands()}
+    assert shown == {"price", "surface", "sweep", "calibrate", "validate-mc",
+                     "group-params"}
+
+
+if __name__ == "__main__":
+    for argv in readme_commands():
+        if _subcommand(argv) in sys.argv[1:]:
+            print(shlex.join(["msheston", *argv]))
