@@ -39,7 +39,7 @@ from .calibration import (
 from .errors import EmptyAfterFilter, MsHestonError, NonConvergence, ParseError
 from .group_params import FullModelParams, compute_group_params
 from .kernel import HestonParams
-from .market_io import ChainFilters, load_chain, load_config
+from .market_io import ChainFilters, config_path, load_chain, load_config
 from .mc import McEstimate, SimConfig, mc_price_call
 from .pricer import GroupParams, OptionSpec, price_corrected
 from .quadrature import QuadratureSpec
@@ -85,8 +85,6 @@ _SETTINGS = {
         "n_paths": (int, 100_000),
         "dt": (float, 1e-4),
         "seed": (int, 0),
-        "antithetic": (bool, None),
-        "fast_factor_update": (str, None),
     },
     "calibration": {
         # the start point is a user judgment, typically from visually tuning
@@ -198,12 +196,17 @@ def _sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _parse_floats(text: str) -> list:
-    """Comma list '1,2,3' or range 'lo:hi:n'."""
-    if ":" in text:
-        lo, hi, n = text.split(":")
-        return [float(x) for x in np.linspace(float(lo), float(hi), int(n))]
-    return [float(x) for x in text.split(",")]
+def _parse_floats(text: str, flag: str) -> list:
+    """Comma list '1,2,3' or range 'lo:hi:n'; ParseError naming ``flag``."""
+    try:
+        if ":" in text:
+            lo, hi, n = text.split(":")
+            return [float(x) for x in np.linspace(float(lo), float(hi), int(n))]
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ParseError(
+            f"{flag} must be a comma list or lo:hi:n, got {text!r}", 0
+        ) from None
 
 
 def _breakdown_payload(bd) -> dict:
@@ -241,8 +244,8 @@ def _cmd_price(args, config):
 
 def _cmd_surface(args, config):
     p, v, spec = _pricing_inputs(args, config)
-    expiries = _parse_floats(args.expiries)
-    strikes = _parse_floats(args.strikes)
+    expiries = _parse_floats(args.expiries, "--expiries")
+    strikes = _parse_floats(args.strikes, "--strikes")
     surface = model_surface(
         expiries, strikes, p, v, spec, spot=args.spot,
         dividend_yield=args.dividend_yield,
@@ -253,8 +256,8 @@ def _cmd_surface(args, config):
 
 def _cmd_sweep(args, config):
     p, base, spec = _pricing_inputs(args, config)
-    strikes = _parse_floats(args.strikes)
-    values = _parse_floats(args.values)
+    strikes = _parse_floats(args.strikes, "--strikes")
+    values = _parse_floats(args.values, "--values")
     if args.vary not in V_NAMES:
         raise ParseError(f"--vary must be one of v1e..v4e, got {args.vary}", 0)
     out_dir = Path(args.output_dir)
@@ -444,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the file actually read, which calibrate's provenance hashes
+    args.config = config_path(args.config)
     try:
         config = load_config(args.config)
         return args.func(args, config)

@@ -255,16 +255,20 @@ def write_chain(path, rows) -> None:
             )
 
 
+def config_path(path=None):
+    """``path``, else the environment default; None when neither is set."""
+    return path if path is not None else os.environ.get(CONFIG_ENV_VAR) or None
+
+
 def load_config(path=None) -> dict:
     """Load a JSON run configuration; falls back to the environment default.
 
     Returns an empty mapping when neither an explicit path nor the
     environment variable is set.
     """
+    path = config_path(path)
     if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-        if not path:
-            return {}
+        return {}
     with open(path) as handle:
         try:
             cfg = json.load(handle)

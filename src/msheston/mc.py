@@ -4,17 +4,16 @@ State per path: log price, fast factor Y, variance Z.  Z follows a
 full-truncation Euler step (negative proposals are floored inside every
 drift and diffusion evaluation, and the flooring rate is reported as a
 diagnostic).  The log price is an exact-in-distribution Euler step given the
-current volatility.  The fast factor defaults to the exact OU-conditional
-update
+current volatility.  The fast factor takes the exact OU-conditional update
 
     Y' = m + (Y - m) * exp(-c) + nu * sqrt(1 - exp(-2c)) * W,   c = Z dt / eps,
 
-which is stable and unbiased-in-law for any step-to-timescale ratio ``c``;
-the plain Euler alternative is kept for convergence cross-checks but demands
-``dt <= eps / 50`` (at desk-scale steps the Euler fast factor is explosive
-whenever ``c`` approaches 2, which happens already at ``dt = eps``).
+which is stable and unbiased-in-law for any step-to-timescale ratio ``c``
+(a plain Euler step would be explosive whenever ``c`` approaches 2, which
+happens already at ``dt = eps``).
 
-Paths are generated in fixed-size chunks, each driven by its own
+Paths come in antithetic pairs: every draw of normals drives a path and its
+mirror.  They are generated in fixed-size chunks, each driven by its own
 counter-based substream spawned from the seed, so results are bit-identical
 regardless of how chunks would be scheduled across workers.
 """
@@ -37,25 +36,20 @@ MAX_TRUNCATION_FRACTION = 1e-3
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, step size, antithetic pairing and fast-factor update."""
+    """Path count (an even number of at least 4: two antithetic pairs), step
+    size and seed."""
 
     n_paths: int
     dt: float
     seed: int
-    antithetic: bool = True
-    fast_factor_update: str = "exact_ou"
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+        if self.n_paths < 4 or self.n_paths % 2:
+            raise ValueError(
+                f"n_paths must be an even number of at least 4, got {self.n_paths}"
+            )
         if not self.dt > 0:
             raise ValueError("dt must be strictly positive")
-        if self.fast_factor_update not in ("exact_ou", "euler"):
-            raise ValueError(
-                f"unsupported fast_factor_update {self.fast_factor_update!r}"
-            )
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic sampling needs an even n_paths")
 
 
 @dataclass(frozen=True)
@@ -66,17 +60,14 @@ class McEstimate:
     std_error: float
     n_paths: int
     truncation_fraction: float
-    std_error_defined: bool = True
     warnings: tuple = field(default_factory=tuple)
 
 
 @dataclass(frozen=True)
 class TerminalSample:
-    """Terminal states of a simulation plus diagnostics."""
+    """Terminal prices of a simulation plus diagnostics."""
 
     x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
     truncation_fraction: float
     warnings: tuple = field(default_factory=tuple)
 
@@ -100,38 +91,22 @@ def _chunk_streams(seed: int, n_chunks: int):
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
-def _join_chunks(parts, antithetic: bool) -> np.ndarray:
-    """Join per-chunk [base | mirror] blocks as [all bases | all mirrors]."""
-    if not antithetic:
-        return np.concatenate(parts)
-    halves = [part[: part.size // 2] for part in parts]
-    halves += [part[part.size // 2 :] for part in parts]
-    return np.concatenate(halves)
-
-
 def simulate_paths(
     fm: FullModelParams, horizon: float, cfg: SimConfig
 ) -> TerminalSample:
-    """Simulate terminal states of (X, Y, Z) over ``horizon`` years.
+    """Simulate the terminal price over ``horizon`` years.
 
     The log price is integrated in its exponential form and returned per unit
-    of initial price (scale by spot to price); Z uses full-truncation Euler;
-    Y uses the configured fast-factor update.  Reproducible: identical
-    (fm, horizon, cfg) give bit-identical samples.  Antithetic samples hold
-    all base paths first and their mirrors after them in the same order, so
-    path ``i`` and path ``n_paths // 2 + i`` form a pair.
+    of initial price (scale by spot to price).  Reproducible: identical
+    (fm, horizon, cfg) give bit-identical samples.  The sample holds all base
+    paths first and their mirrors after them in the same order, so path ``i``
+    and path ``n_paths // 2 + i`` form a pair.
     """
     if not horizon > 0:
         raise ValueError("horizon must be strictly positive")
     p = fm.heston
     warnings = []
-    if cfg.fast_factor_update == "euler" and cfg.dt > fm.epsilon / 50.0:
-        raise ValueError(
-            "plain Euler fast-factor update requires dt <= epsilon / 50 "
-            f"(dt={cfg.dt:g}, epsilon={fm.epsilon:g}); use the exact_ou update "
-            "at desk-scale steps"
-        )
-    if cfg.fast_factor_update == "exact_ou" and cfg.dt > fm.epsilon:
+    if cfg.dt > fm.epsilon:
         warnings.append("fast_factor_step_coarse")
 
     n_steps = max(1, int(round(horizon / cfg.dt)))
@@ -142,27 +117,23 @@ def simulate_paths(
     )
     f = volatility_factor(fm)
 
-    n_base = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    n_chunks = max(1, math.ceil(n_base / _CHUNK))
+    n_base = cfg.n_paths // 2
+    n_chunks = math.ceil(n_base / _CHUNK)
     streams = _chunk_streams(cfg.seed, n_chunks)
 
-    xs, ys, zs = [], [], []
+    bases, mirrors = [], []
     truncated = 0
-    total_step_states = 0
     for chunk_idx in range(n_chunks):
         lo = chunk_idx * _CHUNK
-        hi = min(n_base, lo + _CHUNK)
-        width = hi - lo
+        width = min(n_base, lo + _CHUNK) - lo
         rng = streams[chunk_idx]
-        n_here = 2 * width if cfg.antithetic else width
 
-        log_x = np.zeros(n_here)
-        y = np.full(n_here, fm.y0, dtype=float)
-        z = np.full(n_here, p.z, dtype=float)
+        log_x = np.zeros(2 * width)
+        y = np.full(2 * width, fm.y0, dtype=float)
+        z = np.full(2 * width, p.z, dtype=float)
         for step in range(n_steps):
             normals = rng.standard_normal((3, width))
-            if cfg.antithetic:
-                normals = np.concatenate([normals, -normals], axis=1)
+            normals = np.concatenate([normals, -normals], axis=1)
             w = chol @ normals
 
             # overflow rolls a state to inf; the periodic finite check turns
@@ -173,17 +144,11 @@ def simulate_paths(
                 sig = np.sqrt(z_floor) * f(y)
                 log_x += (p.r - 0.5 * sig * sig) * dt + sig * sdt * w[0]
 
-                if cfg.fast_factor_update == "exact_ou":
-                    c = z_floor * (dt / fm.epsilon)
-                    decay = np.exp(-c)
-                    y = fm.m + (y - fm.m) * decay + fm.nu * np.sqrt(
-                        -np.expm1(-2.0 * c)
-                    ) * w[1]
-                else:
-                    rate = z_floor / fm.epsilon
-                    y = y + rate * (fm.m - y) * dt + fm.nu * math.sqrt(
-                        2.0
-                    ) * np.sqrt(rate) * sdt * w[1]
+                c = z_floor * (dt / fm.epsilon)
+                decay = np.exp(-c)
+                y = fm.m + (y - fm.m) * decay + fm.nu * np.sqrt(
+                    -np.expm1(-2.0 * c)
+                ) * w[1]
 
                 z = z + p.kappa * (p.theta - z_floor) * dt + p.sigma * np.sqrt(
                     z_floor
@@ -198,20 +163,17 @@ def simulate_paths(
                         path_index=lo + (idx % width),
                         step=step,
                     )
-        total_step_states += n_steps * n_here
-        xs.append(np.exp(log_x))
-        ys.append(y)
-        zs.append(z)
+        x = np.exp(log_x)
+        bases.append(x[:width])
+        mirrors.append(x[width:])
 
-    x_t, y_t, z_t = (
-        _join_chunks(parts, cfg.antithetic) for parts in (xs, ys, zs)
-    )
-    frac = truncated / total_step_states if total_step_states else 0.0
+    frac = truncated / (n_steps * cfg.n_paths)
     if frac > MAX_TRUNCATION_FRACTION:
         warnings.append("truncation_fraction_above_threshold")
-    # x is the terminal price per unit of initial price; callers scale by spot
     return TerminalSample(
-        x=x_t, y=y_t, z=z_t, truncation_fraction=frac, warnings=tuple(warnings)
+        x=np.concatenate(bases + mirrors),
+        truncation_fraction=frac,
+        warnings=tuple(warnings),
     )
 
 
@@ -224,34 +186,20 @@ def mc_price_call(
 ) -> McEstimate:
     """Discounted mean call payoff with its standard error.
 
-    Antithetic runs estimate the standard error from per-pair means, which is
-    the unbiased estimator under mirrored draws.  A single-path run has no
-    standard error and is flagged as such.
+    The standard error is taken from the per-pair means, which is the
+    unbiased estimator under mirrored draws.
     """
     if not strike > 0 or not spot > 0:
         raise ValueError("strike and spot must be positive")
     sample = simulate_paths(fm, expiry, cfg)
     disc = math.exp(-fm.heston.r * expiry)
     payoff = disc * np.maximum(spot * sample.x - strike, 0.0)
-
-    if cfg.antithetic:
-        n_base = cfg.n_paths // 2
-        pooled = 0.5 * (payoff[:n_base] + payoff[n_base:])
-    else:
-        pooled = payoff
-
-    price = float(pooled.mean())
-    if pooled.size > 1:
-        std_error = float(pooled.std(ddof=1) / math.sqrt(pooled.size))
-        defined = True
-    else:
-        std_error = float("nan")
-        defined = False
+    n_base = cfg.n_paths // 2
+    pooled = 0.5 * (payoff[:n_base] + payoff[n_base:])
     return McEstimate(
-        price=price,
-        std_error=std_error,
+        price=float(pooled.mean()),
+        std_error=float(pooled.std(ddof=1) / math.sqrt(n_base)),
         n_paths=cfg.n_paths,
         truncation_fraction=sample.truncation_fraction,
-        std_error_defined=defined,
         warnings=sample.warnings,
     )

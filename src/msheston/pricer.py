@@ -76,12 +76,6 @@ class GroupParams:
     def is_zero(self) -> bool:
         return self.v1e == self.v2e == self.v3e == self.v4e == 0.0
 
-    def scaled(self, c: float) -> "GroupParams":
-        return GroupParams(c * self.v1e, c * self.v2e, c * self.v3e, c * self.v4e)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v1e, self.v2e, self.v3e, self.v4e])
-
 
 @dataclass(frozen=True)
 class OptionSpec:

@@ -3,18 +3,29 @@
 Everything here deliberately avoids the library's own evaluation paths:
 arbitrary-precision direct formula evaluation (mpmath), a Gil-Pelaez Heston
 pricer on scipy's QUADPACK, an ODE-system route to the corrected price
-(scipy DOP853), and the closed forms the exponential-OU volatility factor
-admits for the averaged quantities.
+(scipy DOP853), the closed forms the exponential-OU volatility factor
+admits for the averaged quantities, and a plain Euler fast-factor simulator
+(which shares only the Monte Carlo's random streams and colouring).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.stats import norm
+
+from msheston import mc
+from msheston.group_params import volatility_factor
+
+
+def group_array(v) -> np.ndarray:
+    """The correction coefficients (v1e, v2e, v3e, v4e) of ``v`` as an array."""
+    return np.array([v.v1e, v.v2e, v.v3e, v.v4e])
+
 
 # ----------------------------------------------------------------------
 # Arbitrary-precision direct evaluation of the kernel formulas.
@@ -223,6 +234,8 @@ def ode_transforms(tau, k, p, v):
 def ode_corrected_price(spot, strike, expiry, p, v, k_i=1.5, k_cut=60.0):
     q = p.r * expiry + math.log(spot)
 
+    # both quad calls below evaluate it; each node's ODE system is solved once
+    @functools.cache
     def integrand(kr):
         k = kr + 1j * k_i
         big_d, big_c, f1, f0 = ode_transforms(expiry, k, p, v)
@@ -308,3 +321,51 @@ def exp_ou_unit_v(sigma, nu, rho_xy, rho_xz, rho_yz, brackets=None) -> np.ndarra
             rho_xy * rho_xz * sigma * root2nu * br["f_psi_prime"],
         ]
     )
+
+
+# ----------------------------------------------------------------------
+# Plain Euler fast-factor update, a convergence oracle for the exact
+# OU-conditional update of ``mc.simulate_paths``.
+# ----------------------------------------------------------------------
+
+
+def euler_terminal_prices(fm, horizon, cfg) -> np.ndarray:
+    """Terminal prices per unit of spot with a plain Euler step for Y.
+
+    Draws the same per-chunk streams and colours them as ``simulate_paths``
+    does, so the two differ only in the fast-factor step.  The Euler step is
+    explosive once Z dt / eps nears 2; it is used only at dt <= eps / 50.
+    """
+    if cfg.dt > fm.epsilon / 50.0:
+        raise ValueError("the Euler fast-factor update needs dt <= epsilon / 50")
+    p = fm.heston
+    n_steps = max(1, int(round(horizon / cfg.dt)))
+    dt = horizon / n_steps
+    sdt = math.sqrt(dt)
+    chol = np.linalg.cholesky(
+        mc.correlation_matrix(fm.rho_xy, fm.rho_xz, fm.rho_yz)
+    )
+    f = volatility_factor(fm)
+    n_base = cfg.n_paths // 2
+    streams = mc._chunk_streams(cfg.seed, math.ceil(n_base / mc._CHUNK))
+    xs = []
+    for chunk, rng in enumerate(streams):
+        width = min(n_base - chunk * mc._CHUNK, mc._CHUNK)
+        log_x = np.zeros(2 * width)
+        y = np.full(2 * width, fm.y0)
+        z = np.full(2 * width, p.z)
+        for _ in range(n_steps):
+            normals = rng.standard_normal((3, width))
+            w = chol @ np.concatenate([normals, -normals], axis=1)
+            z_floor = np.maximum(z, 0.0)
+            sig = np.sqrt(z_floor) * f(y)
+            log_x += (p.r - 0.5 * sig * sig) * dt + sig * sdt * w[0]
+            rate = z_floor / fm.epsilon
+            y = y + rate * (fm.m - y) * dt + fm.nu * math.sqrt(
+                2.0
+            ) * np.sqrt(rate) * sdt * w[1]
+            z = z + p.kappa * (p.theta - z_floor) * dt + p.sigma * np.sqrt(
+                z_floor
+            ) * sdt * w[2]
+        xs.append(np.exp(log_x))
+    return np.concatenate(xs)

@@ -27,6 +27,8 @@ from msheston.pricer import GroupParams
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
 from msheston.vol_surface import VolPoint, VolSurface, model_surface
 
+from .helpers import group_array
+
 SPEC = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
 
 TRUTH_P = HestonParams(
@@ -256,7 +258,7 @@ class TestCalibrateMultiscale:
         h_res = calibrate_heston(prob, TRUTH_P)
         m_res = calibrate_multiscale(prob, h_res)
         assert m_res.objective <= h_res.objective + 1e-12
-        assert max(abs(x) for x in m_res.group.as_array()) < 1e-4
+        assert max(abs(x) for x in group_array(m_res.group)) < 1e-4
 
     def test_requires_converged_baseline(self, heston_market):
         prob = _problem(heston_market)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from datetime import date, timedelta
@@ -203,6 +204,9 @@ MALFORMED = [
     ({"calibration": {"start": CALIB_START, "bounds": {"kappa": [1, "2"]}}},
      "calibrate", "calibration.bounds.kappa[1]"),
     ({"sim": {"n_paths": 1.5}}, "validate-mc", "sim.n_paths"),
+    ({"sim": {"antithetic": False}}, "validate-mc", "sim.antithetic"),
+    ({"sim": {"fast_factor_update": "euler"}}, "validate-mc",
+     "sim.fast_factor_update"),
     ({"hestn": {}}, "price", "hestn"),
 ]
 
@@ -291,9 +295,39 @@ class TestCli:
             assert key in payload
         assert payload["mc_std_error"] > 0
 
-    def test_calibrate_end_to_end(self, tmp_path, capsys):
-        # chain generated from a known Heston model so the baseline stage has
-        # an exactly attainable optimum
+    def test_validate_mc_single_pair_is_numeric_error(self, capsys):
+        # one antithetic pair has no standard error
+        argv = ["validate-mc", "--spot", "100", "--strike", "100",
+                "--expiry", "0.5", *FULL_MODEL_FLAGS, "--n-paths", "2"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_paths" in captured.err
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--strikes", "70:130"), ("--expiries", "0.5,x"), ("--values", "1:2:x"),
+    ])
+    def test_malformed_float_list_exits_2_naming_the_flag(
+        self, tmp_path, capsys, flag, text
+    ):
+        lists = {"--strikes": "90,100", "--expiries": "0.5", "--values": "0,1"}
+        lists[flag] = text
+        if flag == "--values":
+            argv = ["sweep", "--spot", "100", "--expiry", "0.5", "--vary", "v3e",
+                    "--output-dir", str(tmp_path),
+                    "--strikes", lists["--strikes"], f"--values={text}"]
+        else:
+            argv = ["surface", "--spot", "100", "--expiries", lists["--expiries"],
+                    "--strikes", lists["--strikes"]]
+        assert main(argv + HESTON_FLAGS) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+    @pytest.fixture()
+    def heston_chain(self, tmp_path):
+        """A chain priced by a known Heston model, so the baseline stage has an
+        exactly attainable optimum, and a config that fits it."""
         truth = HestonParams(
             kappa=1.8, theta=0.09, sigma=0.4, rho=-0.55, z=0.06, r=RATE
         )
@@ -330,6 +364,10 @@ class TestCli:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
+        return chain, cfg_path
+
+    def test_calibrate_end_to_end(self, tmp_path, heston_chain, capsys):
+        chain, cfg_path = heston_chain
         out = tmp_path / "result.json"
         rc = main(
             ["--config", str(cfg_path), "calibrate",
@@ -346,6 +384,22 @@ class TestCli:
         )
         assert payload["provenance"]["chain_sha256"]
         assert "ratio" in captured.out
+
+    def test_config_from_environment_is_hashed(
+        self, tmp_path, heston_chain, monkeypatch, capsys
+    ):
+        chain, cfg_path = heston_chain
+        argv = ["calibrate", "--chain", str(chain), "--output"]
+        from_flag, from_env = tmp_path / "flag.json", tmp_path / "env.json"
+        assert main(["--config", str(cfg_path), *argv, str(from_flag)]) == 0
+        monkeypatch.setenv("MSHESTON_CONFIG", str(cfg_path))
+        assert main([*argv, str(from_env)]) == 0
+        capsys.readouterr()
+        hashes = [json.loads(out.read_text())["provenance"]["config_sha256"]
+                  for out in (from_flag, from_env)]
+        assert hashes[0] == hashes[1] == hashlib.sha256(
+            cfg_path.read_bytes()
+        ).hexdigest()
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

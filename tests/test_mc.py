@@ -10,6 +10,8 @@ from msheston.kernel import HestonParams
 from msheston.mc import SimConfig, correlation_matrix, mc_price_call, simulate_paths
 from msheston.vol_surface import bs_call
 
+from .helpers import euler_terminal_prices
+
 
 def _full_model(**overrides):
     heston_kwargs = dict(
@@ -45,9 +47,9 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_paths=10, dt=0.0, seed=1)
         with pytest.raises(ValueError):
-            SimConfig(n_paths=11, dt=1e-3, seed=1, antithetic=True)
+            SimConfig(n_paths=11, dt=1e-3, seed=1)
         with pytest.raises(ValueError):
-            SimConfig(n_paths=10, dt=1e-3, seed=1, fast_factor_update="milstein")
+            SimConfig(n_paths=2, dt=1e-3, seed=1)
 
 
 class TestCorrelateBrownians:
@@ -74,7 +76,6 @@ class TestSimulatePaths:
         a = simulate_paths(fm, 1.0, cfg)
         b = simulate_paths(fm, 1.0, cfg)
         np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.z, b.z)
         assert a.truncation_fraction == b.truncation_fraction
 
     def test_martingale_property(self):
@@ -87,9 +88,8 @@ class TestSimulatePaths:
 
     def test_full_truncation_keeps_variance_nonnegative(self):
         # at the Table-1 sigma = 0.39 no step goes below zero; at sigma = 1
-        # about 2.8 % of the step states do, the Euler step leaves Z below
-        # zero (one step undershoots by at most sigma^2 dt w^2 / 4, about
-        # 0.03 at |w| = 5), and the floored variance keeps every price finite
+        # about 2.8 % of the step states do, and the floored variance keeps
+        # every price finite
         cfg = SimConfig(n_paths=5000, dt=5e-3, seed=11)
         calm = simulate_paths(_full_model(), 1.0, cfg)
         assert calm.truncation_fraction == 0.0
@@ -100,7 +100,6 @@ class TestSimulatePaths:
         )
         assert mc_mod.MAX_TRUNCATION_FRACTION < wild.truncation_fraction < 0.05
         assert wild.warnings == ("truncation_fraction_above_threshold",)
-        assert -0.05 < wild.z.min() < 0.0
         assert np.all(np.isfinite(wild.x)) and np.all(wild.x > 0.0)
 
     def test_deterministic_variance_limit_matches_black_scholes(self, monkeypatch):
@@ -142,25 +141,14 @@ class TestSimulatePaths:
         sums = log_x[:n_base] + log_x[n_base:]
         assert np.ptp(sums) < 1e-9
 
-    def test_euler_fast_factor_requires_fine_steps(self):
-        fm = _full_model(epsilon=1e-3)
-        cfg = SimConfig(
-            n_paths=64, dt=1e-3, seed=1, fast_factor_update="euler"
-        )
-        with pytest.raises(ValueError, match="epsilon / 50"):
-            simulate_paths(fm, 0.1, cfg)
-
     def test_euler_and_exact_updates_agree_at_fine_steps(self):
         fm = _full_model(epsilon=1e-1)
-        kwargs = dict(n_paths=20000, dt=1e-3, seed=17)
-        exact = mc_price_call(
-            fm, 100.0, 0.5, SimConfig(fast_factor_update="exact_ou", **kwargs)
-        )
-        euler = mc_price_call(
-            fm, 100.0, 0.5, SimConfig(fast_factor_update="euler", **kwargs)
-        )
+        cfg = SimConfig(n_paths=20000, dt=1e-3, seed=17)
+        exact = mc_price_call(fm, 100.0, 0.5, cfg)
+        x = euler_terminal_prices(fm, 0.5, cfg)
+        euler = math.exp(-fm.heston.r * 0.5) * np.maximum(100.0 * x - 100.0, 0.0)
         # shared randomness: schemes differ only in the fast-factor step bias
-        assert abs(exact.price - euler.price) < 0.2
+        assert abs(exact.price - euler.mean()) < 0.2
 
     def test_step_explosion_reports_location(self, monkeypatch):
         monkeypatch.setattr(
@@ -177,28 +165,6 @@ class TestSimulatePaths:
 
 
 class TestMcPriceCall:
-    def test_single_path_flagged(self):
-        fm = _full_model()
-        cfg = SimConfig(n_paths=1, dt=1e-2, seed=4, antithetic=False)
-        est = mc_price_call(fm, 100.0, 1.0, cfg, spot=100.0)
-        sample = simulate_paths(fm, 1.0, cfg)
-        single = math.exp(-0.05) * max(100.0 * sample.x[0] - 100.0, 0.0)
-        assert est.price == pytest.approx(single)
-        assert not est.std_error_defined
-        assert math.isnan(est.std_error)
-
-    def test_antithetic_reduces_standard_error(self):
-        fm = _full_model()
-        common = dict(n_paths=20000, dt=2e-3, seed=8)
-        plain = mc_price_call(
-            fm, 100.0, 1.0, SimConfig(antithetic=False, **common)
-        )
-        anti = mc_price_call(fm, 100.0, 1.0, SimConfig(antithetic=True, **common))
-        assert abs(plain.price - anti.price) <= 3.0 * math.hypot(
-            plain.std_error, anti.std_error
-        )
-        assert anti.std_error <= plain.std_error
-
     def test_coarse_step_warning(self):
         fm = _full_model(epsilon=1e-4)
         cfg = SimConfig(n_paths=128, dt=1e-3, seed=1)

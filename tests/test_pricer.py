@@ -22,6 +22,7 @@ from msheston.quadrature import QuadratureSpec
 from .conftest import EDGE_HESTON, d_zero_call_contour, group_at_epsilon
 from .helpers import (
     gil_pelaez_heston_call,
+    group_array,
     mp_f1_hat,
     mp_payoff_transform,
     ode_corrected_price,
@@ -229,7 +230,8 @@ class TestCorrectedPrice:
     def test_correction_scales_linearly(self, atm_option, table1_heston):
         v = GroupParams(0.01, -0.02, 0.03, 0.005)
         c1 = price_corrected(atm_option, table1_heston, v).p_correction
-        c3 = price_corrected(atm_option, table1_heston, v.scaled(3.0)).p_correction
+        v3 = GroupParams(*3.0 * group_array(v))
+        c3 = price_corrected(atm_option, table1_heston, v3).p_correction
         assert c3 == pytest.approx(3.0 * c1, abs=5e-7)
 
     def test_breakdown_identity(self, atm_option, table1_heston):
