@@ -121,7 +121,6 @@ class CalibResult:
     per_expiry_rss: tuple
     iterations: int
     converged: bool
-    start_point: tuple
     feller_satisfied: bool
 
     def rss_map(self) -> dict:
@@ -266,7 +265,7 @@ def _forward_jacobian(x, lo, hi, residuals) -> np.ndarray:
     return ((r[1:] - r[0]) / (np.diag(neighbours) - x)[:, None]).T
 
 
-def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts) -> CalibResult:
+def _fit(prob, x0, lo, hi, multiscale, n_restarts) -> CalibResult:
     """Best of the least-squares runs from ``x0`` and its restart points.
 
     The lowest final cost wins, the first start on a tie.  SciPy's TRF
@@ -307,7 +306,6 @@ def _fit(prob, x0, lo, hi, multiscale, start_natural, n_restarts) -> CalibResult
         per_expiry_rss=_per_expiry_rss(quotes, prob.market),
         iterations=sum(int(fit.nfev) for fit in fits),
         converged=bool(best.status > 0),
-        start_point=tuple(start_natural),
         feller_satisfied=p.feller_satisfied,
     )
 
@@ -343,8 +341,7 @@ def calibrate_heston(
     lo, hi = _transformed_bounds(prob.bounds, multiscale=False)
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("start point violates bounds")
-    start_natural = [getattr(start, n) for n in THETA_NAMES]
-    return _fit(prob, x0, lo, hi, False, start_natural, n_restarts)
+    return _fit(prob, x0, lo, hi, False, n_restarts)
 
 
 def calibrate_multiscale(
@@ -365,9 +362,7 @@ def calibrate_multiscale(
     x0 = _pack(heston_result.heston, GroupParams.zero())
     lo, hi = _transformed_bounds(prob.bounds, multiscale=True)
     x0 = np.clip(x0, lo, hi)
-    start_natural = [getattr(heston_result.heston, n) for n in THETA_NAMES]
-    start_natural += [0.0, 0.0, 0.0, 0.0]
-    return _fit(prob, x0, lo, hi, True, start_natural, n_restarts)
+    return _fit(prob, x0, lo, hi, True, n_restarts)
 
 
 # -- reporting -----------------------------------------------------------------

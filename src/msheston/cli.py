@@ -209,14 +209,18 @@ def _parse_floats(text: str, flag: str) -> list:
         ) from None
 
 
+def _report_dropped(surface, where: str = ""):
+    """One stderr line per grid point that ``surface`` could not invert."""
+    for expiry, strike, kind, message in surface.errors:
+        print(f"warning: {where}dropped expiry {expiry!r} strike {strike!r}: "
+              f"{kind}: {message}", file=sys.stderr)
+
+
 def _breakdown_payload(bd) -> dict:
     return {
         "total": bd.total,
         "p_heston": bd.p_heston,
         "p_correction": bd.p_correction,
-        "p00": bd.p00,
-        "p10": bd.p10,
-        "p11": bd.p11,
         "quadrature_error": bd.quadrature_error,
         "warnings": list(bd.warnings),
     }
@@ -250,6 +254,7 @@ def _cmd_surface(args, config):
         expiries, strikes, p, v, spec, spot=args.spot,
         dividend_yield=args.dividend_yield,
     )
+    _report_dropped(surface)
     _emit(surface.to_csv(), args.output)
     return 0
 
@@ -269,6 +274,7 @@ def _cmd_sweep(args, config):
             spot=args.spot, dividend_yield=args.dividend_yield,
         )
         name = f"sweep_{args.vary}_{value:+.6f}.csv"
+        _report_dropped(surface, f"{name}: ")
         (out_dir / name).write_text(surface.to_csv())
         written.append(name)
     sys.stdout.write("\n".join(written) + "\n")

@@ -13,10 +13,6 @@ class BranchCrossing(MsHestonError):
     """
 
 
-class ContourViolation(MsHestonError):
-    """The contour's imaginary offset is outside the payoff transform's strip."""
-
-
 class NonConvergence(MsHestonError):
     """Adaptive quadrature exhausted its subdivision budget, or no implied vol
     reproduces a price.

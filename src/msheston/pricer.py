@@ -1,36 +1,39 @@
 """European option prices: Heston baseline plus the fast-factor correction.
 
-Prices are assembled from three raw contour integrals,
+A price is two contour integrals of the same transform,
 
-    total = exp(-r*tau)/(2*pi) * (p00 + kappa*theta*p10 + z*p11),
+    p_heston     = exp(-r*tau)/(2*pi) * int static,
+    p_correction = exp(-r*tau)/(2*pi) * int static * (kappa*theta*f0_hat + z*f1_hat),
 
-with ``p00`` the baseline transform integral and ``p10``/``p11`` the
-correction integrals (the correction coefficients carry their own amplitude
-scaling).  The correction's time integrals have closed forms
-(``kernel._f_hats``), so each of the three is a single integral over the
-contour: the integrand of ``p00`` times 1, f0_hat(tau, k) or f1_hat(tau, k).
-All three are evaluated on the half line ``k_r > 0`` (conjugate symmetry
-folds the full line into twice the real part) after the substitution
-``k_r = -log(u)/c`` mapping the half line onto the unit interval.  The scale
-``c`` is the kernel's exponential decay rate ``c_infinity``, capped at
-``4*sqrt(V)`` with ``V`` the expected integrated variance: below
-``|k| ~ 1/sigma`` the kernel decays like the Black-Scholes Gaussian
-``exp(-V*k**2/2)``, which at small sigma sets in long before the exponential
-tail that ``c_infinity ~ 1/sigma`` describes.
+with ``static`` the payoff transform times the Heston kernel and
+``f0_hat``/``f1_hat`` the closed-form time integrals of the correction
+(``kernel._f_hats``; the correction coefficients carry their own amplitude
+scaling).  Both are evaluated on the half line ``k_r > 0`` (conjugate
+symmetry folds the full line into twice the real part) after the
+substitution ``k_r = -log(u)/c`` mapping the half line onto the unit
+interval.  The scale ``c`` is the kernel's exponential decay rate
+``c_infinity``, capped at ``4*sqrt(V)`` with ``V`` the expected integrated
+variance: below ``|k| ~ 1/sigma`` the kernel decays like the Black-Scholes
+Gaussian ``exp(-V*k**2/2)``, which at small sigma sets in long before the
+exponential tail that ``c_infinity ~ 1/sigma`` describes.
+
+The contour is fixed per payoff, inside the payoff transform's strip of
+convergence: calls integrate on ``Im k = DEFAULT_CALL_CONTOUR`` (any
+``k_i > 1`` is valid) and puts on ``Im k = DEFAULT_PUT_CONTOUR`` (any
+``k_i < 0``).  The price does not depend on the choice.
 
 A list of strips (strike lists, each with its own expiry, spot, parameters
-and correction coefficients) is priced by one adaptive integration whose
-integrand stacks the rows of every strike of every strip: the ``p00`` row,
-plus the ``p10`` and ``p11`` rows where the strip's coefficients are
-nonzero.  Each strip evaluates its kernel once per node on its own map scale
-and hands it to its strikes, and all rows share the refinement, so a
-calibration residual pass or Jacobian, or a whole surface, costs one
-integration.
+and correction coefficients) is priced by one adaptive integration.  Its
+integrand has one row per strike of every strip, ``static``, when no strip
+carries a correction, and otherwise two: ``static`` and the correction row,
+which is exactly 0 for the strips without one.  Each strip evaluates its
+kernel once per node on its own map scale and hands it to its strikes, and
+all rows share the refinement, so a calibration residual pass or Jacobian,
+or a whole surface, costs one integration.
 
 Quadrature trouble never aborts a price: each breakdown of a strip whose own
-integrals miss their tolerance carries a ``nonconvergence:<components>``
-warning and the best available estimate, with the error bound inflated
-accordingly.
+rows miss their tolerance carries a ``nonconvergence`` warning and the best
+available estimate, with the error bound inflated accordingly.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ContourViolation, NonConvergence
+from .errors import NonConvergence
 from .kernel import HestonParams, _cd_of, _f_hats
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -99,13 +102,10 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class PriceBreakdown:
-    """A price with its raw integral components and a quadrature error bound."""
+    """A price, its Heston and correction parts and a quadrature error bound."""
 
     p_heston: float
     p_correction: float
-    p00: float
-    p10: float
-    p11: float
     quadrature_error: float
     warnings: tuple = field(default_factory=tuple)
 
@@ -136,17 +136,18 @@ def _columns(objs, names):
     })
 
 
-def _strip_integrals(strips, spec, k_i):
-    """Raw integrals (p00, p10, p11) of a list of strips and their error bounds.
+def _strip_integrals(strips, spec, payoff):
+    """Integrals of a list of strips on the payoff's contour, with error bounds.
 
     ``strips`` holds validated ``(strikes, tau, spot, p, v, scale)`` tuples.
     One adaptive integration over u covers them all: each strip maps u to
     its own ``k = -log(u)/scale + i*k_i`` and evaluates its kernel once per
     node, with its parameters held as column arrays, and a row-to-strip index
-    gathers that kernel into the rows ``static`` of its strikes.  Strips with
-    a nonzero ``v`` add the rows ``static*f0_hat`` and ``static*f1_hat``; the
-    correction integrals of the others are exactly 0.  Returns per strip the
-    (3, n_strikes) raw values, their bounds and the strip's warnings.
+    gathers that kernel into the rows ``static`` of its strikes.  If any
+    strip's ``v`` is nonzero, each strike adds the row
+    ``static*(kappa*theta*f0_hat + z*f1_hat)``, exactly 0 where ``v`` is.
+    Returns per strip the (rows, n_strikes) integrals, their bounds and the
+    strip's warnings.
     """
     sizes = [len(s[0]) for s in strips]
     row_strip = np.repeat(np.arange(len(strips)), sizes)
@@ -155,132 +156,100 @@ def _strip_integrals(strips, spec, k_i):
     tau = np.array([s[1] for s in strips])[:, None]
     scale = np.array([s[5] for s in strips])[:, None]
     p = _columns([s[3] for s in strips], ("kappa", "theta", "sigma", "rho", "z"))
-    corrected = np.array([s[4] is not None for s in strips])
-    corr_strips = np.flatnonzero(corrected)
-    corr_rows = np.flatnonzero(corrected[row_strip])
-    # each corrected row's strip, counted among the corrected strips
-    corr_of_row = np.searchsorted(corr_strips, row_strip[corr_rows])
-    v = _columns([strips[i][4] for i in corr_strips], ("v1e", "v2e", "v3e", "v4e"))
+    v = _columns([s[4] for s in strips], ("v1e", "v2e", "v3e", "v4e"))
+    corrected = not all(s[4].is_zero for s in strips)
+    k_i = DEFAULT_CALL_CONTOUR if payoff == "call" else DEFAULT_PUT_CONTOUR
 
     def integrand(us):
         k = -np.log(us) / scale + 1j * k_i
         c_val, big_d_val, parts = _cd_of(tau, k, p)
         kernel = np.exp(c_val + p.z * big_d_val) / (us * scale)
         static = _payoff_transform(k[row_strip], log_k, q) * kernel[row_strip]
-        if not corr_strips.size:
+        if not corrected:
             return static
-        f0, f1 = _f_hats(
-            tau[corr_strips], k[corr_strips], v, [x[corr_strips] for x in parts]
-        )
-        own = static[corr_rows]
-        return np.concatenate((static, own * f0[corr_of_row], own * f1[corr_of_row]))
+        f0, f1 = _f_hats(tau, k, v, parts)
+        weight = p.kappa * p.theta * f0 + p.z * f1
+        return np.stack((static, static * weight[row_strip]))
 
     try:
         value, err = integrate_adaptive(integrand, 0.0, 1.0, spec)
     except NonConvergence as exc:
         # quadrature trouble never aborts a price: keep the best estimate
         value, err = np.asarray(exc.estimate), np.asarray(exc.error_bound)
-    # integrand row -> (integral, strike row): the p00 rows of every strike,
-    # then the p10 and the p11 rows of the corrected strikes
-    n_rows, n_corr = row_strip.size, corr_rows.size
-    comp = np.repeat([0, 1, 2], [n_rows, n_corr, n_corr])
-    col = np.concatenate((np.arange(n_rows), corr_rows, corr_rows))
-    raw = np.zeros((3, n_rows))
-    raw_err = np.zeros((3, n_rows))
-    raw[comp, col] = 2.0 * value.real
-    raw_err[comp, col] = 2.0 * err
     missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
-    strip_missed = np.zeros(len(strips), dtype=bool)
-    np.logical_or.at(strip_missed, row_strip[col], missed)
     edges = np.cumsum(sizes)[:-1]
     return [
-        (values, bounds, (f"nonconvergence:{tag}",) if missed_i else ())
-        for values, bounds, missed_i, tag in zip(
-            np.split(raw, edges, axis=1),
-            np.split(raw_err, edges, axis=1),
-            strip_missed,
-            np.where(corrected, "p00,p10,p11", "p00"),
+        (values, bounds, ("nonconvergence",) if missed_i.any() else ())
+        for values, bounds, missed_i in zip(
+            np.split(np.atleast_2d(2.0 * value.real), edges, axis=1),
+            np.split(np.atleast_2d(2.0 * err), edges, axis=1),
+            np.split(np.atleast_2d(missed), edges, axis=1),
         )
     ]
 
 
 def _assemble(
-    strikes, tau, spot, p, payoff, raw, raw_err, base_warnings
+    strikes, tau, spot, p, payoff, values, bounds, base_warnings
 ) -> list[PriceBreakdown]:
     prefactor = math.exp(-p.r * tau) / (2.0 * math.pi)
-    p00_val, p10_val, p11_val = raw
-    p00_err, p10_err, p11_err = raw_err
+    p_heston = prefactor * values[0]
+    p_correction = prefactor * values[1] if len(values) > 1 else np.zeros_like(p_heston)
+    errors = prefactor * bounds.sum(axis=0)
     results = []
-    for i, strike in enumerate(strikes):
-        p_heston = prefactor * float(p00_val[i])
-        correction = prefactor * (
-            p.kappa * p.theta * float(p10_val[i]) + p.z * float(p11_val[i])
-        )
-        err = prefactor * (
-            float(p00_err[i])
-            + p.kappa * p.theta * float(p10_err[i])
-            + p.z * float(p11_err[i])
-        )
+    for strike, heston, correction, err in zip(
+        strikes, p_heston.tolist(), p_correction.tolist(), errors.tolist()
+    ):
+        total = heston + correction
+        discounted = strike * math.exp(-p.r * tau)
+        if payoff == "call":
+            lower, upper = spot - discounted, spot
+        else:
+            lower, upper = discounted - spot, discounted
+        slack = max(10.0 * err, 1e-9 * spot)
         warnings = list(base_warnings)
-        total = p_heston + correction
         if total < 0.0:
             warnings.append("negative_total")
-        if payoff == "call":
-            lower = max(spot - strike * math.exp(-p.r * tau), 0.0)
-            upper = spot
-        else:
-            lower = max(strike * math.exp(-p.r * tau) - spot, 0.0)
-            upper = strike * math.exp(-p.r * tau)
-        slack = max(10.0 * err, 1e-9 * spot)
-        if not (lower - slack <= total <= upper + slack):
+        if not (max(lower, 0.0) - slack <= total <= upper + slack):
             warnings.append("outside_no_arbitrage_band")
-        results.append(
-            PriceBreakdown(
-                p_heston=p_heston,
-                p_correction=correction,
-                p00=float(p00_val[i]),
-                p10=float(p10_val[i]),
-                p11=float(p11_val[i]),
-                quadrature_error=err,
-                warnings=tuple(warnings),
-            )
-        )
+        results.append(PriceBreakdown(heston, correction, err, tuple(warnings)))
     return results
+
+
+def _finite_positive(name: str, *values: float) -> None:
+    """ValueError naming ``name`` unless every one of ``values`` is finite and > 0."""
+    for value in values:
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def price_strips(
     strips,
     spec: QuadratureSpec | None = None,
-    k_i: float | None = None,
     payoff: str = "call",
 ) -> list[list[PriceBreakdown]]:
     """Price several strike strips in one adaptive integration.
 
     Each strip is a tuple ``(strikes, expiry, spot, p, v)``: a strike list
     with its own expiry, spot, HestonParams and GroupParams (None or zero
-    for the baseline).  All strips share the contour, the payoff and the
-    refinement; a strip is tagged ``nonconvergence:...`` only if one of its
-    own integrals misses its tolerance.  Returns one list of breakdowns per
-    strip, in order; each strip agrees with its own ``price_strikes`` call
-    within both quadrature bounds.
+    for the baseline).  Strikes, expiry and spot must be finite and
+    positive; a ValueError names the first that is not.  All strips share
+    the payoff, its contour and the refinement: one integrand row per strike
+    when no strip is corrected, two otherwise.  A strip is tagged
+    ``nonconvergence`` only if one of its own rows misses its tolerance.
+    Returns one list of breakdowns per strip, in order; each strip agrees
+    with its own ``price_strikes`` call within both quadrature bounds.
     """
     if spec is None:
         spec = QuadratureSpec()
-    if k_i is None:
-        k_i = DEFAULT_CALL_CONTOUR if payoff == "call" else DEFAULT_PUT_CONTOUR
-    k_i = float(k_i)
-    if payoff == "call" and not k_i > 1.0:
-        raise ContourViolation(f"call contour requires k_i > 1, got k_i={k_i}")
-    if payoff == "put" and not k_i < 0.0:
-        raise ContourViolation(f"put contour requires k_i < 0, got k_i={k_i}")
     prepared = []
     for strikes, expiry, spot, p, v in strips:
-        if not expiry > 0:
-            raise ValueError("expiry must be positive")
         strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-        if not strikes.size or np.any(strikes <= 0):
-            raise ValueError("strikes must be nonempty and positive")
-        tau = float(expiry)
+        if not strikes.size:
+            raise ValueError("strikes must be nonempty")
+        tau, spot = float(expiry), float(spot)
+        _finite_positive("strike", *strikes.tolist())
+        _finite_positive("expiry", tau)
+        _finite_positive("spot", spot)
         c_inf = c_infinity(tau, p)
         if not c_inf > 0:
             raise ValueError(
@@ -290,15 +259,14 @@ def price_strips(
             p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
         )
         scale = min(c_inf, 4.0 * math.sqrt(variance))
-        if v is not None and v.is_zero:
-            v = None
-        prepared.append((strikes, tau, float(spot), p, v, scale))
+        v = GroupParams.zero() if v is None else v
+        prepared.append((strikes, tau, spot, p, v, scale))
     if not prepared:
         return []
     return [
-        _assemble(strikes, tau, spot, p, payoff, raw, raw_err, warnings)
-        for (strikes, tau, spot, p, _, _), (raw, raw_err, warnings) in zip(
-            prepared, _strip_integrals(prepared, spec, k_i)
+        _assemble(strikes, tau, spot, p, payoff, values, bounds, warnings)
+        for (strikes, tau, spot, p, _, _), (values, bounds, warnings) in zip(
+            prepared, _strip_integrals(prepared, spec, payoff)
         )
     ]
 
@@ -310,7 +278,6 @@ def price_strikes(
     p: HestonParams,
     v: GroupParams | None = None,
     spec: QuadratureSpec | None = None,
-    k_i: float | None = None,
     payoff: str = "call",
 ) -> list[PriceBreakdown]:
     """Price a strip of strikes sharing one expiry, spot, and contour.
@@ -318,43 +285,25 @@ def price_strikes(
     The one-strip case of ``price_strips``: strike-independent kernel work
     is shared across the strip.
     """
-    return price_strips([(strikes, expiry, spot, p, v)], spec, k_i, payoff)[0]
+    return price_strips([(strikes, expiry, spot, p, v)], spec, payoff)[0]
 
 
 def price_heston(
     opt: OptionSpec,
     p: HestonParams,
     spec: QuadratureSpec | None = None,
-    k_i: float | None = None,
 ) -> PriceBreakdown:
-    """Baseline Heston price; the correction fields of the breakdown are zero."""
-    return price_strikes(
-        [opt.strike],
-        opt.expiry,
-        opt.spot,
-        p,
-        v=None,
-        spec=spec,
-        k_i=k_i,
-        payoff=opt.payoff_kind,
-    )[0]
+    """Baseline Heston price; the correction part of the breakdown is zero."""
+    return price_corrected(opt, p, None, spec)
 
 
 def price_corrected(
     opt: OptionSpec,
     p: HestonParams,
-    v: GroupParams,
+    v: GroupParams | None,
     spec: QuadratureSpec | None = None,
-    k_i: float | None = None,
 ) -> PriceBreakdown:
-    """Corrected price; with v = 0 this reproduces ``price_heston`` exactly."""
+    """Corrected price; with v None or zero this is ``price_heston`` exactly."""
     return price_strikes(
-        [opt.strike],
-        opt.expiry,
-        opt.spot,
-        p,
-        v=v,
-        spec=spec,
-        k_i=k_i,
-        payoff=opt.payoff_kind,
+        [opt.strike], opt.expiry, opt.spot, p, v=v, spec=spec, payoff=opt.payoff_kind
     )[0]

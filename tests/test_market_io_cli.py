@@ -502,3 +502,69 @@ class TestCli:
         assert capsys.readouterr().out == from_flags
         payload = json.loads(from_flags)
         assert (payload["n_paths"], payload["dt"], payload["seed"]) == (200, 0.01, 3)
+
+    def test_price_json_keys(self, capsys):
+        assert main(PRICE + HESTON_FLAGS + ["--v3e", "0.0096"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "total", "p_heston", "p_correction", "quadrature_error", "warnings",
+        }
+
+    def test_price_table_has_one_line_per_json_key(self, capsys):
+        assert main(PRICE + HESTON_FLAGS) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(PRICE + HESTON_FLAGS + ["--format", "table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(line.split(":")[0].strip() for line in lines) == sorted(payload)
+
+    def test_price_put_call_parity(self, capsys):
+        # the put prices on its own contour; parity holds for the corrected
+        # price, since the correction leaves the forward unchanged
+        argv = ["price", "--spot", "100", "--strike", "110", "--expiry", "1",
+                *HESTON_FLAGS, "--v3e", "0.0096"]
+        totals = {}
+        for payoff in ("call", "put"):
+            assert main(argv + ["--payoff", payoff]) == 0
+            totals[payoff] = json.loads(capsys.readouterr().out)
+        call, put = totals["call"], totals["put"]
+        parity = call["total"] - 100.0 + 110.0 * math.exp(-0.05)
+        tol = call["quadrature_error"] + put["quadrature_error"]
+        assert abs(put["total"] - parity) <= tol
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--expiries", "1", "--strikes", "nan,100"], "strike"),
+        (["--expiries", "inf", "--strikes", "90,100"], "expiry"),
+        (["--expiries", "1", "--strikes", "90,100", "--dividend-yield", "nan"],
+         "spot"),
+    ], ids=["nan_strike", "inf_expiry", "nan_dividend_yield"])
+    def test_nonfinite_surface_input_exits_3(self, capsys, flags, name):
+        assert main(["surface", "--spot", "100", *flags, *HESTON_FLAGS]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} must be finite" in captured.err
+
+    def test_surface_and_sweep_name_the_points_they_drop(self, tmp_path, capsys):
+        # at v3e = 0.0096 the short-dated wing prices of the Figure-1 set go
+        # negative and cannot be inverted
+        figure1 = ["--kappa", "3.4", "--theta", "0.024", "--sigma", "0.39",
+                   "--rho", "-0.64", "--z", "0.04", "--rate", "0.0"]
+        grid = ["--spot", "100", "--strikes", "75:125:11", *figure1]
+        assert main(["surface", "--expiries", "0.25,1", "--v3e", "0.0096",
+                     *grid]) == 0
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        dropped = captured.err.splitlines()
+        assert dropped and all(w.startswith("warning: dropped") for w in dropped)
+        assert len(rows) + len(dropped) == 2 * 11
+        assert main(["sweep", "--expiry", "0.25", "--vary", "v3e",
+                     "--values", "0,0.0096", "--output-dir", str(tmp_path),
+                     *grid]) == 0
+        dropped = capsys.readouterr().err.splitlines()
+        assert dropped and all(
+            w.startswith("warning: sweep_v3e_+0.009600.csv: dropped")
+            for w in dropped
+        )
+        for name, n_dropped in (("sweep_v3e_+0.000000.csv", 0),
+                                ("sweep_v3e_+0.009600.csv", len(dropped))):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert len(rows) + n_dropped == 11

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msheston.errors import ContourViolation
+from msheston import pricer
 from msheston.kernel import _b_coeffs, _cd_of, _f_hats
 from msheston.pricer import (
     GroupParams,
@@ -17,7 +17,7 @@ from msheston.pricer import (
     price_strikes,
     price_strips,
 )
-from msheston.quadrature import QuadratureSpec
+from msheston.quadrature import QuadratureSpec, integrate_adaptive
 
 from .conftest import EDGE_HESTON, d_zero_call_contour, group_at_epsilon
 from .helpers import (
@@ -48,12 +48,6 @@ class TestPayoffTransform:
     def test_unit_strike_pure_imaginary(self):
         assert payoff_transform(2j, 1.0) == pytest.approx(0.5)
 
-    def test_contour_violations(self, table1_heston):
-        with pytest.raises(ContourViolation):
-            price_strikes([100.0], 1.0, 100.0, table1_heston, k_i=1.0)
-        with pytest.raises(ContourViolation):
-            price_strikes([100.0], 1.0, 100.0, table1_heston, k_i=0.0, payoff="put")
-
     def test_against_high_precision(self):
         val = payoff_transform(1 + 1.5j, 100.0)
         assert val == pytest.approx(mp_payoff_transform(1 + 1.5j, 100.0), rel=1e-13)
@@ -71,13 +65,12 @@ class TestHestonPrice:
         ref = gil_pelaez_heston_call(100.0, 100.0, 0.05, 1.0, table1_heston)
         assert bd.total == pytest.approx(ref, abs=2e-7)
         assert bd.p_correction == 0.0
-        assert bd.p10 == 0.0 and bd.p11 == 0.0
 
     @pytest.mark.parametrize("sigma", [0.01, 0.05])
     @pytest.mark.parametrize("tau", [5 / 365, 0.25, 1.0, 5.0])
     def test_small_sigma_against_independent_pricer(self, table1_heston, sigma, tau):
         # c_infinity ~ 1/sigma would squeeze the kernel's Gaussian decay onto
-        # u ~ 0, where the quadrature gave up with nonconvergence:p00
+        # u ~ 0, where the quadrature gave up with nonconvergence
         p = table1_heston.replace(sigma=sigma)
         strikes = [60.0, 100.0, 160.0]
         for strike, bd in zip(strikes, price_strikes(strikes, tau, 100.0, p)):
@@ -238,9 +231,6 @@ class TestCorrectedPrice:
         p = table1_heston
         v = group_at_epsilon(1e-2)
         bd = price_corrected(atm_option, p, v)
-        pref = math.exp(-p.r * 1.0) / (2.0 * math.pi)
-        recomputed = pref * (p.kappa * p.theta * bd.p10 + p.z * bd.p11)
-        assert bd.p_correction == pytest.approx(recomputed, rel=1e-12)
         assert bd.total == bd.p_heston + bd.p_correction
 
 
@@ -341,8 +331,8 @@ class TestPriceStrips:
                 assert abs(a.total - b.total) <= tol
                 assert abs(a.p_heston - b.p_heston) <= tol
                 if not corrected:
-                    # no correction rows are integrated for a zero v
-                    assert a.p10 == a.p11 == a.p_correction == 0.0
+                    # the correction row of a zero v is exactly 0
+                    assert a.p_correction == 0.0
 
     def test_repeat_is_byte_identical(self, table1_heston, figure1_heston):
         strips = self._mixed(table1_heston, figure1_heston)
@@ -359,7 +349,7 @@ class TestPriceStrips:
         ]
         easy, hard = price_strips(strips, QuadratureSpec(max_subdivisions=80))
         assert easy[0].warnings == ()
-        assert all("nonconvergence:p00,p10,p11" in bd.warnings for bd in hard)
+        assert all("nonconvergence" in bd.warnings for bd in hard)
         # every strip keeps its best estimate and its bound
         full_easy, full_hard = price_strips(strips)
         assert not any(
@@ -374,6 +364,33 @@ class TestPriceStrips:
             assert np.isfinite(bd.total)
             assert abs(bd.total - ref.total) <= bd.quadrature_error + ref.quadrature_error
 
+    def test_integrand_rows(self, table1_heston, monkeypatch):
+        # one row per strike when no strip is corrected; a price and a
+        # correction row per strike as soon as one is, the correction row of
+        # an uncorrected strip integrating to exactly 0
+        shapes = []
+
+        def recording(f, *args):
+            def rows(us):
+                vals = f(us)
+                shapes.append(vals.shape[:-1])
+                return vals
+            return integrate_adaptive(rows, *args)
+
+        monkeypatch.setattr(pricer, "integrate_adaptive", recording)
+        base = ([90.0, 100.0, 110.0], 1.0, 100.0, table1_heston, None)
+        corr = ([80.0, 120.0], 0.5, 100.0, table1_heston, group_at_epsilon(1e-2))
+        zero = ([95.0], 2.0, 100.0, table1_heston, GroupParams.zero())
+        for strips, shape in (
+            ([base, zero], (4,)),
+            ([corr], (2, 2)),
+            ([base, corr, zero], (2, 6)),
+        ):
+            shapes.clear()
+            priced = price_strips(strips)
+            assert set(shapes) == {shape}
+        assert all(bd.p_correction == 0.0 for bd in priced[0] + priced[2])
+
     def test_no_strips_no_prices(self):
         # an empty market's objective and an empty surface stay empty
         assert price_strips([]) == []
@@ -385,18 +402,23 @@ class TestContourChoice:
         expected = math.sqrt(1 - p.rho**2) / p.sigma * (p.z + p.kappa * p.theta * 2.0)
         assert c_infinity(2.0, p) == pytest.approx(expected)
 
-    def test_price_is_contour_independent(self, atm_option, table1_heston):
-        a = price_heston(atm_option, table1_heston, k_i=1.2)
-        b = price_heston(atm_option, table1_heston, k_i=2.5)
-        assert a.total == pytest.approx(b.total, abs=1e-7)
-        # corrected prices too, including the call contour on which
-        # d(i*k_i) = 0: there the 1/d^2 of the closed-form transform sits at
-        # the contour's end, u -> 1, which the open rule never evaluates
+    def test_price_is_contour_independent(
+        self, atm_option, table1_heston, monkeypatch
+    ):
+        # the call contour is fixed at DEFAULT_CALL_CONTOUR; any k_i > 1 gives
+        # the same price, corrected prices included, and so does the contour
+        # on which d(i*k_i) = 0: there the 1/d^2 of the closed-form transform
+        # sits at the contour's end, u -> 1, which the open rule never
+        # evaluates
         p = table1_heston
         v = group_at_epsilon(1e-2)
-        ref = price_corrected(atm_option, p, v, k_i=1.5)
+        ref_heston = price_heston(atm_option, p)
+        ref = price_corrected(atm_option, p, v)
         for k_i in (1.2, 2.5, d_zero_call_contour(p)):
-            bd = price_corrected(atm_option, p, v, k_i=k_i)
+            monkeypatch.setattr(pricer, "DEFAULT_CALL_CONTOUR", k_i)
+            a = price_heston(atm_option, p)
+            assert a.total == pytest.approx(ref_heston.total, abs=1e-7)
+            bd = price_corrected(atm_option, p, v)
             tol = ref.quadrature_error + bd.quadrature_error
             assert abs(bd.total - ref.total) <= tol
 
@@ -407,7 +429,3 @@ class TestContourChoice:
         assert c_infinity(1.0, p) == 0.0
         with pytest.raises(ValueError, match="c_infinity"):
             price_strikes([100.0], 1.0, 100.0, p)
-
-    def test_call_contour_validated(self, atm_option, table1_heston):
-        with pytest.raises(ContourViolation):
-            price_heston(atm_option, table1_heston, k_i=0.9)

@@ -191,7 +191,7 @@ class TestRounds:
         assert self._panels(sizes) <= max_subdivisions
         # rounds, not panels: fewer integrand calls than panel evaluations
         assert len(sizes) < sum(sizes) // 15
-        failed = "nonconvergence:p00,p10,p11" in bds[0].warnings
+        failed = "nonconvergence" in bds[0].warnings
         assert failed == (max_subdivisions == 24)
         if failed:
             assert self._panels(sizes) == max_subdivisions
