@@ -11,11 +11,13 @@ with ``static`` the payoff transform times the Heston kernel and
 scaling).  Both are evaluated on the half line ``k_r > 0`` (conjugate
 symmetry folds the full line into twice the real part) after the
 substitution ``k_r = -log(u)/c`` mapping the half line onto the unit
-interval.  The scale ``c`` is the kernel's exponential decay rate
-``c_infinity``, capped at ``4*sqrt(V)`` with ``V`` the expected integrated
-variance: below ``|k| ~ 1/sigma`` the kernel decays like the Black-Scholes
-Gaussian ``exp(-V*k**2/2)``, which at small sigma sets in long before the
-exponential tail that ``c_infinity ~ 1/sigma`` describes.
+interval; the integration starts from a mesh graded towards ``u = 0``,
+where the map puts ``k_r = infinity``.  The scale ``c`` is the kernel's
+exponential decay rate ``c_infinity``, capped at ``4*sqrt(V)`` with ``V``
+the expected integrated variance: below ``|k| ~ 1/sigma`` the kernel
+decays like the Black-Scholes Gaussian ``exp(-V*k**2/2)``, which at small
+sigma sets in long before the exponential tail that
+``c_infinity ~ 1/sigma`` describes.
 
 The contour is fixed per payoff, inside the payoff transform's strip of
 convergence: calls integrate on ``Im k = DEFAULT_CALL_CONTOUR`` (any
@@ -207,8 +209,6 @@ def _assemble(
             lower, upper = discounted - spot, discounted
         slack = max(10.0 * err, 1e-9 * spot)
         warnings = list(base_warnings)
-        if total < 0.0:
-            warnings.append("negative_total")
         if not (max(lower, 0.0) - slack <= total <= upper + slack):
             warnings.append("outside_no_arbitrage_band")
         results.append(PriceBreakdown(heston, correction, err, tuple(warnings)))

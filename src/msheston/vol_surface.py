@@ -243,8 +243,11 @@ def model_surface(
     integration.  With ``v`` zero or None the surface is the pure
     baseline-model surface.  Points whose model price cannot be inverted
     (possible for extreme correction sizes) are collected into
-    ``surface.errors`` instead of failing the grid.
+    ``surface.errors`` instead of failing the grid.  A ValueError names a
+    non-finite ``dividend_yield``.
     """
+    if not math.isfinite(dividend_yield):
+        raise ValueError(f"dividend_yield must be finite, got {dividend_yield!r}")
     source = (
         "heston_model" if v is None or v.is_zero else "multiscale_model"
     )

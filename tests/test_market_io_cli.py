@@ -531,17 +531,21 @@ class TestCli:
         tol = call["quadrature_error"] + put["quadrature_error"]
         assert abs(put["total"] - parity) <= tol
 
-    @pytest.mark.parametrize("flags, name", [
-        (["--expiries", "1", "--strikes", "nan,100"], "strike"),
-        (["--expiries", "inf", "--strikes", "90,100"], "expiry"),
+    @pytest.mark.parametrize("flags, message", [
+        (["--expiries", "1", "--strikes", "nan,100"],
+         "strike must be finite and positive, got nan"),
+        (["--expiries", "inf", "--strikes", "90,100"],
+         "expiry must be finite and positive, got inf"),
         (["--expiries", "1", "--strikes", "90,100", "--dividend-yield", "nan"],
-         "spot"),
-    ], ids=["nan_strike", "inf_expiry", "nan_dividend_yield"])
-    def test_nonfinite_surface_input_exits_3(self, capsys, flags, name):
+         "dividend_yield must be finite, got nan"),
+        (["--expiries", "1", "--strikes", "90,100", "--dividend-yield", "inf"],
+         "dividend_yield must be finite, got inf"),
+    ], ids=["nan_strike", "inf_expiry", "nan_dividend_yield", "inf_dividend_yield"])
+    def test_nonfinite_surface_input_exits_3(self, capsys, flags, message):
         assert main(["surface", "--spot", "100", *flags, *HESTON_FLAGS]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{name} must be finite" in captured.err
+        assert message in captured.err
 
     def test_surface_and_sweep_name_the_points_they_drop(self, tmp_path, capsys):
         # at v3e = 0.0096 the short-dated wing prices of the Figure-1 set go

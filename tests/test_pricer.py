@@ -81,8 +81,8 @@ class TestHestonPrice:
     def test_one_day_figure1_strip_against_independent_pricer(self, figure1_heston):
         # low variance over one day: the oracle's integrands decay only past
         # u = 300 (it was 6.5e-4 off with a fixed cut there); the strip meets
-        # it to 9e-10 within bounds of 1.8e-7.  The K = 120 price is -6e-10,
-        # which its negative_total tag reports.
+        # it to 9e-10 within bounds of 1.8e-7.  The K = 120 price is zero
+        # within its bound and may come out slightly negative.
         strikes = [90.0, 95.0, 98.0, 100.0, 102.0, 105.0, 110.0, 120.0]
         for strike, bd in zip(
             strikes, price_strikes(strikes, 1 / 365, 100.0, figure1_heston)

@@ -24,6 +24,27 @@ def halfline_via_u(f, c_inf, spec):
     return integrate_unit(lambda u: f(-np.log(u) / c_inf) / (u * c_inf), spec)
 
 
+def counting(f):
+    """``f`` recording the size of each call, asserting the open rule."""
+    sizes = []
+
+    def g(u):
+        assert np.all((u > 0.0) & (u < 1.0))
+        sizes.append(u.size)
+        return f(u)
+
+    return g, sizes
+
+
+def panels(sizes):
+    """Panels held at the end of a run on (0, 1) that made the calls ``sizes``.
+
+    The first call evaluates the start panels; each later round replaces a
+    panel by its two children, one more panel per pair of evaluations.
+    """
+    return sizes[0] // 15 + sum(sizes[1:]) // 30
+
+
 class TestSpecValidation:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
@@ -35,10 +56,14 @@ class TestSpecValidation:
 
 
 class TestUnitInterval:
-    def test_constant(self):
-        value, err = integrate_unit(lambda u: np.ones_like(u), QuadratureSpec())
+    @pytest.mark.parametrize("abs_tol", [1e-9, 10.0])
+    def test_constant(self, abs_tol):
+        # abs_tol above the interval's width starts from the one panel (0, 1)
+        g, sizes = counting(np.ones_like)
+        value, err = integrate_unit(g, QuadratureSpec(abs_tol=abs_tol))
         assert value == pytest.approx(1.0, abs=1e-12)
         assert err < 1e-9
+        assert sizes[0] == (15 if abs_tol > 1.0 else 15 * 31)
 
     def test_log_endpoint_singularity(self):
         value, _ = integrate_unit(lambda u: -np.log(u), QuadratureSpec())
@@ -49,12 +74,20 @@ class TestUnitInterval:
         value, err = integrate_unit(lambda u: u**-0.5, spec)
         assert value == pytest.approx(2.0, abs=5e-9)
 
-    def test_nonconvergence_carries_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=4)
+    @pytest.mark.parametrize("max_subdivisions", [1, 4, 24])
+    def test_nonconvergence_carries_estimate(self, max_subdivisions):
+        # the graded start at 1e-14 would take 48 panels: it is clamped to
+        # the budget, which no round then exceeds
+        spec = QuadratureSpec(
+            abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=max_subdivisions
+        )
+        g, sizes = counting(lambda u: np.sin(50 * u) / np.sqrt(u))
         with pytest.raises(NonConvergence) as excinfo:
-            integrate_unit(lambda u: np.sin(50 * u) / np.sqrt(u), spec)
-        assert excinfo.value.estimate is not None
-        assert excinfo.value.error_bound is not None
+            integrate_unit(g, spec)
+        assert sizes[0] == 15 * max_subdivisions
+        assert panels(sizes) <= max_subdivisions
+        assert np.isfinite(excinfo.value.estimate)
+        assert excinfo.value.error_bound > spec.abs_tol
 
     def test_complex_integrand(self):
         value, _ = integrate_unit(
@@ -151,61 +184,63 @@ class TestErrorEstimates:
 
 class TestRounds:
     @staticmethod
-    def _counting(f):
-        sizes = []
-
-        def g(u):
-            assert np.all((u > 0.0) & (u < 1.0))  # the open rule
-            sizes.append(u.size)
-            return f(u)
-
-        return g, sizes
-
-    @staticmethod
-    def _panels(sizes):
-        # each round replaces a panel by its two children: one more panel per
-        # pair of panel evaluations after the first
-        return 1 + (sum(sizes) // 15 - 1) // 2
-
-    @pytest.mark.parametrize("max_subdivisions", [512, 24])
-    def test_corrected_strip_one_call_per_round(
-        self, monkeypatch, table1_heston, max_subdivisions
-    ):
+    def _pricer_calls(monkeypatch):
+        """The sizes of the integrand calls of the pricer's integrations."""
         sizes = []
 
         def counted(f, a, b, spec):
-            g, seen = self._counting(f)
+            g, seen = counting(f)
             try:
                 return integrate_adaptive(g, a, b, spec)
             finally:
                 sizes.extend(seen)
 
         monkeypatch.setattr(pricer, "integrate_adaptive", counted)
+        return sizes
+
+    @pytest.mark.parametrize("max_subdivisions", [512, 24])
+    def test_corrected_strip_one_call_per_round(
+        self, monkeypatch, table1_heston, max_subdivisions
+    ):
+        sizes = self._pricer_calls(monkeypatch)
         spec = QuadratureSpec(max_subdivisions=max_subdivisions)
         strikes = np.linspace(30.0, 300.0, 25)
         bds = pricer.price_strikes(
             strikes, 1.0, 100.0, table1_heston, v=group_at_epsilon(1e-2), spec=spec
         )
-        assert sizes[0] == 15
+        # the graded start at abs_tol 1e-9 has depth ceil(log2(1e9)) = 30,
+        # clamped to the budget
+        depth = min(30, max_subdivisions - 1)
+        assert sizes[0] == 15 * (depth + 1)
         assert all(n % 30 == 0 for n in sizes[1:])
-        assert self._panels(sizes) <= max_subdivisions
-        # rounds, not panels: fewer integrand calls than panel evaluations
-        assert len(sizes) < sum(sizes) // 15
+        assert panels(sizes) <= max_subdivisions
         failed = "nonconvergence" in bds[0].warnings
         assert failed == (max_subdivisions == 24)
         if failed:
-            assert self._panels(sizes) == max_subdivisions
+            assert panels(sizes) == max_subdivisions
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-9])
+    @pytest.mark.parametrize("tau", [0.25, 1.0])
+    def test_baseline_strip_in_two_calls(self, monkeypatch, table1_heston, tau, tol):
+        # the graded start already holds the tail's geometric mesh; from one
+        # panel the rounds bisect towards u = 0 one level per call
+        sizes = self._pricer_calls(monkeypatch)
+        spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
+        strikes = np.linspace(80.0, 120.0, 11)
+        bds = pricer.price_strikes(strikes, tau, 100.0, table1_heston, spec=spec)
+        assert all(bd.warnings == () for bd in bds)
+        assert len(sizes) <= 2
 
     def test_interior_singularity_raises(self):
         def f(u):
             return np.stack([1.0 / np.abs(u - 1.0 / 3.0), u])
 
-        g, sizes = self._counting(f)
+        g, sizes = counting(f)
         spec = QuadratureSpec(max_subdivisions=40)
         with pytest.raises(NonConvergence) as excinfo:
             integrate_adaptive(g, 0.0, 1.0, spec)
         assert len(sizes) <= spec.max_subdivisions
-        assert self._panels(sizes) <= spec.max_subdivisions
+        assert panels(sizes) <= spec.max_subdivisions
         assert np.shape(excinfo.value.estimate) == (2,)
         assert np.shape(excinfo.value.error_bound) == (2,)
         assert excinfo.value.error_bound[0] > spec.abs_tol
