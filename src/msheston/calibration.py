@@ -164,7 +164,6 @@ def _unpack(x: np.ndarray, r: float, multiscale: bool):
         rho=natural["rho"],
         z=natural["z"],
         r=r,
-        allow_feller_violation=True,
     )
     if not multiscale:
         return p, None

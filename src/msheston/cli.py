@@ -68,7 +68,6 @@ _SETTINGS = {
     "heston": {
         **_keys(("kappa", "theta", "sigma", "rho", "z"), float, _REQUIRED),
         "rate": (float, 0.0),
-        "allow_feller_violation": (bool, None),
     },
     "group": _keys(V_NAMES, float, 0.0),
     "quadrature": {
@@ -95,8 +94,7 @@ _SETTINGS = {
     },
 }
 
-_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
-               str: "a string"}
+_KIND_NAMES = {float: "a number", int: "an integer"}
 
 
 def _typed(kind, value, where: str):
@@ -110,11 +108,8 @@ def _typed(kind, value, where: str):
             )
         return tuple(_typed(k, v, f"{where}[{i}]")
                      for i, (k, v) in enumerate(zip(kind, value)))
-    if kind in (bool, str):
-        ok = isinstance(value, kind)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
     if not ok:
         raise ParseError(f"config {where} must be {_KIND_NAMES[kind]}, got {value!r}", 0)
     return kind(value)
@@ -197,15 +192,17 @@ def _sha256_of(path) -> str:
 
 
 def _parse_floats(text: str, flag: str) -> list:
-    """Comma list '1,2,3' or range 'lo:hi:n'; ParseError naming ``flag``."""
+    """Comma list '1,2,3' or range 'lo:hi:n' with n >= 1; ParseError naming ``flag``."""
     try:
         if ":" in text:
             lo, hi, n = text.split(":")
+            if int(n) < 1:
+                raise ValueError
             return [float(x) for x in np.linspace(float(lo), float(hi), int(n))]
         return [float(x) for x in text.split(",")]
     except ValueError:
         raise ParseError(
-            f"{flag} must be a comma list or lo:hi:n, got {text!r}", 0
+            f"{flag} must be a comma list or lo:hi:n with n >= 1, got {text!r}", 0
         ) from None
 
 
@@ -265,19 +262,22 @@ def _cmd_sweep(args, config):
     values = _parse_floats(args.values, "--values")
     if args.vary not in V_NAMES:
         raise ParseError(f"--vary must be one of v1e..v4e, got {args.vary}", 0)
+    names = [f"sweep_{args.vary}_{value:+.6f}.csv" for value in values]
+    if len(set(names)) < len(names):
+        raise ParseError(
+            f"--values {args.values!r} gives two files the same name "
+            "(names keep 6 decimals)", 0
+        )
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for value in values:
+    for value, name in zip(values, names):
         surface = model_surface(
             [args.expiry], strikes, p, replace(base, **{args.vary: value}), spec,
             spot=args.spot, dividend_yield=args.dividend_yield,
         )
-        name = f"sweep_{args.vary}_{value:+.6f}.csv"
         _report_dropped(surface, f"{name}: ")
         (out_dir / name).write_text(surface.to_csv())
-        written.append(name)
-    sys.stdout.write("\n".join(written) + "\n")
+    sys.stdout.write("\n".join(names) + "\n")
     return 0
 
 
@@ -287,7 +287,7 @@ def _cmd_calibrate(args, config):
     filters = ChainFilters(**_subset(calib, "min_days", "min_open_interest"))
     loaded = load_chain(args.chain, filters)
     rate = loaded.surface.rate(loaded.surface.expiries()[0])
-    start = HestonParams(**calib["start"], r=rate, allow_feller_violation=True)
+    start = HestonParams(**calib["start"], r=rate)
     prob = CalibProblem(
         market=loaded.surface, quadrature=quadrature, **_subset(calib, "bounds")
     )
@@ -379,11 +379,7 @@ def _add_flags(sp, section: str, keys=None):
     """A ``--key`` flag for each setting of ``section``, or for ``keys`` of it."""
     table = _SETTINGS[section]
     for key in keys or table:
-        flag, kind = "--" + key.replace("_", "-"), table[key][0]
-        if kind is bool:
-            sp.add_argument(flag, action="store_true", default=None)
-        else:
-            sp.add_argument(flag, type=kind, default=None)
+        sp.add_argument("--" + key.replace("_", "-"), type=table[key][0], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -65,9 +65,9 @@ class FullModelParams:
             raise ValueError("epsilon must be strictly positive")
         if not self.nu > 0:
             raise ValueError("nu must be strictly positive")
+        # HestonParams already holds rho_xz = heston.rho inside (-1, 1)
         rho_xz = self.heston.rho
-        for name, val in (("rho_xy", self.rho_xy), ("rho_xz", rho_xz),
-                          ("rho_yz", self.rho_yz)):
+        for name, val in (("rho_xy", self.rho_xy), ("rho_yz", self.rho_yz)):
             if not val * val < 1.0:
                 raise ValueError(f"{name}**2 must be strictly below 1")
         gram = (

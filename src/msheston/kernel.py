@@ -43,9 +43,11 @@ class HestonParams:
 
     ``rho`` is the effective spot/variance correlation (already averaged over
     any fast volatility factor), ``z`` the current instantaneous variance.
-    The Feller condition ``2*kappa*theta >= sigma**2`` is enforced unless
-    ``allow_feller_violation`` is set, which calibration uses to explore
-    near-boundary fits.
+    Construction admits exactly the parameters the program prices: kappa,
+    theta, sigma and z strictly positive, r finite and |rho| < 1.  The Feller
+    condition ``2*kappa*theta >= sigma**2`` is reported by
+    ``feller_satisfied``, never enforced: the pricer, the correction and the
+    full-truncation Monte Carlo all handle a variance that can reach zero.
     """
 
     kappa: float
@@ -54,7 +56,6 @@ class HestonParams:
     rho: float
     z: float
     r: float
-    allow_feller_violation: bool = False
 
     def __post_init__(self):
         for name in ("kappa", "theta", "sigma", "z"):
@@ -62,15 +63,8 @@ class HestonParams:
                 raise ValueError(f"{name} must be strictly positive")
         if not np.isfinite(self.r):
             raise ValueError("r must be finite")
-        if self.rho * self.rho > 1.0:
-            raise ValueError("rho must lie in [-1, 1]")
-        if not self.feller_satisfied and not self.allow_feller_violation:
-            raise ValueError(
-                "Feller condition 2*kappa*theta >= sigma**2 violated "
-                f"(2*kappa*theta={2 * self.kappa * self.theta:.6g}, "
-                f"sigma**2={self.sigma ** 2:.6g}); pass "
-                "allow_feller_violation=True to permit this"
-            )
+        if not self.rho * self.rho < 1.0:
+            raise ValueError("rho must lie in (-1, 1)")
 
     @property
     def feller_satisfied(self) -> bool:

@@ -238,7 +238,10 @@ def price_strips(
     ``nonconvergence`` only if one of its own rows misses its tolerance.
     Returns one list of breakdowns per strip, in order; each strip agrees
     with its own ``price_strikes`` call within both quadrature bounds.
+    A payoff other than ``"call"`` or ``"put"`` raises a ValueError.
     """
+    if payoff not in ("call", "put"):
+        raise ValueError(f"unsupported payoff {payoff!r}")
     if spec is None:
         spec = QuadratureSpec()
     prepared = []
@@ -250,15 +253,10 @@ def price_strips(
         _finite_positive("strike", *strikes.tolist())
         _finite_positive("expiry", tau)
         _finite_positive("spot", spot)
-        c_inf = c_infinity(tau, p)
-        if not c_inf > 0:
-            raise ValueError(
-                "c_infinity must be strictly positive, which needs |rho| < 1"
-            )
         variance = (
             p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
         )
-        scale = min(c_inf, 4.0 * math.sqrt(variance))
+        scale = min(c_infinity(tau, p), 4.0 * math.sqrt(variance))
         v = GroupParams.zero() if v is None else v
         prepared.append((strikes, tau, spot, p, v, scale))
     if not prepared:

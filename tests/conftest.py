@@ -73,8 +73,7 @@ def d_zero_call_contour(p: HestonParams) -> float:
 # Edge regimes of the correction checks, on otherwise Table-1-like values.
 EDGE_HESTON = {
     "feller_violated": HestonParams(
-        kappa=0.5, theta=0.02, sigma=0.5, rho=-0.5, z=0.05, r=0.0,
-        allow_feller_violation=True,
+        kappa=0.5, theta=0.02, sigma=0.5, rho=-0.5, z=0.05, r=0.0
     ),
     "rho_plus_099": HestonParams(
         kappa=1.0, theta=0.24, sigma=0.39, rho=0.99, z=0.24, r=0.05

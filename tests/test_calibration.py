@@ -228,7 +228,7 @@ class TestCalibrateHeston:
     def test_feller_violating_fit_converges_and_reports_it(self):
         # the penalized optimum sits just outside the Feller boundary
         # (sigma^2 - 2 kappa theta = +3.9e-6): the fit converges and says so
-        truth = TRUTH_P.replace(sigma=0.7, allow_feller_violation=True)
+        truth = TRUTH_P.replace(sigma=0.7)
         market = _as_market(model_surface(EXPIRIES, STRIKES, truth, None, SPEC))
         res = calibrate_heston(_problem(market), truth)
         assert res.converged

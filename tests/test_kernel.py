@@ -95,13 +95,8 @@ class TestHestonParams:
         with pytest.raises(ValueError):
             HestonParams(kappa=1, theta=0.2, sigma=0.3, rho=1.5, z=0.1, r=0.0)
 
-    def test_feller_enforced_with_opt_out(self):
-        with pytest.raises(ValueError, match="Feller"):
-            HestonParams(kappa=0.5, theta=0.02, sigma=0.5, rho=0.0, z=0.1, r=0.0)
-        p = HestonParams(
-            kappa=0.5, theta=0.02, sigma=0.5, rho=0.0, z=0.1, r=0.0,
-            allow_feller_violation=True,
-        )
+    def test_feller_reported_not_enforced(self):
+        p = HestonParams(kappa=0.5, theta=0.02, sigma=0.5, rho=0.0, z=0.1, r=0.0)
         assert not p.feller_satisfied
 
 

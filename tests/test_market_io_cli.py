@@ -21,6 +21,8 @@ from msheston.market_io import (
 from msheston.pricer import price_strikes
 from msheston.vol_surface import bs_call
 
+from .helpers import exp_ou_unit_v
+
 QUOTE_DAY = date(2006, 5, 17)
 SPOT = 100.0
 RATE = 0.05
@@ -189,6 +191,9 @@ FULL_MODEL_FLAGS = [
     "--nu", "1.0", "--rho-xy", "-0.35", "--rho-yz", "0.35", "--y0", "0.06",
 ]
 CALIB_START = {"kappa": 1.5, "rho": -0.3, "sigma": 0.3, "theta": 0.1, "z": 0.1}
+# appended after the flags above, which they override: 2*kappa*theta = 0.04
+# against sigma**2 = 0.25
+FELLER_VIOLATED = ["--kappa", "1.0", "--theta", "0.02", "--sigma", "0.5"]
 
 # a config that does not parse, the command that reads it, and the key the
 # error must name
@@ -198,6 +203,8 @@ MALFORMED = [
      "calibrate", "calibration.start.z"),
     ({"heston": {"kappa": [1]}}, "price", "heston.kappa"),
     ({"heston": 5}, "price", "heston"),
+    ({"heston": {**HESTON_CONFIG, "allow_feller_violation": True}}, "price",
+     "heston.allow_feller_violation"),
     ({"calibration": {"start": CALIB_START, "feller_mode": "enforce"}},
      "calibrate", "calibration.feller_mode"),
     ({"full_model": {"f_kind": "exp_ou"}}, "group-params", "full_model.f_kind"),
@@ -306,6 +313,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, text", [
         ("--strikes", "70:130"), ("--expiries", "0.5,x"), ("--values", "1:2:x"),
+        ("--expiries", "0.5:1:0"), ("--strikes", "90:100:0"), ("--values", "0:1:0"),
     ])
     def test_malformed_float_list_exits_2_naming_the_flag(
         self, tmp_path, capsys, flag, text
@@ -323,6 +331,45 @@ class TestCli:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_sweep_refuses_values_whose_file_names_collide(self, tmp_path, capsys):
+        # every value rounds to sweep_v3e_+0.000000.csv
+        argv = ["sweep", "--spot", "100", "--expiry", "0.5", "--vary", "v3e",
+                "--strikes", "90,100", "--values=1e-7,2e-7,0",
+                "--output-dir", str(tmp_path), *HESTON_FLAGS]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--values" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_group_params_accepts_feller_violation(self, capsys):
+        # the coefficients do not depend on kappa or theta
+        assert main(["group-params", *FULL_MODEL_FLAGS, *FELLER_VIOLATED]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = math.sqrt(0.01) * exp_ou_unit_v(0.5, 1.0, -0.35, -0.35, 0.35)
+        got = [payload[k] for k in ("v1e", "v2e", "v3e", "v4e")]
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_validate_mc_accepts_feller_violation(self, capsys):
+        argv = ["validate-mc", "--spot", "100", "--strike", "100",
+                "--expiry", "0.5", *FULL_MODEL_FLAGS, *FELLER_VIOLATED,
+                "--n-paths", "2000", "--dt", "1e-2"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["truncation_fraction"] > 0.0
+        assert "truncation_fraction_above_threshold" in payload["warnings"]
+
+    def test_price_accepts_feller_violation(self, capsys):
+        assert main(PRICE + HESTON_FLAGS + FELLER_VIOLATED) == 0
+        total = json.loads(capsys.readouterr().out)["total"]
+        p = HestonParams(kappa=1.0, theta=0.02, sigma=0.5, rho=-0.2122857,
+                         z=0.24, r=0.05)
+        assert total == price_strikes([100.0], 1.0, 100.0, p)[0].total
+        with pytest.raises(SystemExit) as exc:
+            main(PRICE + HESTON_FLAGS + ["--allow-feller-violation"])
+        assert exc.value.code == 2
 
     @pytest.fixture()
     def heston_chain(self, tmp_path):
@@ -449,7 +496,7 @@ class TestCli:
              "--rho", "1", "--z", "0.24", "--rate", "0.05"]
         )
         assert rc == 3
-        assert "c_infinity" in capsys.readouterr().err
+        assert "rho must lie in (-1, 1)" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self):
         rc = main(

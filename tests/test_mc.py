@@ -95,7 +95,7 @@ class TestSimulatePaths:
         assert calm.truncation_fraction == 0.0
         assert calm.warnings == ()
         wild = simulate_paths(
-            _full_model(heston_kwargs=dict(sigma=1.0, allow_feller_violation=True)),
+            _full_model(heston_kwargs=dict(sigma=1.0)),
             1.0, cfg,
         )
         assert mc_mod.MAX_TRUNCATION_FRACTION < wild.truncation_fraction < 0.05

@@ -105,6 +105,11 @@ class TestHestonPrice:
         rhs = spot - strike * math.exp(-table1_heston.r * tau)
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
+    @pytest.mark.parametrize("payoff", ["Call", "straddle"])
+    def test_unknown_payoff_rejected(self, table1_heston, payoff):
+        with pytest.raises(ValueError, match=repr(payoff)):
+            price_strikes([100.0], 1.0, 100.0, table1_heston, payoff=payoff)
+
     def test_within_no_arbitrage_band(self, table1_heston):
         for strike in (40.0, 100.0, 250.0):
             opt = OptionSpec(strike=strike, expiry=1.0, spot=100.0)
@@ -424,8 +429,7 @@ class TestContourChoice:
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_unit_correlation_rejected(self, table1_heston, rho):
-        # c_infinity = 0 leaves the half-line substitution without a scale
-        p = table1_heston.replace(rho=rho)
-        assert c_infinity(1.0, p) == 0.0
-        with pytest.raises(ValueError, match="c_infinity"):
-            price_strikes([100.0], 1.0, 100.0, p)
+        # c_infinity = 0 would leave the half-line substitution without a
+        # scale, so HestonParams admits only |rho| < 1
+        with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\)"):
+            table1_heston.replace(rho=rho)

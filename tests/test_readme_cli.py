@@ -28,7 +28,18 @@ def _subcommand(argv) -> str:
     return argv[2] if argv[0] == "--config" else argv[0]
 
 
-@pytest.mark.parametrize("argv", readme_commands(), ids=_subcommand)
+def _example_ids(commands) -> list:
+    """Each example's subcommand, with -2, -3, ... on its repeats."""
+    ids, seen = [], {}
+    for argv in commands:
+        name = _subcommand(argv)
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
+@pytest.mark.parametrize("argv", readme_commands(),
+                         ids=_example_ids(readme_commands()))
 def test_readme_example_parses(argv):
     args = build_parser().parse_args(argv)
     assert args.command == _subcommand(argv)
