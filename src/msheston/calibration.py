@@ -4,7 +4,9 @@ Two nested fits share one machinery: the baseline fit over
 ``(kappa, rho, sigma, theta, z)`` and the corrected-model fit that appends
 the four correction coefficients, seeded from the baseline optimum with the
 coefficients at zero (the corrected model embeds the baseline at v = 0, so
-its fitted objective can only improve).
+its fitted objective can only improve).  A fit minimizes the implied-vol
+quote residuals and nothing else: the Feller condition is reported
+(``CalibResult.feller_satisfied``), never enforced.
 
 Internals optimize in a transformed space: log for the positive parameters,
 atanh for the correlation, identity with a symmetric box for the correction
@@ -58,9 +60,6 @@ OUT_OF_BAND_RESIDUAL = 1.0
 # in implied vol, so the price tolerances can be looser than the defaults.
 CALIBRATION_QUADRATURE = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
 
-# Weight of the Feller residual sigma^2 - 2 kappa theta (when positive).
-FELLER_PENALTY_WEIGHT = 10.0
-
 # Seed of the restart points, and the residual evaluations one least-squares
 # run may spend, per stage.
 RESTART_SEED = 0
@@ -72,13 +71,17 @@ MULTISCALE_MAX_NFEV = 600
 class CalibProblem:
     """Market data plus the knobs of the least-squares formulation.
 
-    Every quote weighs the same.  ``bounds`` maps parameter names to
-    (lo, hi) boxes that override ``DEFAULT_BOUNDS``.  The fit penalizes
-    sigma^2 > 2 kappa theta softly; ``CalibResult.feller_satisfied`` reports
-    whether the fitted point meets the Feller condition.
+    Every quote weighs the same and the quote residuals are the whole
+    objective: the Feller condition is reported, never enforced.  ``bounds``
+    maps parameter names to (lo, hi) boxes that override ``DEFAULT_BOUNDS``,
+    each with lo < hi inside the parameter's open domain: (-1, 1) for
+    ``rho``, (0, inf) for the other Heston parameters, and the reals for the
+    correction coefficients.
 
     Raises
     ------
+    ValueError
+        If a bound is not such a pair, before any pricing.
     NonFinite
         If a market implied vol is non-finite.  Model residuals fall back
         to a finite penalty, so a quote is the only source of a non-finite
@@ -92,6 +95,12 @@ class CalibProblem:
     def __post_init__(self):
         if not all(math.isfinite(pt.implied_vol) for pt in self.market.points):
             raise NonFinite("market implied vols must be finite")
+        for name, (lo, hi) in self.bounds.items():
+            a, b = (-1.0, 1.0) if name == "rho" else (
+                (-math.inf, math.inf) if name in V_NAMES else (0.0, math.inf))
+            if not a < lo < hi < b:
+                raise ValueError(f"bounds.{name} = [{lo}, {hi}] must satisfy "
+                                 f"lo < hi inside ({a:g}, {b:g})")
 
     def require_enough_quotes(self, n_params: int):
         if self.market.n_points < n_params:
@@ -105,14 +114,15 @@ class CalibProblem:
 class CalibResult:
     """A fitted parameter set with its objective and per-expiry diagnostics.
 
-    ``objective`` is the sum of squared quote residuals (the Feller row left
-    out) and ``per_expiry_rss`` their mean square per expiry, both from the
-    final residual vector of the winning ``least_squares`` run.
+    ``objective`` is the sum of squared implied-vol quote residuals, exactly
+    what ``least_squares`` minimized, and ``per_expiry_rss`` their mean
+    square per expiry, both from the winning run's final residual vector.
     ``iterations`` is ``least_squares``' nfev summed over the start and its
     restarts: residual evaluations on accepted or rejected trust-region
     steps.  The forward-difference Jacobians are not counted; each is one
     batched integration that prices the iterate and its neighbours, one per
-    free parameter.
+    free parameter.  ``feller_satisfied`` reports whether the fitted point
+    meets the Feller condition, which the fit does not enforce.
     """
 
     heston: HestonParams
@@ -226,10 +236,6 @@ def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
     return _quote_residuals([phi], prob)[0]
 
 
-def _feller_penalty(p: HestonParams) -> float:
-    return FELLER_PENALTY_WEIGHT * max(0.0, p.sigma**2 - 2.0 * p.kappa * p.theta)
-
-
 def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
     """Mean squared residual per expiry (the marginal report)."""
     rows = []
@@ -243,10 +249,8 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
 
 
 def _residuals(xs, prob, rate, multiscale) -> np.ndarray:
-    """Quote residuals, Feller row last, at each row of ``xs``: one pricing pass."""
-    points = [_unpack(x, rate, multiscale) for x in xs]
-    res = _quote_residuals(points, prob)
-    return np.column_stack((res, [_feller_penalty(p) for p, _ in points]))
+    """Quote residuals at each row of ``xs``: one pricing pass."""
+    return _quote_residuals([_unpack(x, rate, multiscale) for x in xs], prob)
 
 
 def _forward_jacobian(x, lo, hi, residuals) -> np.ndarray:
@@ -297,12 +301,11 @@ def _fit(prob, x0, lo, hi, multiscale, n_restarts) -> CalibResult:
     ]
     best = min(fits, key=lambda fit: fit.cost)
     p, v = _unpack(best.x, rate, multiscale)
-    quotes = best.fun[:-1]
     return CalibResult(
         heston=p,
         group=v,
-        objective=float(quotes @ quotes),
-        per_expiry_rss=_per_expiry_rss(quotes, prob.market),
+        objective=float(best.fun @ best.fun),
+        per_expiry_rss=_per_expiry_rss(best.fun, prob.market),
         iterations=sum(int(fit.nfev) for fit in fits),
         converged=bool(best.status > 0),
         feller_satisfied=p.feller_satisfied,
@@ -311,6 +314,8 @@ def _fit(prob, x0, lo, hi, multiscale, n_restarts) -> CalibResult:
 
 def _restart_points(x0, lo, hi, n):
     """Latin-hypercube jitter around the start, in transformed coordinates."""
+    if n < 0:
+        raise ValueError(f"n_restarts must be >= 0, got {n}")
     rng = np.random.default_rng(RESTART_SEED)
     dim = len(x0)
     points = []

@@ -225,14 +225,42 @@ class TestCalibrateHeston:
         recomputed = float(np.sum(objective_heston(a.heston, prob) ** 2))
         assert abs(recomputed - a.objective) <= 1e-12
 
-    def test_feller_violating_fit_converges_and_reports_it(self):
-        # the penalized optimum sits just outside the Feller boundary
-        # (sigma^2 - 2 kappa theta = +3.9e-6): the fit converges and says so
-        truth = TRUTH_P.replace(sigma=0.7)
+    @pytest.mark.parametrize("truth, start", [
+        (TRUTH_P.replace(sigma=0.7), TRUTH_P.replace(sigma=0.7)),
+        (HestonParams(kappa=1.5, theta=0.04, sigma=0.6, rho=-0.7, z=0.04,
+                      r=0.02), TRUTH_P),
+    ], ids=["sigma-0.7", "equity-like"])
+    def test_feller_violating_fit_converges_and_reports_it(self, truth, start):
+        # sigma^2 > 2 kappa theta at the truth: both stages recover it, the
+        # corrected stage adds no correction, and both report the violation
         market = _as_market(model_surface(EXPIRIES, STRIKES, truth, None, SPEC))
-        res = calibrate_heston(_problem(market), truth)
-        assert res.converged
-        assert not res.feller_satisfied
+        prob = _problem(market)
+        h_res = calibrate_heston(prob, start)
+        m_res = calibrate_multiscale(prob, h_res)
+        for res in (h_res, m_res):
+            assert res.converged
+            assert not res.feller_satisfied
+            assert res.objective <= 1e-12
+            for name in ("kappa", "theta", "sigma", "z"):
+                got, want = getattr(res.heston, name), getattr(truth, name)
+                assert abs(got - want) <= 1e-6 * want, name
+            assert abs(res.heston.rho - truth.rho) <= 1e-6
+        assert max(abs(x) for x in group_array(m_res.group)) <= 1e-6
+
+    def test_negative_restart_count_rejected_before_pricing(
+        self, monkeypatch, heston_market
+    ):
+        prob = _problem(heston_market)
+        h_res = calibrate_heston(prob, TRUTH_P)
+
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("priced before rejecting n_restarts")
+
+        monkeypatch.setattr(calibration, "price_strips", no_pricing)
+        with pytest.raises(ValueError, match="n_restarts must be >= 0, got -1"):
+            calibrate_heston(prob, TRUTH_P, n_restarts=-1)
+        with pytest.raises(ValueError, match="n_restarts must be >= 0, got -1"):
+            calibrate_multiscale(prob, h_res, n_restarts=-1)
 
 
 class TestCalibrateMultiscale:
@@ -295,8 +323,7 @@ class TestOneRunPerStart:
         assert len(fits) == 2
         for res, fit, n_integrations in stages:
             assert n_integrations == fit.nfev + fit.njev
-            quotes = fit.fun[:-1]
-            assert res.objective == quotes @ quotes
+            assert res.objective == fit.fun @ fit.fun
             assert res.iterations == fit.nfev
 
 
@@ -327,10 +354,10 @@ class TestBatchedPasses:
         x, lo, hi, residuals = self._setup(multiscale_market)
         res = residuals(x[None, :])
         assert len(calls) == 1
-        assert res.shape == (1, multiscale_market.n_points + 1)
+        assert res.shape == (1, multiscale_market.n_points)
         jac = _forward_jacobian(x, lo, hi, residuals)
         assert len(calls) == 2
-        assert jac.shape == (multiscale_market.n_points + 1, 9)
+        assert jac.shape == (multiscale_market.n_points, 9)
 
     def test_jacobian_against_central_differences(self, multiscale_market):
         # central differences with step 1e-4, each point priced on its own at

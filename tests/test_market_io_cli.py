@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from msheston import cli
+from msheston import calibration, cli
 from msheston.cli import main
 from msheston.errors import EmptyAfterFilter, ParseError
 from msheston.kernel import HestonParams
@@ -480,6 +480,26 @@ class TestCli:
         assert seen == [ChainFilters(min_open_interest=0)]
         assert rc == 3
         assert "violates bounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, pair, domain", [
+        ("rho", [-1, 1], "(-1, 1)"),
+        ("kappa", [0, 5], "(0, inf)"),
+        ("z", [-1, 1], "(0, inf)"),
+        ("sigma", [0.5, 0.2], "(0, inf)"),
+    ], ids=["rho", "kappa", "z", "sigma"])
+    def test_bound_outside_its_domain_exits_3_before_pricing(
+        self, tmp_path, chain_path, monkeypatch, capsys, name, pair, domain
+    ):
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("priced before rejecting the bound")
+
+        monkeypatch.setattr(calibration, "price_strips", no_pricing)
+        cfg = {"calibration": {"start": CALIB_START, "bounds": {name: pair}}}
+        argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain_path)]
+        assert main(argv) == 3
+        lo, hi = map(float, pair)
+        assert (f"bounds.{name} = [{lo}, {hi}] must satisfy lo < hi inside "
+                f"{domain}") in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self):
         rc = main(
