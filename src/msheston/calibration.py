@@ -13,12 +13,12 @@ atanh for the correlation, identity with a symmetric box for the correction
 coefficients.  Iterates therefore stay feasible without constraint
 machinery; the reported results are always in natural units.
 
-Each stage is one ``least_squares`` run per start point.  Each residual
-evaluation prices every expiry in one ``price_strips`` call, and each
-Jacobian prices the iterate and its forward-difference neighbours, every
+Each stage is one ``least_squares`` run from its start point.  Each
+residual evaluation prices every expiry in one ``price_strips`` call, and
+each Jacobian prices the iterate and its forward-difference neighbours, every
 expiry of each, in one more: a run costs nfev + njev integrations.  The
-reported objective and per-expiry residuals are read off the winning run's
-final residual vector, not priced again.
+reported objective and per-expiry residuals are read off the run's final
+residual vector, not priced again.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ OUT_OF_BAND_RESIDUAL = 1.0
 # in implied vol, so the price tolerances can be looser than the defaults.
 CALIBRATION_QUADRATURE = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
 
-# Seed of the restart points, and the residual evaluations one least-squares
-# run may spend, per stage.
-RESTART_SEED = 0
+# The residual evaluations one least-squares run may spend, per stage.
 HESTON_MAX_NFEV = 400
 MULTISCALE_MAX_NFEV = 600
 
@@ -81,7 +79,8 @@ class CalibProblem:
     Raises
     ------
     ValueError
-        If a bound is not such a pair, before any pricing.
+        If a bound names no parameter or is not such a pair, before any
+        pricing.
     NonFinite
         If a market implied vol is non-finite.  Model residuals fall back
         to a finite penalty, so a quote is the only source of a non-finite
@@ -96,6 +95,9 @@ class CalibProblem:
         if not all(math.isfinite(pt.implied_vol) for pt in self.market.points):
             raise NonFinite("market implied vols must be finite")
         for name, (lo, hi) in self.bounds.items():
+            if name not in DEFAULT_BOUNDS:
+                raise ValueError(f"unknown bound bounds.{name}; known: "
+                                 f"{', '.join(DEFAULT_BOUNDS)}")
             a, b = (-1.0, 1.0) if name == "rho" else (
                 (-math.inf, math.inf) if name in V_NAMES else (0.0, math.inf))
             if not a < lo < hi < b:
@@ -116,13 +118,13 @@ class CalibResult:
 
     ``objective`` is the sum of squared implied-vol quote residuals, exactly
     what ``least_squares`` minimized, and ``per_expiry_rss`` their mean
-    square per expiry, both from the winning run's final residual vector.
-    ``iterations`` is ``least_squares``' nfev summed over the start and its
-    restarts: residual evaluations on accepted or rejected trust-region
-    steps.  The forward-difference Jacobians are not counted; each is one
-    batched integration that prices the iterate and its neighbours, one per
-    free parameter.  ``feller_satisfied`` reports whether the fitted point
-    meets the Feller condition, which the fit does not enforce.
+    square per expiry, both from the run's final residual vector.
+    ``iterations`` is ``least_squares``' nfev: residual evaluations on
+    accepted or rejected trust-region steps.  The forward-difference
+    Jacobians are not counted; each is one batched integration that prices
+    the iterate and its neighbours, one per free parameter.
+    ``feller_satisfied`` reports whether the fitted point meets the Feller
+    condition, which the fit does not enforce.
     """
 
     heston: HestonParams
@@ -151,8 +153,6 @@ def _transform(name: str, value: float) -> float:
 def _untransform(name: str, value: float) -> float:
     if name == "rho":
         return math.tanh(value)
-    if name in V_NAMES:
-        return value
     return math.exp(value)
 
 
@@ -268,11 +268,11 @@ def _forward_jacobian(x, lo, hi, residuals) -> np.ndarray:
     return ((r[1:] - r[0]) / (np.diag(neighbours) - x)[:, None]).T
 
 
-def _fit(prob, x0, lo, hi, multiscale, n_restarts) -> CalibResult:
-    """Best of the least-squares runs from ``x0`` and its restart points.
+def _fit(prob, x0, lo, hi, multiscale) -> CalibResult:
+    """One least-squares run from ``x0``.
 
-    The lowest final cost wins, the first start on a tie.  SciPy's TRF
-    accepts a step only when the cost falls, so no run ends above its start.
+    SciPy's TRF accepts a step only when the cost falls, so the run never
+    ends above its start.
     """
     rate = prob.market.rate(prob.market.expiries()[0])
 
@@ -288,85 +288,54 @@ def _fit(prob, x0, lo, hi, multiscale, n_restarts) -> CalibResult:
     # SciPy's default 1e-8 tolerances: the forward-difference Jacobian (a 1e-6
     # step on quadrature output) cannot resolve finer steps, and tighter ones
     # only cycle through rejected trust-region steps at the cost's noise floor
-    fits = [
-        least_squares(
-            fun,
-            xs,
-            jac=jac,
-            bounds=(lo, hi),
-            method="trf",
-            max_nfev=MULTISCALE_MAX_NFEV if multiscale else HESTON_MAX_NFEV,
-        )
-        for xs in [x0] + _restart_points(x0, lo, hi, n_restarts)
-    ]
-    best = min(fits, key=lambda fit: fit.cost)
-    p, v = _unpack(best.x, rate, multiscale)
+    fit = least_squares(
+        fun,
+        x0,
+        jac=jac,
+        bounds=(lo, hi),
+        method="trf",
+        max_nfev=MULTISCALE_MAX_NFEV if multiscale else HESTON_MAX_NFEV,
+    )
+    p, v = _unpack(fit.x, rate, multiscale)
     return CalibResult(
         heston=p,
         group=v,
-        objective=float(best.fun @ best.fun),
-        per_expiry_rss=_per_expiry_rss(best.fun, prob.market),
-        iterations=sum(int(fit.nfev) for fit in fits),
-        converged=bool(best.status > 0),
+        objective=float(fit.fun @ fit.fun),
+        per_expiry_rss=_per_expiry_rss(fit.fun, prob.market),
+        iterations=int(fit.nfev),
+        converged=bool(fit.status > 0),
         feller_satisfied=p.feller_satisfied,
     )
 
 
-def _restart_points(x0, lo, hi, n):
-    """Latin-hypercube jitter around the start, in transformed coordinates."""
-    if n < 0:
-        raise ValueError(f"n_restarts must be >= 0, got {n}")
-    rng = np.random.default_rng(RESTART_SEED)
-    dim = len(x0)
-    points = []
-    perm = np.array([rng.permutation(n) for _ in range(dim)])
-    for i in range(n):
-        u = (perm[:, i] + rng.random(dim)) / n  # stratified in (0,1)
-        step = 0.4 * (u - 0.5)
-        x = np.clip(x0 + step, lo + 1e-12, hi - 1e-12)
-        points.append(x)
-    return points
-
-
-def calibrate_heston(
-    prob: CalibProblem,
-    start: HestonParams,
-    n_restarts: int = 0,
-) -> CalibResult:
+def calibrate_heston(prob: CalibProblem, start: HestonParams) -> CalibResult:
     """Fit the five baseline parameters by trust-region least squares.
 
-    Forward-difference Jacobians step 1e-6 max(1, |x|) in the transformed
-    coordinates, all columns from one batched pricing pass.  Optional
-    Latin-hypercube restarts around ``start`` guard against local minima;
-    the best final objective wins.  Deterministic for fixed inputs.
+    One run from ``start``.  Forward-difference Jacobians step
+    1e-6 max(1, |x|) in the transformed coordinates, all columns from one
+    batched pricing pass.  Deterministic for fixed inputs.
     """
     prob.require_enough_quotes(5)
     x0 = _pack(start, None)
     lo, hi = _transformed_bounds(prob.bounds, multiscale=False)
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("start point violates bounds")
-    return _fit(prob, x0, lo, hi, False, n_restarts)
+    return _fit(prob, x0, lo, hi, False)
 
 
-def calibrate_multiscale(
-    prob: CalibProblem,
-    heston_result: CalibResult,
-    n_restarts: int = 0,
-) -> CalibResult:
-    """Two-stage corrected-model fit seeded from the baseline optimum.
+def calibrate_multiscale(prob: CalibProblem, heston_result: CalibResult) -> CalibResult:
+    """Two-stage corrected-model fit seeded from the baseline stage.
 
-    The start point is the fitted baseline parameters with all four
-    correction coefficients at zero, so the starting objective equals the
-    baseline optimum and the fit can only improve on it (up to solver
-    tolerance).
+    The start point is the baseline stage's final parameters, converged or
+    not, with all four correction coefficients at zero, so the starting
+    objective equals the baseline objective and the fit can only improve on
+    it (up to solver tolerance).
     """
-    if not heston_result.converged:
-        raise ValueError("baseline result did not converge; refusing to seed")
     prob.require_enough_quotes(9)
     x0 = _pack(heston_result.heston, GroupParams.zero())
     lo, hi = _transformed_bounds(prob.bounds, multiscale=True)
     x0 = np.clip(x0, lo, hi)
-    return _fit(prob, x0, lo, hi, True, n_restarts)
+    return _fit(prob, x0, lo, hi, True)
 
 
 # -- reporting -----------------------------------------------------------------

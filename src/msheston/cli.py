@@ -90,7 +90,7 @@ _SETTINGS = {
         # the baseline surface
         "start": (_keys(THETA_NAMES, float, _REQUIRED), _REQUIRED),
         "bounds": (_keys(DEFAULT_BOUNDS, (float, float), None), None),
-        **_keys(("min_days", "min_open_interest", "multistart"), int, None),
+        **_keys(("min_days", "min_open_interest"), int, None),
     },
 }
 
@@ -291,9 +291,8 @@ def _cmd_calibrate(args, config):
     prob = CalibProblem(
         market=loaded.surface, quadrature=quadrature, **_subset(calib, "bounds")
     )
-    restarts = {"n_restarts": calib["multistart"]} if "multistart" in calib else {}
-    h_res = calibrate_heston(prob, start, **restarts)
-    m_res = calibrate_multiscale(prob, h_res, **restarts)
+    h_res = calibrate_heston(prob, start)
+    m_res = calibrate_multiscale(prob, h_res)
     rows = residual_ratio_report(h_res, m_res, prob)
     payload = {
         "filters": {"counts": loaded.counts, "total_rows": loaded.total_rows},

@@ -6,10 +6,11 @@ dataset the filters were designed around is not redistributable):
     quote_date,expiry_date,strike,option_type,bid,ask,open_interest,
     underlying_price,rate,dividend_yield
 
-Dates are ISO (YYYY-MM-DD), decimal point only, header row mandatory.  The
-day count is ACT/365: expiry in years = calendar days / 365.  Rates and
-dividend yields may vary per expiry but must be internally consistent, as
-must the underlying price across the whole file (one valuation snapshot).
+Dates are ISO (YYYY-MM-DD), decimal point only, header row mandatory, and
+every number finite.  The day count is ACT/365: expiry in years = calendar
+days / 365.  Rates and dividend yields may vary per expiry but must be
+internally consistent, as must the underlying price across the whole file
+(one valuation snapshot).
 
 Filters follow the documented screen: calls only, maturity strictly greater
 than 45 days, open interest strictly greater than 100.  Quotes whose mid
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import date
@@ -102,6 +104,10 @@ def _parse_row(raw: dict, line_number: int) -> OptionChainRow:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"malformed row: {exc}", line_number) from exc
+    for name in ("strike", "bid", "ask", "underlying_price", "rate", "dividend_yield"):
+        value = getattr(row, name)
+        if not math.isfinite(value):
+            raise ParseError(f"{name} must be finite, got {value}", line_number)
     if row.strike <= 0:
         raise ParseError("strike must be positive", line_number)
     if row.bid < 0 or row.ask < 0 or row.bid > row.ask:
@@ -138,7 +144,7 @@ def load_chain(path, filters: ChainFilters | None = None) -> ChainLoadResult:
         "mid_out_of_band": 0,
         "passed": 0,
     }
-    rows: list[OptionChainRow] = []
+    rows: list[tuple[int, OptionChainRow]] = []  # (line number, row)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -157,28 +163,28 @@ def load_chain(path, filters: ChainFilters | None = None) -> ChainLoadResult:
                     f"expected {len(CHAIN_COLUMNS)} columns, got {len(values)}",
                     line_number,
                 )
-            rows.append(_parse_row(dict(zip(CHAIN_COLUMNS, values)), line_number))
+            row = _parse_row(dict(zip(CHAIN_COLUMNS, values)), line_number)
+            rows.append((line_number, row))
 
     total = len(rows)
     if total == 0:
         raise ParseError("no data rows", 2)
 
-    spot = rows[0].underlying_price
-    quote_day = rows[0].quote_date
-    for i, row in enumerate(rows):
+    spot = rows[0][1].underlying_price
+    quote_day = rows[0][1].quote_date
+    for line_number, row in rows:
         if row.underlying_price != spot:
             raise ParseError(
-                "underlying_price must be constant across the file", i + 2
+                "underlying_price must be constant across the file", line_number
             )
         if row.quote_date != quote_day:
-            raise ParseError("quote_date must be constant across the file", i + 2)
+            raise ParseError("quote_date must be constant across the file", line_number)
 
     points = []
     rates: dict[float, float] = {}
     dividends: dict[float, float] = {}
     seen: dict[tuple, int] = {}
-    for i, row in enumerate(rows):
-        line_number = i + 2
+    for line_number, row in rows:
         if row.option_type != "call":
             counts["not_call"] += 1
             continue

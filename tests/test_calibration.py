@@ -212,19 +212,6 @@ class TestCalibrateHeston:
         with pytest.raises(NonFinite):
             calibrate_heston(_problem(bad), TRUTH_P)
 
-    def test_restarts(self, fits, heston_market):
-        prob = _problem(heston_market)
-        start = TRUTH_P.replace(kappa=1.4, z=0.05)
-        single = calibrate_heston(prob, start)
-        fits.clear()
-        a = calibrate_heston(prob, start, n_restarts=2)
-        assert len(fits) == 3
-        assert a.iterations == sum(fit.nfev for fit in fits)
-        assert a == calibrate_heston(prob, start, n_restarts=2)
-        assert a.objective <= single.objective
-        recomputed = float(np.sum(objective_heston(a.heston, prob) ** 2))
-        assert abs(recomputed - a.objective) <= 1e-12
-
     @pytest.mark.parametrize("truth, start", [
         (TRUTH_P.replace(sigma=0.7), TRUTH_P.replace(sigma=0.7)),
         (HestonParams(kappa=1.5, theta=0.04, sigma=0.6, rho=-0.7, z=0.04,
@@ -247,20 +234,25 @@ class TestCalibrateHeston:
             assert abs(res.heston.rho - truth.rho) <= 1e-6
         assert max(abs(x) for x in group_array(m_res.group)) <= 1e-6
 
-    def test_negative_restart_count_rejected_before_pricing(
-        self, monkeypatch, heston_market
-    ):
-        prob = _problem(heston_market)
-        h_res = calibrate_heston(prob, TRUTH_P)
+    def test_misspelt_bound_rejected(self, heston_market):
+        with pytest.raises(ValueError, match="unknown bound bounds.kapa; known: "
+                           "kappa, rho, sigma, theta, z, v1e, v2e, v3e, v4e"):
+            _problem(heston_market, bounds={"kapa": (0.5, 1.0)})
+
+    def test_too_few_quotes_rejected_before_pricing(self, monkeypatch, heston_market):
+        few = VolSurface(
+            spot=heston_market.spot,
+            points=heston_market.points[:4],
+            rates=dict(heston_market.rates),
+            dividend_yields=dict(heston_market.dividend_yields),
+        )
 
         def no_pricing(*args, **kwargs):
-            raise AssertionError("priced before rejecting n_restarts")
+            raise AssertionError("priced before counting the quotes")
 
         monkeypatch.setattr(calibration, "price_strips", no_pricing)
-        with pytest.raises(ValueError, match="n_restarts must be >= 0, got -1"):
-            calibrate_heston(prob, TRUTH_P, n_restarts=-1)
-        with pytest.raises(ValueError, match="n_restarts must be >= 0, got -1"):
-            calibrate_multiscale(prob, h_res, n_restarts=-1)
+        with pytest.raises(ValueError, match="4 quotes cannot identify 5 free"):
+            calibrate_heston(_problem(few), TRUTH_P)
 
 
 class TestCalibrateMultiscale:
@@ -287,23 +279,8 @@ class TestCalibrateMultiscale:
         assert m_res.objective <= h_res.objective + 1e-12
         assert max(abs(x) for x in group_array(m_res.group)) < 1e-4
 
-    def test_requires_converged_baseline(self, heston_market):
-        prob = _problem(heston_market)
-        h_res = calibrate_heston(prob, TRUTH_P)
-        broken = type(h_res)(
-            heston=h_res.heston,
-            group=None,
-            objective=h_res.objective,
-            per_expiry_rss=h_res.per_expiry_rss,
-            iterations=h_res.iterations,
-            converged=False,
-            feller_satisfied=h_res.feller_satisfied,
-        )
-        with pytest.raises(ValueError, match="converge"):
-            calibrate_multiscale(prob, broken)
 
-
-class TestOneRunPerStart:
+class TestOneRunPerStage:
     """A stage is its least_squares run, and its report is that run's result."""
 
     def test_stage_costs_nfev_plus_njev(self, fits, monkeypatch, multiscale_market):

@@ -46,6 +46,57 @@ def _row(days, strike, vol, oi=500, option_type="call", spread=0.1):
     )
 
 
+def _two_row_chain(tmp_path) -> list:
+    """The lines of a chain with a header and two calls, at strikes 100 and 105."""
+    path = tmp_path / "two_rows.csv"
+    write_chain(path, [_row(65, 100.0, 0.2), _row(65, 105.0, 0.2)])
+    return path.read_text().splitlines()
+
+
+def _set(lines, line_number, column, value) -> list:
+    """``lines`` with ``column`` of the 1-based ``line_number`` set to ``value``."""
+    cols = lines[line_number - 1].split(",")
+    cols[CHAIN_COLUMNS.index(column)] = value
+    return lines[: line_number - 1] + [",".join(cols)] + lines[line_number:]
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+# an edit of the two-row chain, the error it must raise, and its line
+BAD_CHAINS = {
+    "malformed_field": (lambda lines: _set(lines, 3, "strike", "1O5"),
+                        "malformed row: could not convert string to float: '1O5'", 3),
+    "zero_strike": (lambda lines: _set(lines, 2, "strike", "0.0"),
+                    "strike must be positive", 2),
+    "negative_open_interest": (lambda lines: _set(lines, 3, "open_interest", "-1"),
+                               "open_interest must be nonnegative", 3),
+    "zero_underlying": (lambda lines: _set(lines, 2, "underlying_price", "0.0"),
+                        "underlying_price must be positive", 2),
+    "expiry_on_quote_date": (lambda lines: _set(lines, 3, "expiry_date", "2006-05-17"),
+                             "expiry_date must be after quote_date", 3),
+    "empty_file": (lambda lines: [], "empty file, header row mandatory", 1),
+    "column_count": (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]],
+                     "expected 10 columns, got 9", 3),
+    # the blank line is skipped but still counted
+    "after_blank_line": (
+        lambda lines: [*lines[:2], "", *_set(lines, 3, "underlying_price", "101")[2:]],
+        "underlying_price must be constant across the file", 4),
+    "no_data_rows": (lambda lines: lines[:1], "no data rows", 2),
+    "quote_date": (lambda lines: _set(lines, 3, "quote_date", "2006-05-18"),
+                   "quote_date must be constant across the file", 3),
+    "conflicting_rate": (lambda lines: _set(lines, 3, "rate", "0.06"),
+                         "conflicting rate for expiry 0.178082", 3),
+    "conflicting_dividend_yield": (
+        lambda lines: _set(lines, 3, "dividend_yield", "0.02"),
+        "conflicting dividend_yield for expiry 0.178082", 3),
+}
+
+FLOAT_COLUMNS = ["strike", "bid", "ask", "underlying_price", "rate", "dividend_yield"]
+
+
 @pytest.fixture()
 def chain_path(tmp_path):
     rows = [
@@ -139,6 +190,24 @@ class TestLoadChain:
         with pytest.raises(ParseError, match="duplicate"):
             load_chain(path)
 
+    @pytest.mark.parametrize("edit, message, line", BAD_CHAINS.values(),
+                             ids=BAD_CHAINS.keys())
+    def test_malformed_chain_names_its_line(self, tmp_path, edit, message, line):
+        path = _write_lines(tmp_path / "chain.csv", edit(_two_row_chain(tmp_path)))
+        with pytest.raises(ParseError) as excinfo:
+            load_chain(path)
+        assert str(excinfo.value) == f"line {line}: {message}"
+        assert excinfo.value.line_number == line
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_nonfinite_number_rejected(self, tmp_path, column, value):
+        lines = _set(_two_row_chain(tmp_path), 3, column, value)
+        path = _write_lines(tmp_path / "chain.csv", lines)
+        with pytest.raises(ParseError) as excinfo:
+            load_chain(path)
+        assert str(excinfo.value) == f"line 3: {column} must be finite, got {value}"
+
     def test_arbitrage_violating_mid_counted(self, tmp_path):
         good = _row(65, 100.0, 0.2)
         bad = OptionChainRow(
@@ -175,6 +244,12 @@ class TestConfig:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         with pytest.raises(ParseError):
+            load_config(path)
+
+    def test_non_object_root_is_parse_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ParseError, match="line 1: config root must be a JSON obj"):
             load_config(path)
 
 
@@ -215,6 +290,8 @@ MALFORMED = [
     ({"sim": {"fast_factor_update": "euler"}}, "validate-mc",
      "sim.fast_factor_update"),
     ({"hestn": {}}, "price", "hestn"),
+    ({"calibration": {"start": CALIB_START, "multistart": 2}}, "calibrate",
+     "calibration.multistart"),
 ]
 
 
@@ -447,6 +524,32 @@ class TestCli:
         assert hashes[0] == hashes[1] == hashlib.sha256(
             cfg_path.read_bytes()
         ).hexdigest()
+
+    def test_nonconverged_heston_stage_exits_4_and_writes_the_result(
+        self, tmp_path, heston_chain, monkeypatch, capsys
+    ):
+        # the corrected stage starts from wherever the Heston stage stopped
+        monkeypatch.setattr(calibration, "HESTON_MAX_NFEV", 2)
+        chain, cfg_path = heston_chain
+        out = tmp_path / "result.json"
+        rc = main(["--config", str(cfg_path), "calibrate",
+                   "--chain", str(chain), "--output", str(out)])
+        assert rc == 4
+        payload = json.loads(out.read_text())
+        assert payload["heston"]["converged"] is False
+        assert payload["heston"]["iterations"] == 2
+        assert payload["multiscale"]["objective"] <= payload["heston"]["objective"]
+        assert "ratio" in capsys.readouterr().out
+
+    def test_nonfinite_chain_number_exits_2(self, tmp_path, capsys):
+        lines = _set(_two_row_chain(tmp_path), 3, "bid", "nan")
+        chain = _write_lines(tmp_path / "chain.csv", lines)
+        cfg = {"calibration": {"start": CALIB_START}}
+        argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: line 3: bid must be finite, got nan" in captured.err
+        assert captured.out == ""
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

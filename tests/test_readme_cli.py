@@ -5,13 +5,14 @@ README's examples of those subcommands, one shell line each, so that they
 can be run as written.
 """
 
+import re
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-from msheston.cli import build_parser
+from msheston.cli import _SETTINGS, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,6 +50,25 @@ def test_readme_shows_every_subcommand():
     shown = {_subcommand(argv) for argv in readme_commands()}
     assert shown == {"price", "surface", "sweep", "calibrate", "validate-mc",
                      "group-params"}
+
+
+def readme_config_table() -> dict:
+    """Each section of the README's config table and the top-level keys it lists."""
+    section = README.read_text().split("\n### Config file\n", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            name, keys = row.strip("|").split("|")
+            # a nested table's keys are listed in parentheses after its name
+            table[name.strip(" `")] = set(re.findall(r"`(\w+)`",
+                                                     re.sub(r"\([^)]*\)", "", keys)))
+    return table
+
+
+def test_readme_config_table_lists_every_setting():
+    assert readme_config_table() == {
+        section: set(keys) for section, keys in _SETTINGS.items()
+    }
 
 
 if __name__ == "__main__":
