@@ -16,14 +16,14 @@ machinery; the reported results are always in natural units.
 Each stage is one ``least_squares`` run from its start point.  Each
 residual evaluation prices every expiry in one ``price_strips`` call, and
 each Jacobian prices the iterate and its forward-difference neighbours, every
-expiry of each, in one more: a run costs nfev + njev integrations.  The
-reported objective and per-expiry residuals are read off the run's final
-residual vector, not priced again.
+expiry of each, in one more: a run costs nfev + njev integrations.  A
+Jacobian differences prices, not vols, and divides by vega at the iterate's
+model vol, so it inverts only the iterate's quotes.  The reported objective
+and per-expiry residuals are read off the run's final residual vector.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +34,7 @@ from .errors import NonConvergence, NonFinite, OutOfBand
 from .kernel import HestonParams
 from .pricer import GroupParams, price_strips
 from .quadrature import QuadratureSpec
-from .vol_surface import VolSurface, implied_vol
+from .vol_surface import VolSurface, bs_vega, implied_vol
 
 THETA_NAMES = ("kappa", "rho", "sigma", "theta", "z")
 V_NAMES = ("v1e", "v2e", "v3e", "v4e")
@@ -74,7 +74,8 @@ class CalibProblem:
     maps parameter names to (lo, hi) boxes that override ``DEFAULT_BOUNDS``,
     each with lo < hi inside the parameter's open domain: (-1, 1) for
     ``rho``, (0, inf) for the other Heston parameters, and the reals for the
-    correction coefficients.
+    correction coefficients, whose boxes must also contain 0 so that the
+    corrected-model fit starts at the baseline optimum.
 
     Raises
     ------
@@ -103,6 +104,9 @@ class CalibProblem:
             if not a < lo < hi < b:
                 raise ValueError(f"bounds.{name} = [{lo}, {hi}] must satisfy "
                                  f"lo < hi inside ({a:g}, {b:g})")
+            if name in V_NAMES and not lo <= 0.0 <= hi:
+                raise ValueError(f"bounds.{name} = [{lo}, {hi}] must contain 0, "
+                                 "where the corrected model is the baseline")
 
     def require_enough_quotes(self, n_params: int):
         if self.market.n_points < n_params:
@@ -120,9 +124,10 @@ class CalibResult:
     what ``least_squares`` minimized, and ``per_expiry_rss`` their mean
     square per expiry, both from the run's final residual vector.
     ``iterations`` is ``least_squares``' nfev: residual evaluations on
-    accepted or rejected trust-region steps.  The forward-difference
-    Jacobians are not counted; each is one batched integration that prices
-    the iterate and its neighbours, one per free parameter.
+    accepted or rejected trust-region steps.  ``jacobians`` is its njev:
+    each Jacobian is one batched integration that prices the iterate and its
+    neighbours, one per free parameter, and inverts the iterate's quotes
+    only.  A run costs nfev + njev integrations.
     ``feller_satisfied`` reports whether the fitted point meets the Feller
     condition, which the fit does not enforce.
     """
@@ -132,6 +137,7 @@ class CalibResult:
     objective: float
     per_expiry_rss: tuple
     iterations: int
+    jacobians: int
     converged: bool
     feller_satisfied: bool
 
@@ -194,12 +200,8 @@ def _transformed_bounds(bounds: dict, multiscale: bool):
 # -- objective -----------------------------------------------------------------
 
 
-def _quote_residuals(points, prob: CalibProblem) -> np.ndarray:
-    """Residuals sigma_mkt - sigma_model, one row per (p, v) point.
-
-    Every point and expiry is priced in one ``price_strips`` call; columns
-    follow market point order.
-    """
+def _prices(points, prob: CalibProblem) -> np.ndarray:
+    """Call prices of each (p, v) point in market order: one ``price_strips`` call."""
     market = prob.market
     strips = []
     for p, v in points:
@@ -208,18 +210,24 @@ def _quote_residuals(points, prob: CalibProblem) -> np.ndarray:
             spot_eff = market.spot * math.exp(-market.dividend_yield(expiry) * expiry)
             p_exp = p if p.r == rate else p.replace(r=rate)
             strips.append((market.strikes(expiry), expiry, spot_eff, p_exp, v))
-    breakdowns = [bd for strip in price_strips(strips, prob.quadrature) for bd in strip]
-    residuals = np.empty(len(breakdowns))
-    for i, (pt, bd) in enumerate(zip(itertools.cycle(market.points), breakdowns)):
+    totals = [bd.total for strip in price_strips(strips, prob.quadrature) for bd in strip]
+    return np.reshape(totals, (len(points), market.n_points))
+
+
+def _vol_residuals(prices, market: VolSurface):
+    """Residuals sigma_mkt - sigma_model of a price row, and d sigma_model / dP;
+    a price with no implied vol gets ``OUT_OF_BAND_RESIDUAL`` and slope 0."""
+    residuals = np.full(len(prices), OUT_OF_BAND_RESIDUAL)
+    slopes = np.zeros(len(prices))
+    for i, (pt, price) in enumerate(zip(market.points, prices)):
+        rate, q = market.rate(pt.expiry), market.dividend_yield(pt.expiry)
         try:
-            vol_model = implied_vol(
-                bd.total, market.spot, pt.strike, pt.expiry, market.rate(pt.expiry),
-                dividend_yield=market.dividend_yield(pt.expiry),
-            )
-            residuals[i] = pt.implied_vol - vol_model
+            vol = implied_vol(price, market.spot, pt.strike, pt.expiry, rate, q)
         except (OutOfBand, NonConvergence):
-            residuals[i] = OUT_OF_BAND_RESIDUAL
-    return residuals.reshape(len(points), market.n_points)
+            continue
+        residuals[i] = pt.implied_vol - vol
+        slopes[i] = 1.0 / bs_vega(market.spot, pt.strike, pt.expiry, vol, rate, q)
+    return residuals, slopes
 
 
 def objective_heston(p: HestonParams, prob: CalibProblem) -> np.ndarray:
@@ -228,12 +236,12 @@ def objective_heston(p: HestonParams, prob: CalibProblem) -> np.ndarray:
     Total by construction: uninvertible model points contribute the finite
     out-of-band penalty residual.
     """
-    return _quote_residuals([(p, None)], prob)[0]
+    return objective_multiscale((p, None), prob)
 
 
 def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
     """Per-quote residual vector of the corrected model at the (p, v) pair ``phi``."""
-    return _quote_residuals([phi], prob)[0]
+    return _vol_residuals(_prices([phi], prob)[0], prob.market)[0]
 
 
 def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
@@ -248,42 +256,39 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
     return tuple(rows)
 
 
-def _residuals(xs, prob, rate, multiscale) -> np.ndarray:
-    """Quote residuals at each row of ``xs``: one pricing pass."""
-    return _quote_residuals([_unpack(x, rate, multiscale) for x in xs], prob)
+def _forward_jacobian(x, lo, hi, prices, market) -> np.ndarray:
+    """Residual Jacobian at ``x``: column j is -(P(x + h_j e_j) - P(x)) / h_j / vega.
 
-
-def _forward_jacobian(x, lo, hi, residuals) -> np.ndarray:
-    """Forward-difference Jacobian at ``x`` from one call of ``residuals``.
-
-    SciPy's 2-point rule: the step along x_j is 1e-6 sign(x_j) max(1, |x_j|),
-    flipped inward where it would leave the bounds.  ``residuals`` maps the
-    rows x and x + h_j e_j to their residual vectors in one batch, so every
-    column is a difference of one fixed quadrature rule.
+    SciPy's 2-point step h_j = 1e-6 sign(x_j) max(1, |x_j|), flipped inward
+    where it would leave the bounds; ``prices`` prices x and its neighbours in
+    one batch.  Vega is at the iterate's model vol (d sigma / dP exactly), so
+    only the iterate's quotes are inverted.
     """
     h = 1e-6 * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = np.where((x + h < lo) | (x + h > hi), -h, h)
     neighbours = x + np.diag(h)
-    r = residuals(np.vstack((x, neighbours)))
-    return ((r[1:] - r[0]) / (np.diag(neighbours) - x)[:, None]).T
+    rows = prices(np.vstack((x, neighbours)))
+    slopes = _vol_residuals(rows[0], market)[1]
+    return -(rows[1:] - rows[0]).T / (np.diag(neighbours) - x) * slopes[:, None]
 
 
 def _fit(prob, x0, lo, hi, multiscale) -> CalibResult:
     """One least-squares run from ``x0``.
 
     SciPy's TRF accepts a step only when the cost falls, so the run never
-    ends above its start.
+    ends above its start.  It costs nfev + njev integrations and inverts the
+    quotes once per residual pass and once per Jacobian, at the iterate.
     """
     rate = prob.market.rate(prob.market.expiries()[0])
 
-    def residuals(xs):
-        return _residuals(xs, prob, rate, multiscale)
+    def prices(xs):
+        return _prices([_unpack(x, rate, multiscale) for x in xs], prob)
 
     def fun(x):
-        return residuals(x[None, :])[0]
+        return objective_multiscale(_unpack(x, rate, multiscale), prob)
 
     def jac(x):
-        return _forward_jacobian(x, lo, hi, residuals)
+        return _forward_jacobian(x, lo, hi, prices, prob.market)
 
     # SciPy's default 1e-8 tolerances: the forward-difference Jacobian (a 1e-6
     # step on quadrature output) cannot resolve finer steps, and tighter ones
@@ -303,6 +308,7 @@ def _fit(prob, x0, lo, hi, multiscale) -> CalibResult:
         objective=float(fit.fun @ fit.fun),
         per_expiry_rss=_per_expiry_rss(fit.fun, prob.market),
         iterations=int(fit.nfev),
+        jacobians=int(fit.njev),
         converged=bool(fit.status > 0),
         feller_satisfied=p.feller_satisfied,
     )
@@ -311,25 +317,29 @@ def _fit(prob, x0, lo, hi, multiscale) -> CalibResult:
 def calibrate_heston(prob: CalibProblem, start: HestonParams) -> CalibResult:
     """Fit the five baseline parameters by trust-region least squares.
 
-    One run from ``start``.  Forward-difference Jacobians step
-    1e-6 max(1, |x|) in the transformed coordinates, all columns from one
-    batched pricing pass.  Deterministic for fixed inputs.
+    One run from ``start``, which must lie inside the bounds: a
+    ``ValueError`` names the first parameter that does not.  Forward-difference
+    Jacobians step 1e-6 max(1, |x|) in the transformed coordinates, all
+    columns from one batched pricing pass.  Deterministic for fixed inputs.
     """
     prob.require_enough_quotes(5)
-    x0 = _pack(start, None)
+    for name in THETA_NAMES:
+        b_lo, b_hi = prob.bounds.get(name, DEFAULT_BOUNDS[name])
+        if not b_lo <= getattr(start, name) <= b_hi:
+            raise ValueError(f"start {name} = {getattr(start, name)} violates "
+                             f"bounds.{name} = [{b_lo}, {b_hi}]")
     lo, hi = _transformed_bounds(prob.bounds, multiscale=False)
-    if np.any(x0 < lo) or np.any(x0 > hi):
-        raise ValueError("start point violates bounds")
-    return _fit(prob, x0, lo, hi, False)
+    return _fit(prob, _pack(start, None), lo, hi, False)
 
 
 def calibrate_multiscale(prob: CalibProblem, heston_result: CalibResult) -> CalibResult:
     """Two-stage corrected-model fit seeded from the baseline stage.
 
     The start point is the baseline stage's final parameters, converged or
-    not, with all four correction coefficients at zero, so the starting
-    objective equals the baseline objective and the fit can only improve on
-    it (up to solver tolerance).
+    not, with all four correction coefficients at zero (inside their boxes,
+    which ``CalibProblem`` requires to contain 0), so the starting objective
+    equals the baseline objective and the fit can only improve on it (up to
+    solver tolerance).
     """
     prob.require_enough_quotes(9)
     x0 = _pack(heston_result.heston, GroupParams.zero())
@@ -346,7 +356,10 @@ def residual_ratio_report(
     multiscale_result: CalibResult,
     prob: CalibProblem,
 ) -> list:
-    """Side-by-side per-expiry residuals of the two fits plus their ratio."""
+    """Side-by-side per-expiry residuals of the two fits plus their ratio.
+
+    The ratio is ``None`` where the multiscale mean square is 0.
+    """
     h_map = heston_result.rss_map()
     m_map = multiscale_result.rss_map()
     rows = []
@@ -359,7 +372,7 @@ def residual_ratio_report(
                 "n_quotes": len(prob.market.strikes(expiry)),
                 "heston_mean_sq": h,
                 "multiscale_mean_sq": mval,
-                "ratio": h / mval if mval > 0 else math.inf,
+                "ratio": h / mval if mval > 0 else None,
             }
         )
     return rows
@@ -370,9 +383,10 @@ def format_residual_table(rows: list) -> str:
     header = f"{'days':>6} {'n':>4} {'heston_msr':>14} {'multiscale_msr':>14} {'ratio':>8}"
     lines = [header]
     for row in rows:
+        ratio = "-" if row["ratio"] is None else f"{row['ratio']:.2f}"
         lines.append(
             f"{row['days']:>6d} {row['n_quotes']:>4d} "
             f"{row['heston_mean_sq']:>14.6e} {row['multiscale_mean_sq']:>14.6e} "
-            f"{row['ratio']:>8.2f}"
+            f"{ratio:>8}"
         )
     return "\n".join(lines)

@@ -184,7 +184,8 @@ def _emit(text: str, output: str | None):
 
 
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a non-finite number raises: NaN and Infinity are not JSON
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _sha256_of(path) -> str:
@@ -305,6 +306,7 @@ def _cmd_calibrate(args, config):
                        ("kappa", "rho", "sigma", "theta", "z", "r")},
             "objective": h_res.objective,
             "iterations": h_res.iterations,
+            "jacobians": h_res.jacobians,
             "converged": h_res.converged,
             "feller_satisfied": h_res.feller_satisfied,
         },
@@ -314,6 +316,7 @@ def _cmd_calibrate(args, config):
             "group": {k: getattr(m_res.group, k) for k in V_NAMES},
             "objective": m_res.objective,
             "iterations": m_res.iterations,
+            "jacobians": m_res.jacobians,
             "converged": m_res.converged,
             "feller_satisfied": m_res.feller_satisfied,
         },

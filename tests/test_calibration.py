@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,19 +15,20 @@ from msheston.calibration import (
     objective_multiscale,
     residual_ratio_report,
 )
-from msheston import calibration, pricer
+from msheston import calibration, cli, pricer
 from msheston.calibration import (
     _forward_jacobian,
     _pack,
     _per_expiry_rss,
-    _residuals,
+    _prices,
     _transformed_bounds,
+    _unpack,
 )
 from msheston.errors import NonFinite
 from msheston.kernel import HestonParams
 from msheston.pricer import GroupParams
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
-from msheston.vol_surface import VolPoint, VolSurface, model_surface
+from msheston.vol_surface import VolPoint, VolSurface, implied_vol, model_surface
 
 from .helpers import group_array
 
@@ -128,7 +131,14 @@ class TestObjective:
         )
         assert np.all(np.isfinite(res))
         assert np.max(np.abs(res)) <= 1.0 + 1e-12
-        assert np.any(np.abs(res) == 1.0)
+        out = np.abs(res) == 1.0
+        assert np.any(out)
+        # such quotes get zero Jacobian rows; the others still move
+        lo, hi = _transformed_bounds({}, multiscale=True)
+        x = _pack(TRUTH_P, GroupParams(0.0, 0.0, 0.49, 0.0))
+        jac = _forward_jacobian(x, lo, hi, _price_rows(prob), heston_market)
+        assert np.all(jac[out] == 0.0)
+        assert np.all(np.any(jac[~out] != 0.0, axis=1))
 
 
 class TestCalibrateHeston:
@@ -302,10 +312,18 @@ class TestOneRunPerStage:
             assert n_integrations == fit.nfev + fit.njev
             assert res.objective == fit.fun @ fit.fun
             assert res.iterations == fit.nfev
+            assert res.jacobians == fit.njev
+
+
+def _price_rows(prob):
+    """The ``prices`` callable of a corrected-model fit on ``prob``."""
+    rate = prob.market.rate(prob.market.expiries()[0])
+    return lambda xs: _prices([_unpack(x, rate, True) for x in xs], prob)
 
 
 class TestBatchedPasses:
-    """A residual pass and a Jacobian each price all their points in one integration."""
+    """A residual pass and a Jacobian each price all their points in one
+    integration, and each inverts only one point's quotes."""
 
     def _setup(self, market, spec=SPEC):
         # a box on v1e that the start point nearly touches, so that the
@@ -318,49 +336,64 @@ class TestBatchedPasses:
             GroupParams(0.01 - 1e-7, -0.001, -0.004, 0.0015),
         )
         rate = market.rate(EXPIRIES[0])
-        return x, lo, hi, lambda xs: _residuals(xs, prob, rate, True)
+
+        def residuals(x):
+            return objective_multiscale(_unpack(x, rate, True), prob)
+
+        return x, lo, hi, _price_rows(prob), residuals
 
     def test_one_integration_per_pass(self, monkeypatch, multiscale_market):
-        calls = []
+        calls, inversions = [], []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return integrate_adaptive(*args, **kwargs)
 
+        def counted_inversion(*args, **kwargs):
+            inversions.append(1)
+            return implied_vol(*args, **kwargs)
+
         monkeypatch.setattr(pricer, "integrate_adaptive", counted)
-        x, lo, hi, residuals = self._setup(multiscale_market)
-        res = residuals(x[None, :])
-        assert len(calls) == 1
-        assert res.shape == (1, multiscale_market.n_points)
-        jac = _forward_jacobian(x, lo, hi, residuals)
-        assert len(calls) == 2
-        assert jac.shape == (multiscale_market.n_points, 9)
+        monkeypatch.setattr(calibration, "implied_vol", counted_inversion)
+        n = multiscale_market.n_points
+        x, lo, hi, prices, residuals = self._setup(multiscale_market)
+        res = residuals(x)
+        assert (len(calls), len(inversions)) == (1, n)
+        assert res.shape == (n,)
+        # the iterate and its 9 neighbours in one integration; inverting the
+        # neighbours too would make 10 n inversions
+        jac = _forward_jacobian(x, lo, hi, prices, multiscale_market)
+        assert (len(calls), len(inversions)) == (2, 2 * n)
+        assert jac.shape == (n, 9)
 
     def test_jacobian_against_central_differences(self, multiscale_market):
-        # central differences with step 1e-4, each point priced on its own at
-        # 1e-11 quadrature tolerances; the batched forward differences (step
-        # 1e-6) meet them to 4.4e-5 in the v3e column, 1.4e-5 of its largest
-        # entry, and closer elsewhere
+        # central differences of the residuals with step 1e-4, each point
+        # priced on its own at 1e-11 quadrature tolerances; the forward price
+        # differences (step 1e-6) over vega at the iterate meet them to
+        # 9.9e-6 in the v3e column, 3.0e-6 of its largest entry, and closer
+        # elsewhere
         spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-        x, lo, hi, residuals = self._setup(multiscale_market, spec)
+        x, lo, hi, prices, residuals = self._setup(multiscale_market, spec)
         steps = []
 
         def recorded(xs):
             steps.append(np.diag(xs[1:]) - x)
-            return residuals(xs)
+            return prices(xs)
 
-        jac = _forward_jacobian(x, lo, hi, recorded)
+        jac = _forward_jacobian(x, lo, hi, recorded, multiscale_market)
         # v1e > 0 steps down, flipped at its upper bound; v4e > 0 steps up
         assert steps[0][5] < 0.0 < steps[0][8]
         delta = 1e-4
         for j in range(len(x)):
             e = np.zeros_like(x)
             e[j] = delta
-            central = (
-                residuals((x + e)[None, :])[0] - residuals((x - e)[None, :])[0]
-            ) / (2.0 * delta)
+            central = (residuals(x + e) - residuals(x - e)) / (2.0 * delta)
             scale = max(1.0, float(np.max(np.abs(central))))
-            assert np.max(np.abs(jac[:, j] - central)) <= 1e-4 * scale, j
+            assert np.max(np.abs(jac[:, j] - central)) <= 1e-5 * scale, j
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
 
 
 class TestResidualReport:
@@ -404,6 +437,21 @@ class TestResidualReport:
                 assert row["ratio"] == pytest.approx(
                     h_map[expiry] / m_map[expiry]
                 )
+            else:
+                assert row["ratio"] is None
         table = format_residual_table(rows)
         assert "ratio" in table.splitlines()[0]
         assert len(table.splitlines()) == len(rows) + 1
+
+    def test_zero_multiscale_mean_square_has_no_ratio(self, heston_market):
+        # on exact quotes both mean squares can be 0: no ratio, not inf
+        prob = _problem(heston_market)
+        h_res = calibrate_heston(prob, TRUTH_P)
+        zero = dataclasses.replace(h_res, per_expiry_rss=tuple(
+            (expiry, 0.0) for expiry, _ in h_res.per_expiry_rss))
+        for h in (h_res, zero):
+            rows = residual_ratio_report(h, zero, prob)
+            assert [row["ratio"] for row in rows] == [None] * len(EXPIRIES)
+            table = format_residual_table(rows).splitlines()
+            assert all(line.split()[-1] == "-" for line in table[1:])
+            json.loads(cli._json_dumps(rows), parse_constant=_reject)

@@ -508,6 +508,8 @@ class TestCli:
         )
         assert payload["provenance"]["chain_sha256"]
         assert "ratio" in captured.out
+        for stage in ("heston", "multiscale"):
+            assert payload[stage]["jacobians"] >= 1
 
     def test_config_from_environment_is_hashed(
         self, tmp_path, heston_chain, monkeypatch, capsys
@@ -540,6 +542,12 @@ class TestCli:
         assert payload["heston"]["iterations"] == 2
         assert payload["multiscale"]["objective"] <= payload["heston"]["objective"]
         assert "ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_refuses_nonfinite_numbers(self, value):
+        # NaN and Infinity are not JSON: never written silently
+        with pytest.raises(ValueError, match="Out of range float"):
+            cli._json_dumps({"ratio": value})
 
     def test_nonfinite_chain_number_exits_2(self, tmp_path, capsys):
         lines = _set(_two_row_chain(tmp_path), 3, "bid", "nan")
@@ -589,7 +597,9 @@ class TestCli:
         ("kappa", [0, 5], "(0, inf)"),
         ("z", [-1, 1], "(0, inf)"),
         ("sigma", [0.5, 0.2], "(0, inf)"),
-    ], ids=["rho", "kappa", "z", "sigma"])
+        # a correction box must contain v = 0, where the corrected fit starts
+        ("v1e", [0.05, 0.2], None),
+    ], ids=["rho", "kappa", "z", "sigma", "v1e"])
     def test_bound_outside_its_domain_exits_3_before_pricing(
         self, tmp_path, chain_path, monkeypatch, capsys, name, pair, domain
     ):
@@ -601,8 +611,23 @@ class TestCli:
         argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain_path)]
         assert main(argv) == 3
         lo, hi = map(float, pair)
-        assert (f"bounds.{name} = [{lo}, {hi}] must satisfy lo < hi inside "
-                f"{domain}") in capsys.readouterr().err
+        rule = (f"must satisfy lo < hi inside {domain}" if domain else
+                "must contain 0, where the corrected model is the baseline")
+        assert f"bounds.{name} = [{lo}, {hi}] {rule}" in capsys.readouterr().err
+
+    def test_start_outside_its_box_named(
+        self, tmp_path, chain_path, monkeypatch, capsys
+    ):
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("priced before checking the start")
+
+        monkeypatch.setattr(calibration, "price_strips", no_pricing)
+        cfg = {"calibration": {"start": CALIB_START,
+                               "bounds": {"kappa": [2.0, 3.0]}}}
+        argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: start kappa = 1.5 violates bounds.kappa = [2.0, 3.0]\n")
 
     def test_numeric_error_exit_code(self):
         rc = main(
