@@ -8,10 +8,10 @@ its fitted objective can only improve).  A fit minimizes the implied-vol
 quote residuals and nothing else: the Feller condition is reported
 (``CalibResult.feller_satisfied``), never enforced.
 
-Internals optimize in a transformed space: log for the positive parameters,
-atanh for the correlation, identity with a symmetric box for the correction
-coefficients.  Iterates therefore stay feasible without constraint
-machinery; the reported results are always in natural units.
+A fit runs in natural units, (kappa, rho, sigma, theta, z, v1e..v4e),
+inside the box of ``DEFAULT_BOUNDS`` overridden by ``CalibProblem.bounds``:
+SciPy's trust-region reflective method keeps every iterate strictly inside
+it, and the Jacobian's difference steps are clipped into it.
 
 Each stage is one ``least_squares`` run from its start point.  Each
 residual evaluation prices every expiry in one ``price_strips`` call, and
@@ -25,6 +25,7 @@ and per-expiry residuals are read off the run's final residual vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,10 +96,16 @@ class CalibProblem:
     def __post_init__(self):
         if not all(math.isfinite(pt.implied_vol) for pt in self.market.points):
             raise NonFinite("market implied vols must be finite")
-        for name, (lo, hi) in self.bounds.items():
+        for name, pair in self.bounds.items():
             if name not in DEFAULT_BOUNDS:
                 raise ValueError(f"unknown bound bounds.{name}; known: "
                                  f"{', '.join(DEFAULT_BOUNDS)}")
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in pair)):
+                raise ValueError(f"bounds.{name} = {pair!r} is not a (lo, hi) "
+                                 "pair of numbers")
+            lo, hi = pair
             a, b = (-1.0, 1.0) if name == "rho" else (
                 (-math.inf, math.inf) if name in V_NAMES else (0.0, math.inf))
             if not a < lo < hi < b:
@@ -145,56 +152,26 @@ class CalibResult:
         return dict(self.per_expiry_rss)
 
 
-# -- parameter transforms ------------------------------------------------------
-
-
-def _transform(name: str, value: float) -> float:
-    if name == "rho":
-        return math.atanh(value)
-    if name in V_NAMES:
-        return value
-    return math.log(value)
-
-
-def _untransform(name: str, value: float) -> float:
-    if name == "rho":
-        return math.tanh(value)
-    return math.exp(value)
+# -- parameter vector ----------------------------------------------------------
 
 
 def _pack(p: HestonParams, v: GroupParams | None) -> np.ndarray:
-    vals = [_transform(n, getattr(p, n)) for n in THETA_NAMES]
+    vals = [getattr(p, n) for n in THETA_NAMES]
     if v is not None:
         vals += [getattr(v, n) for n in V_NAMES]
-    return np.array(vals)
+    return np.array(vals, dtype=float)
 
 
-def _unpack(x: np.ndarray, r: float, multiscale: bool):
-    natural = {
-        name: _untransform(name, x[i]) for i, name in enumerate(THETA_NAMES)
-    }
-    p = HestonParams(
-        kappa=natural["kappa"],
-        theta=natural["theta"],
-        sigma=natural["sigma"],
-        rho=natural["rho"],
-        z=natural["z"],
-        r=r,
-    )
-    if not multiscale:
-        return p, None
-    v = GroupParams(*(float(x[5 + i]) for i in range(4)))
-    return p, v
+def _unpack(x: np.ndarray, r: float):
+    """(p, v) of a 5- or 9-entry parameter vector; v is None for 5."""
+    p = HestonParams(**{n: float(val) for n, val in zip(THETA_NAMES, x)}, r=r)
+    return p, (GroupParams(*(float(val) for val in x[5:])) if len(x) > 5 else None)
 
 
-def _transformed_bounds(bounds: dict, multiscale: bool):
+def _box(bounds: dict, multiscale: bool):
+    """(lo, hi) arrays: ``bounds`` over ``DEFAULT_BOUNDS``, in ``_pack`` order."""
     names = THETA_NAMES + (V_NAMES if multiscale else ())
-    lo, hi = [], []
-    for name in names:
-        b_lo, b_hi = bounds.get(name, DEFAULT_BOUNDS[name])
-        lo.append(_transform(name, b_lo))
-        hi.append(_transform(name, b_hi))
-    return np.array(lo), np.array(hi)
+    return np.array([bounds.get(n, DEFAULT_BOUNDS[n]) for n in names], dtype=float).T
 
 
 # -- objective -----------------------------------------------------------------
@@ -259,33 +236,38 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
 def _forward_jacobian(x, lo, hi, prices, market) -> np.ndarray:
     """Residual Jacobian at ``x``: column j is -(P(x + h_j e_j) - P(x)) / h_j / vega.
 
-    SciPy's 2-point step h_j = 1e-6 sign(x_j) max(1, |x_j|), flipped inward
-    where it would leave the bounds; ``prices`` prices x and its neighbours in
-    one batch.  Vega is at the iterate's model vol (d sigma / dP exactly), so
-    only the iterate's quotes are inverted.
+    SciPy's 2-point step h_j = 1e-6 sign(x_j) max(1, |x_j|) in natural units,
+    flipped inward where it would leave the bounds, then clipped into them,
+    since a box narrower than the step (theta in [1e-8, 1e-7]) leaves it on
+    both sides; ``prices`` prices x and its neighbours in one batch.  Vega is
+    at the iterate's model vol (d sigma / dP exactly), so only the iterate's
+    quotes are inverted.
     """
     h = 1e-6 * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = np.where((x + h < lo) | (x + h > hi), -h, h)
-    neighbours = x + np.diag(h)
+    neighbours = x + np.diag(np.clip(x + h, lo, hi) - x)
     rows = prices(np.vstack((x, neighbours)))
     slopes = _vol_residuals(rows[0], market)[1]
     return -(rows[1:] - rows[0]).T / (np.diag(neighbours) - x) * slopes[:, None]
 
 
-def _fit(prob, x0, lo, hi, multiscale) -> CalibResult:
-    """One least-squares run from ``x0``.
+def _fit(prob, x0, lo, hi) -> CalibResult:
+    """One least-squares run from ``x0``, over 5 or 9 parameters.
 
-    SciPy's TRF accepts a step only when the cost falls, so the run never
-    ends above its start.  It costs nfev + njev integrations and inverts the
-    quotes once per residual pass and once per Jacobian, at the iterate.
+    SciPy's TRF keeps every iterate strictly inside the box [lo, hi] and
+    accepts a step only when the cost falls, so the run never ends above its
+    start.  Its trust region is scaled by the Jacobian's column norms, since
+    the parameters' natural units differ by orders of magnitude.  It costs
+    nfev + njev integrations and inverts the quotes once per residual pass
+    and once per Jacobian, at the iterate.
     """
     rate = prob.market.rate(prob.market.expiries()[0])
 
     def prices(xs):
-        return _prices([_unpack(x, rate, multiscale) for x in xs], prob)
+        return _prices([_unpack(x, rate) for x in xs], prob)
 
     def fun(x):
-        return objective_multiscale(_unpack(x, rate, multiscale), prob)
+        return objective_multiscale(_unpack(x, rate), prob)
 
     def jac(x):
         return _forward_jacobian(x, lo, hi, prices, prob.market)
@@ -299,9 +281,10 @@ def _fit(prob, x0, lo, hi, multiscale) -> CalibResult:
         jac=jac,
         bounds=(lo, hi),
         method="trf",
-        max_nfev=MULTISCALE_MAX_NFEV if multiscale else HESTON_MAX_NFEV,
+        x_scale="jac",
+        max_nfev=MULTISCALE_MAX_NFEV if len(x0) > 5 else HESTON_MAX_NFEV,
     )
-    p, v = _unpack(fit.x, rate, multiscale)
+    p, v = _unpack(fit.x, rate)
     return CalibResult(
         heston=p,
         group=v,
@@ -319,17 +302,17 @@ def calibrate_heston(prob: CalibProblem, start: HestonParams) -> CalibResult:
 
     One run from ``start``, which must lie inside the bounds: a
     ``ValueError`` names the first parameter that does not.  Forward-difference
-    Jacobians step 1e-6 max(1, |x|) in the transformed coordinates, all
-    columns from one batched pricing pass.  Deterministic for fixed inputs.
+    Jacobians step 1e-6 max(1, |x|) in natural units, all columns from one
+    batched pricing pass.  Deterministic for fixed inputs.
     """
     prob.require_enough_quotes(5)
-    for name in THETA_NAMES:
-        b_lo, b_hi = prob.bounds.get(name, DEFAULT_BOUNDS[name])
-        if not b_lo <= getattr(start, name) <= b_hi:
-            raise ValueError(f"start {name} = {getattr(start, name)} violates "
+    x0 = _pack(start, None)
+    lo, hi = _box(prob.bounds, multiscale=False)
+    for name, x, b_lo, b_hi in zip(THETA_NAMES, x0, lo, hi):
+        if not b_lo <= x <= b_hi:
+            raise ValueError(f"start {name} = {x} violates "
                              f"bounds.{name} = [{b_lo}, {b_hi}]")
-    lo, hi = _transformed_bounds(prob.bounds, multiscale=False)
-    return _fit(prob, _pack(start, None), lo, hi, False)
+    return _fit(prob, x0, lo, hi)
 
 
 def calibrate_multiscale(prob: CalibProblem, heston_result: CalibResult) -> CalibResult:
@@ -343,9 +326,8 @@ def calibrate_multiscale(prob: CalibProblem, heston_result: CalibResult) -> Cali
     """
     prob.require_enough_quotes(9)
     x0 = _pack(heston_result.heston, GroupParams.zero())
-    lo, hi = _transformed_bounds(prob.bounds, multiscale=True)
-    x0 = np.clip(x0, lo, hi)
-    return _fit(prob, x0, lo, hi, True)
+    lo, hi = _box(prob.bounds, multiscale=True)
+    return _fit(prob, np.clip(x0, lo, hi), lo, hi)
 
 
 # -- reporting -----------------------------------------------------------------

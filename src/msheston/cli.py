@@ -31,6 +31,7 @@ from .calibration import (
     THETA_NAMES,
     V_NAMES,
     CalibProblem,
+    CalibResult,
     calibrate_heston,
     calibrate_multiscale,
     format_residual_table,
@@ -282,6 +283,22 @@ def _cmd_sweep(args, config):
     return 0
 
 
+def _stage_payload(res: CalibResult) -> dict:
+    """One stage's block of the ``calibrate`` JSON; ``group`` when it has one."""
+    group = {} if res.group is None else {
+        "group": {k: getattr(res.group, k) for k in V_NAMES}}
+    return {
+        "params": {k: getattr(res.heston, k) for k in
+                   ("kappa", "rho", "sigma", "theta", "z", "r")},
+        **group,
+        "objective": res.objective,
+        "iterations": res.iterations,
+        "jacobians": res.jacobians,
+        "converged": res.converged,
+        "feller_satisfied": res.feller_satisfied,
+    }
+
+
 def _cmd_calibrate(args, config):
     calib = _settings("calibration", args, config)
     quadrature = replace(CALIBRATION_QUADRATURE, **_settings("quadrature", args, config))
@@ -301,25 +318,8 @@ def _cmd_calibrate(args, config):
             "chain_sha256": _sha256_of(args.chain),
             "config_sha256": _sha256_of(args.config) if args.config else None,
         },
-        "heston": {
-            "params": {k: getattr(h_res.heston, k) for k in
-                       ("kappa", "rho", "sigma", "theta", "z", "r")},
-            "objective": h_res.objective,
-            "iterations": h_res.iterations,
-            "jacobians": h_res.jacobians,
-            "converged": h_res.converged,
-            "feller_satisfied": h_res.feller_satisfied,
-        },
-        "multiscale": {
-            "params": {k: getattr(m_res.heston, k) for k in
-                       ("kappa", "rho", "sigma", "theta", "z", "r")},
-            "group": {k: getattr(m_res.group, k) for k in V_NAMES},
-            "objective": m_res.objective,
-            "iterations": m_res.iterations,
-            "jacobians": m_res.jacobians,
-            "converged": m_res.converged,
-            "feller_satisfied": m_res.feller_satisfied,
-        },
+        "heston": _stage_payload(h_res),
+        "multiscale": _stage_payload(m_res),
         "per_expiry": rows,
     }
     _emit(_json_dumps(payload), args.output)

@@ -84,9 +84,12 @@ EDGE_HESTON = {
 }
 
 
+# Smile-sweep benchmark: short-vol regime with strong negative skew.
+FIGURE1_HESTON = HestonParams(
+    kappa=3.4, theta=0.024, sigma=0.39, rho=-0.64, z=0.04, r=0.0
+)
+
+
 @pytest.fixture(scope="session")
 def figure1_heston() -> HestonParams:
-    # smile-sweep benchmark: short-vol regime with strong negative skew
-    return HestonParams(
-        kappa=3.4, theta=0.024, sigma=0.39, rho=-0.64, z=0.04, r=0.0
-    )
+    return FIGURE1_HESTON

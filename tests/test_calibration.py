@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
 from msheston.calibration import (
+    THETA_NAMES,
     CalibProblem,
     calibrate_heston,
     calibrate_multiscale,
@@ -17,11 +19,11 @@ from msheston.calibration import (
 )
 from msheston import calibration, cli, pricer
 from msheston.calibration import (
+    _box,
     _forward_jacobian,
     _pack,
     _per_expiry_rss,
     _prices,
-    _transformed_bounds,
     _unpack,
 )
 from msheston.errors import NonFinite
@@ -30,6 +32,7 @@ from msheston.pricer import GroupParams
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
 from msheston.vol_surface import VolPoint, VolSurface, implied_vol, model_surface
 
+from .conftest import FIGURE1_HESTON, TABLE1_HESTON
 from .helpers import group_array
 
 SPEC = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
@@ -38,6 +41,8 @@ TRUTH_P = HestonParams(
     kappa=1.8, theta=0.09, sigma=0.4, rho=-0.55, z=0.06, r=0.02
 )
 TRUTH_V = GroupParams(0.002, -0.001, -0.004, 0.0015)
+# sigma^2 > 2 kappa theta: the Feller condition fails
+EQUITY_P = HestonParams(kappa=1.5, theta=0.04, sigma=0.6, rho=-0.7, z=0.04, r=0.02)
 
 EXPIRIES = [0.25, 0.6, 1.2]
 STRIKES = list(np.linspace(85.0, 115.0, 7))
@@ -134,7 +139,7 @@ class TestObjective:
         out = np.abs(res) == 1.0
         assert np.any(out)
         # such quotes get zero Jacobian rows; the others still move
-        lo, hi = _transformed_bounds({}, multiscale=True)
+        lo, hi = _box({}, multiscale=True)
         x = _pack(TRUTH_P, GroupParams(0.0, 0.0, 0.49, 0.0))
         jac = _forward_jacobian(x, lo, hi, _price_rows(prob), heston_market)
         assert np.all(jac[out] == 0.0)
@@ -153,6 +158,38 @@ class TestCalibrateHeston:
             got = getattr(res.heston, name)
             want = getattr(TRUTH_P, name)
             assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("truth", [TRUTH_P, TABLE1_HESTON, FIGURE1_HESTON, EQUITY_P],
+                             ids=["truth-p", "table-1", "figure-1", "equity-like"])
+    def test_recovery_from_far_starts(self, truth):
+        # four seeded starts, each parameter scaled by a factor in [0.6, 1.4]
+        prob = _problem(_as_market(model_surface(EXPIRIES, STRIKES, truth, None, SPEC)))
+        for seed in range(4):
+            factors = np.random.default_rng(seed).uniform(0.6, 1.4, len(THETA_NAMES))
+            start = truth.replace(**{
+                name: f * getattr(truth, name) for name, f in zip(THETA_NAMES, factors)})
+            res = calibrate_heston(prob, start)
+            assert res.converged, seed
+            for name in THETA_NAMES:
+                got, want = getattr(res.heston, name), getattr(truth, name)
+                tol = 1e-5 if name == "rho" else 1e-5 * want
+                assert abs(got - want) <= tol, (seed, name)
+
+    @pytest.mark.parametrize("name, box", [
+        ("theta", (1e-8, 1e-7)),
+        ("kappa", (1e-4, 5e-4)),
+        ("rho", (-0.9999999, -0.9999995)),
+    ])
+    def test_narrow_box_fits(self, heston_market, name, box):
+        # the theta and rho boxes are narrower than the 1e-6 difference step;
+        # unclipped, a step out of the theta box reaches a negative theta
+        prob = _problem(heston_market, bounds={name: box})
+        h_res = calibrate_heston(prob, TRUTH_P.replace(**{name: sum(box) / 2}))
+        m_res = calibrate_multiscale(prob, h_res)
+        for res in (h_res, m_res):
+            assert res.converged
+            assert box[0] <= getattr(res.heston, name) <= box[1]
+        assert m_res.objective <= h_res.objective
 
     def test_recovery_from_perturbed_start(self, heston_market):
         prob = _problem(heston_market)
@@ -224,8 +261,7 @@ class TestCalibrateHeston:
 
     @pytest.mark.parametrize("truth, start", [
         (TRUTH_P.replace(sigma=0.7), TRUTH_P.replace(sigma=0.7)),
-        (HestonParams(kappa=1.5, theta=0.04, sigma=0.6, rho=-0.7, z=0.04,
-                      r=0.02), TRUTH_P),
+        (EQUITY_P, TRUTH_P),
     ], ids=["sigma-0.7", "equity-like"])
     def test_feller_violating_fit_converges_and_reports_it(self, truth, start):
         # sigma^2 > 2 kappa theta at the truth: both stages recover it, the
@@ -248,6 +284,13 @@ class TestCalibrateHeston:
         with pytest.raises(ValueError, match="unknown bound bounds.kapa; known: "
                            "kappa, rho, sigma, theta, z, v1e, v2e, v3e, v4e"):
             _problem(heston_market, bounds={"kapa": (0.5, 1.0)})
+
+    @pytest.mark.parametrize("value", [5.0, (1.0,), (1, 2, 3), "12"],
+                             ids=["number", "one", "three", "string"])
+    def test_bound_not_a_pair_rejected(self, heston_market, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bounds.kappa = {value!r} is not a (lo, hi) pair of numbers")):
+            _problem(heston_market, bounds={"kappa": value})
 
     def test_too_few_quotes_rejected_before_pricing(self, monkeypatch, heston_market):
         few = VolSurface(
@@ -318,7 +361,7 @@ class TestOneRunPerStage:
 def _price_rows(prob):
     """The ``prices`` callable of a corrected-model fit on ``prob``."""
     rate = prob.market.rate(prob.market.expiries()[0])
-    return lambda xs: _prices([_unpack(x, rate, True) for x in xs], prob)
+    return lambda xs: _prices([_unpack(x, rate) for x in xs], prob)
 
 
 class TestBatchedPasses:
@@ -330,7 +373,7 @@ class TestBatchedPasses:
         # forward step along v1e has to be flipped inward
         bounds = {"v1e": (-0.01, 0.01)}
         prob = CalibProblem(market=market, bounds=bounds, quadrature=spec)
-        lo, hi = _transformed_bounds(bounds, multiscale=True)
+        lo, hi = _box(bounds, multiscale=True)
         x = _pack(
             TRUTH_P.replace(kappa=1.4, sigma=0.5),
             GroupParams(0.01 - 1e-7, -0.001, -0.004, 0.0015),
@@ -338,7 +381,7 @@ class TestBatchedPasses:
         rate = market.rate(EXPIRIES[0])
 
         def residuals(x):
-            return objective_multiscale(_unpack(x, rate, True), prob)
+            return objective_multiscale(_unpack(x, rate), prob)
 
         return x, lo, hi, _price_rows(prob), residuals
 
@@ -369,8 +412,9 @@ class TestBatchedPasses:
     def test_jacobian_against_central_differences(self, multiscale_market):
         # central differences of the residuals with step 1e-4, each point
         # priced on its own at 1e-11 quadrature tolerances; the forward price
-        # differences (step 1e-6) over vega at the iterate meet them to
-        # 9.9e-6 in the v3e column, 3.0e-6 of its largest entry, and closer
+        # differences (step 1e-6 in natural units) over vega at the iterate
+        # meet them to 9.9e-6 in the v3e column, 3.0e-6 of its largest entry,
+        # to 5.6e-6 in the z column, whose largest entry is 2, and closer
         # elsewhere
         spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
         x, lo, hi, prices, residuals = self._setup(multiscale_market, spec)

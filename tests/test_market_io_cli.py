@@ -18,7 +18,7 @@ from msheston.market_io import (
     load_config,
     write_chain,
 )
-from msheston.pricer import price_strikes
+from msheston.pricer import GroupParams, price_strikes
 from msheston.vol_surface import bs_call
 
 from .helpers import exp_ou_unit_v
@@ -548,6 +548,22 @@ class TestCli:
         # NaN and Infinity are not JSON: never written silently
         with pytest.raises(ValueError, match="Out of range float"):
             cli._json_dumps({"ratio": value})
+
+    def test_stage_payload(self):
+        # each stage's JSON block: the same keys and values for both stages,
+        # plus the correction coefficients where the stage fitted them
+        p = HestonParams(kappa=1.5, theta=0.07, sigma=0.45, rho=-0.4, z=0.05, r=0.02)
+        v = GroupParams(0.002, -0.001, -0.004, 0.0015)
+        params = {"kappa": 1.5, "rho": -0.4, "sigma": 0.45, "theta": 0.07,
+                  "z": 0.05, "r": 0.02}
+        for group, blocks in ((None, {}), (v, {"group": {
+                "v1e": 0.002, "v2e": -0.001, "v3e": -0.004, "v4e": 0.0015}})):
+            res = calibration.CalibResult(
+                heston=p, group=group, objective=1.25e-6, per_expiry_rss=((0.5, 1e-7),),
+                iterations=7, jacobians=6, converged=True, feller_satisfied=False)
+            assert cli._stage_payload(res) == {
+                "params": params, **blocks, "objective": 1.25e-6, "iterations": 7,
+                "jacobians": 6, "converged": True, "feller_satisfied": False}
 
     def test_nonfinite_chain_number_exits_2(self, tmp_path, capsys):
         lines = _set(_two_row_chain(tmp_path), 3, "bid", "nan")
