@@ -135,8 +135,11 @@ class CalibResult:
     each Jacobian is one batched integration that prices the iterate and its
     neighbours, one per free parameter, and inverts the iterate's quotes
     only.  A run costs nfev + njev integrations.
-    ``feller_satisfied`` reports whether the fitted point meets the Feller
-    condition, which the fit does not enforce.
+    ``soft_failures`` counts the run's integrations in which any strip came
+    back tagged ``nonconvergence``: their prices are best estimates that
+    missed the quadrature tolerance.  ``feller_satisfied`` reports whether
+    the fitted point meets the Feller condition, which the fit does not
+    enforce.
     """
 
     heston: HestonParams
@@ -145,6 +148,7 @@ class CalibResult:
     per_expiry_rss: tuple
     iterations: int
     jacobians: int
+    soft_failures: int
     converged: bool
     feller_satisfied: bool
 
@@ -177,8 +181,10 @@ def _box(bounds: dict, multiscale: bool):
 # -- objective -----------------------------------------------------------------
 
 
-def _prices(points, prob: CalibProblem) -> np.ndarray:
-    """Call prices of each (p, v) point in market order: one ``price_strips`` call."""
+def _prices(points, prob: CalibProblem):
+    """Call prices of each (p, v) point in market order, from one
+    ``price_strips`` call, and whether any strip came back tagged
+    ``nonconvergence``."""
     market = prob.market
     strips = []
     for p, v in points:
@@ -187,8 +193,9 @@ def _prices(points, prob: CalibProblem) -> np.ndarray:
             spot_eff = market.spot * math.exp(-market.dividend_yield(expiry) * expiry)
             p_exp = p if p.r == rate else p.replace(r=rate)
             strips.append((market.strikes(expiry), expiry, spot_eff, p_exp, v))
-    totals = [bd.total for strip in price_strips(strips, prob.quadrature) for bd in strip]
-    return np.reshape(totals, (len(points), market.n_points))
+    priced = [bd for strip in price_strips(strips, prob.quadrature) for bd in strip]
+    soft = any("nonconvergence" in bd.warnings for bd in priced)
+    return np.reshape([bd.total for bd in priced], (len(points), market.n_points)), soft
 
 
 def _vol_residuals(prices, market: VolSurface):
@@ -218,7 +225,7 @@ def objective_heston(p: HestonParams, prob: CalibProblem) -> np.ndarray:
 
 def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
     """Per-quote residual vector of the corrected model at the (p, v) pair ``phi``."""
-    return _vol_residuals(_prices([phi], prob)[0], prob.market)[0]
+    return _vol_residuals(_prices([phi], prob)[0][0], prob.market)[0]
 
 
 def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
@@ -262,12 +269,15 @@ def _fit(prob, x0, lo, hi) -> CalibResult:
     and once per Jacobian, at the iterate.
     """
     rate = prob.market.rate(prob.market.expiries()[0])
+    soft = []  # per integration: did any strip come back tagged?
 
     def prices(xs):
-        return _prices([_unpack(x, rate) for x in xs], prob)
+        rows, tagged = _prices([_unpack(x, rate) for x in xs], prob)
+        soft.append(tagged)
+        return rows
 
     def fun(x):
-        return objective_multiscale(_unpack(x, rate), prob)
+        return _vol_residuals(prices([x])[0], prob.market)[0]
 
     def jac(x):
         return _forward_jacobian(x, lo, hi, prices, prob.market)
@@ -292,6 +302,7 @@ def _fit(prob, x0, lo, hi) -> CalibResult:
         per_expiry_rss=_per_expiry_rss(fit.fun, prob.market),
         iterations=int(fit.nfev),
         jacobians=int(fit.njev),
+        soft_failures=sum(soft),
         converged=bool(fit.status > 0),
         feller_satisfied=p.feller_satisfied,
     )

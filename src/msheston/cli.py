@@ -294,6 +294,7 @@ def _stage_payload(res: CalibResult) -> dict:
         "objective": res.objective,
         "iterations": res.iterations,
         "jacobians": res.jacobians,
+        "soft_failures": res.soft_failures,
         "converged": res.converged,
         "feller_satisfied": res.feller_satisfied,
     }
@@ -309,6 +310,8 @@ def _cmd_calibrate(args, config):
     prob = CalibProblem(
         market=loaded.surface, quadrature=quadrature, **_subset(calib, "bounds")
     )
+    # the multiscale stage needs 9 quotes: refuse before fitting the Heston one
+    prob.require_enough_quotes(9)
     h_res = calibrate_heston(prob, start)
     m_res = calibrate_multiscale(prob, h_res)
     rows = residual_ratio_report(h_res, m_res, prob)
@@ -324,7 +327,8 @@ def _cmd_calibrate(args, config):
     }
     _emit(_json_dumps(payload), args.output)
     sys.stdout.write(format_residual_table(rows) + "\n")
-    if not (h_res.converged and m_res.converged):
+    # a stage that stopped short or fitted best estimates beyond tolerance
+    if not all(res.converged and not res.soft_failures for res in (h_res, m_res)):
         return _NONCONVERGENCE_EXIT
     return 0
 

@@ -31,7 +31,8 @@ carries a correction, and otherwise two: ``static`` and the correction row,
 which is exactly 0 for the strips without one.  Each strip evaluates its
 kernel once per node on its own map scale and hands it to its strikes, and
 all rows share the refinement, so a calibration residual pass or Jacobian,
-or a whole surface, costs one integration.
+or a whole surface, costs one integration.  A strip's breakdowns discount
+its own slice of the integral's strike columns.
 
 Quadrature trouble never aborts a price: each breakdown of a strip whose own
 rows miss their tolerance carries a ``nonconvergence`` warning and the best
@@ -147,12 +148,12 @@ def _strip_integrals(strips, spec, payoff):
     node, with its parameters held as column arrays, and a row-to-strip index
     gathers that kernel into the rows ``static`` of its strikes.  If any
     strip's ``v`` is nonzero, each strike adds the row
-    ``static*(kappa*theta*f0_hat + z*f1_hat)``, exactly 0 where ``v`` is.
-    Returns per strip the (rows, n_strikes) integrals, their bounds and the
-    strip's warnings.
+    ``static*(kappa*theta*f0_hat + z*f1_hat)``, exactly 0 where ``v`` is;
+    otherwise that row is zeros, not integrated.  Returns the doubled real
+    integrals, shape (2, strikes), the bounds summed over each strike's rows
+    and whether any of them missed its tolerance.
     """
-    sizes = [len(s[0]) for s in strips]
-    row_strip = np.repeat(np.arange(len(strips)), sizes)
+    row_strip = np.repeat(np.arange(len(strips)), [len(s[0]) for s in strips])
     log_k = np.log(np.concatenate([s[0] for s in strips]))[:, None]
     q = np.array([s[3].r * s[1] + math.log(s[2]) for s in strips])[row_strip, None]
     tau = np.array([s[1] for s in strips])[:, None]
@@ -178,41 +179,10 @@ def _strip_integrals(strips, spec, payoff):
     except NonConvergence as exc:
         # quadrature trouble never aborts a price: keep the best estimate
         value, err = np.asarray(exc.estimate), np.asarray(exc.error_bound)
+    if not corrected:  # no correction row: every correction part is 0
+        value, err = (np.stack((a, np.zeros_like(a))) for a in (value, err))
     missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
-    edges = np.cumsum(sizes)[:-1]
-    return [
-        (values, bounds, ("nonconvergence",) if missed_i.any() else ())
-        for values, bounds, missed_i in zip(
-            np.split(np.atleast_2d(2.0 * value.real), edges, axis=1),
-            np.split(np.atleast_2d(2.0 * err), edges, axis=1),
-            np.split(np.atleast_2d(missed), edges, axis=1),
-        )
-    ]
-
-
-def _assemble(
-    strikes, tau, spot, p, payoff, values, bounds, base_warnings
-) -> list[PriceBreakdown]:
-    prefactor = math.exp(-p.r * tau) / (2.0 * math.pi)
-    p_heston = prefactor * values[0]
-    p_correction = prefactor * values[1] if len(values) > 1 else np.zeros_like(p_heston)
-    errors = prefactor * bounds.sum(axis=0)
-    results = []
-    for strike, heston, correction, err in zip(
-        strikes, p_heston.tolist(), p_correction.tolist(), errors.tolist()
-    ):
-        total = heston + correction
-        discounted = strike * math.exp(-p.r * tau)
-        if payoff == "call":
-            lower, upper = spot - discounted, spot
-        else:
-            lower, upper = discounted - spot, discounted
-        slack = max(10.0 * err, 1e-9 * spot)
-        warnings = list(base_warnings)
-        if not (max(lower, 0.0) - slack <= total <= upper + slack):
-            warnings.append("outside_no_arbitrage_band")
-        results.append(PriceBreakdown(heston, correction, err, tuple(warnings)))
-    return results
+    return 2.0 * value.real, 2.0 * err.sum(axis=0), missed.any(axis=0)
 
 
 def _finite_positive(name: str, *values: float) -> None:
@@ -253,20 +223,31 @@ def price_strips(
         _finite_positive("strike", *strikes.tolist())
         _finite_positive("expiry", tau)
         _finite_positive("spot", spot)
-        variance = (
-            p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
-        )
+        variance = p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
         scale = min(c_infinity(tau, p), 4.0 * math.sqrt(variance))
         v = GroupParams.zero() if v is None else v
         prepared.append((strikes, tau, spot, p, v, scale))
     if not prepared:
         return []
-    return [
-        _assemble(strikes, tau, spot, p, payoff, values, bounds, warnings)
-        for (strikes, tau, spot, p, _, _), (values, bounds, warnings) in zip(
-            prepared, _strip_integrals(prepared, spec, payoff)
-        )
-    ]
+    values, errors, missed = _strip_integrals(prepared, spec, payoff)
+    edges = np.cumsum([0] + [len(s[0]) for s in prepared]).tolist()
+    results = []
+    for (strikes, tau, spot, p, _, _), lo, hi in zip(prepared, edges, edges[1:]):
+        discount = math.exp(-p.r * tau)
+        # this strip's price, correction and bound rows, discounted
+        rows = discount / (2.0 * math.pi) * np.vstack((values[:, lo:hi], errors[lo:hi]))
+        base = ("nonconvergence",) if missed[lo:hi].any() else ()
+        strip = []
+        for strike, h, c, err in zip(strikes, *rows.tolist()):
+            discounted = strike * discount
+            lower, upper = ((spot - discounted, spot) if payoff == "call"
+                            else (discounted - spot, discounted))
+            slack = max(10.0 * err, 1e-9 * spot)
+            inside = max(lower, 0.0) - slack <= h + c <= upper + slack
+            tags = base if inside else base + ("outside_no_arbitrage_band",)
+            strip.append(PriceBreakdown(h, c, err, tags))
+        results.append(strip)
+    return results
 
 
 def price_strikes(

@@ -361,7 +361,7 @@ class TestOneRunPerStage:
 def _price_rows(prob):
     """The ``prices`` callable of a corrected-model fit on ``prob``."""
     rate = prob.market.rate(prob.market.expiries()[0])
-    return lambda xs: _prices([_unpack(x, rate) for x in xs], prob)
+    return lambda xs: _prices([_unpack(x, rate) for x in xs], prob)[0]
 
 
 class TestBatchedPasses:
@@ -434,6 +434,17 @@ class TestBatchedPasses:
             central = (residuals(x + e) - residuals(x - e)) / (2.0 * delta)
             scale = max(1.0, float(np.max(np.abs(central))))
             assert np.max(np.abs(jac[:, j] - central)) <= 1e-5 * scale, j
+
+
+class TestSoftFailures:
+    def test_a_fit_counts_its_tagged_integrations(self, heston_market):
+        # three panels cannot meet 1e-9: the fit's prices come back tagged
+        # nonconvergence, and the stage says in how many integrations
+        start = TRUTH_P.replace(kappa=1.5, sigma=0.45)
+        coarse = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=3)
+        res = calibrate_heston(CalibProblem(market=heston_market, quadrature=coarse), start)
+        assert 0 < res.soft_failures <= res.iterations + res.jacobians
+        assert calibrate_heston(CalibProblem(market=heston_market), start).soft_failures == 0
 
 
 def _reject(constant):

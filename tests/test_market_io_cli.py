@@ -543,6 +543,42 @@ class TestCli:
         assert payload["multiscale"]["objective"] <= payload["heston"]["objective"]
         assert "ratio" in capsys.readouterr().out
 
+    def test_soft_failures_exit_4_and_write_the_result(
+        self, tmp_path, heston_chain, capsys
+    ):
+        # a fit on prices that missed their quadrature tolerance converges
+        # to the wrong point without a word unless it counts them
+        chain, cfg_path = heston_chain
+        cfg = json.loads(cfg_path.read_text())
+        cfg["quadrature"] = {"abs_tol": 1e-9, "rel_tol": 1e-9, "max_subdivisions": 3}
+        out = tmp_path / "result.json"
+        rc = main([*_config(tmp_path, cfg), "calibrate",
+                   "--chain", str(chain), "--output", str(out)])
+        assert rc == 4
+        payload = json.loads(out.read_text())
+        assert payload["heston"]["soft_failures"] > 0
+        assert payload["multiscale"]["soft_failures"] > 0
+        assert "ratio" in capsys.readouterr().out
+
+    def test_too_few_quotes_for_both_stages_exit_3_before_pricing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 7 quotes would do for the 5 Heston parameters but not for the 9
+        # of the multiscale stage, which always follows it
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("priced before counting the quotes")
+
+        monkeypatch.setattr(calibration, "price_strips", no_pricing)
+        chain = tmp_path / "seven.csv"
+        write_chain(chain, [_row(365, k, 0.2) for k in (85.0, 90.0, 95.0, 100.0, 105.0)]
+                    + [_row(182, k, 0.21) for k in (95.0, 100.0)])
+        cfg = {"calibration": {"start": CALIB_START}}
+        argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: 7 quotes cannot identify 9 free parameters\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_json_refuses_nonfinite_numbers(self, value):
         # NaN and Infinity are not JSON: never written silently
@@ -560,10 +596,12 @@ class TestCli:
                 "v1e": 0.002, "v2e": -0.001, "v3e": -0.004, "v4e": 0.0015}})):
             res = calibration.CalibResult(
                 heston=p, group=group, objective=1.25e-6, per_expiry_rss=((0.5, 1e-7),),
-                iterations=7, jacobians=6, converged=True, feller_satisfied=False)
+                iterations=7, jacobians=6, soft_failures=2, converged=True,
+                feller_satisfied=False)
             assert cli._stage_payload(res) == {
                 "params": params, **blocks, "objective": 1.25e-6, "iterations": 7,
-                "jacobians": 6, "converged": True, "feller_satisfied": False}
+                "jacobians": 6, "soft_failures": 2, "converged": True,
+                "feller_satisfied": False}
 
     def test_nonfinite_chain_number_exits_2(self, tmp_path, capsys):
         lines = _set(_two_row_chain(tmp_path), 3, "bid", "nan")
