@@ -208,11 +208,20 @@ def _parse_floats(text: str, flag: str) -> list:
         ) from None
 
 
-def _report_dropped(surface, where: str = ""):
-    """One stderr line per grid point that ``surface`` could not invert."""
+def _report_points(surface, where: str = "") -> bool:
+    """One stderr line per grid point that ``surface`` could not invert and
+    per point priced beyond the quadrature tolerance; True if any was."""
     for expiry, strike, kind, message in surface.errors:
         print(f"warning: {where}dropped expiry {expiry!r} strike {strike!r}: "
               f"{kind}: {message}", file=sys.stderr)
+    for expiry, strike in surface.soft_failures:
+        print(f"warning: {where}expiry {expiry!r} strike {strike!r}: "
+              "nonconvergence: price missed its quadrature tolerance", file=sys.stderr)
+    return bool(surface.soft_failures)
+
+
+def _is_soft_failure(bd) -> bool:
+    return any(w.startswith("nonconvergence") for w in bd.warnings)
 
 
 def _breakdown_payload(bd) -> dict:
@@ -240,9 +249,7 @@ def _cmd_price(args, config):
     else:
         lines = [f"{k:>18}: {val}" for k, val in _breakdown_payload(bd).items()]
         _emit("\n".join(lines) + "\n", args.output)
-    return _NONCONVERGENCE_EXIT if any(
-        w.startswith("nonconvergence") for w in bd.warnings
-    ) else 0
+    return _NONCONVERGENCE_EXIT if _is_soft_failure(bd) else 0
 
 
 def _cmd_surface(args, config):
@@ -253,9 +260,9 @@ def _cmd_surface(args, config):
         expiries, strikes, p, v, spec, spot=args.spot,
         dividend_yield=args.dividend_yield,
     )
-    _report_dropped(surface)
+    soft = _report_points(surface)
     _emit(surface.to_csv(), args.output)
-    return 0
+    return _NONCONVERGENCE_EXIT if soft else 0
 
 
 def _cmd_sweep(args, config):
@@ -272,15 +279,16 @@ def _cmd_sweep(args, config):
         )
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    soft = False
     for value, name in zip(values, names):
         surface = model_surface(
             [args.expiry], strikes, p, replace(base, **{args.vary: value}), spec,
             spot=args.spot, dividend_yield=args.dividend_yield,
         )
-        _report_dropped(surface, f"{name}: ")
+        soft = _report_points(surface, f"{name}: ") or soft
         (out_dir / name).write_text(surface.to_csv())
     sys.stdout.write("\n".join(names) + "\n")
-    return 0
+    return _NONCONVERGENCE_EXIT if soft else 0
 
 
 def _stage_payload(res: CalibResult) -> dict:
@@ -351,6 +359,9 @@ def _cmd_validate_mc(args, config):
         "analytic_corrected": bd.total,
         "mc_price": est.price,
         "mc_std_error": est.std_error,
+        "mc_uncontrolled_std_error": est.uncontrolled_std_error,
+        "mc_correction": est.correction,
+        "mc_correction_std_error": est.correction_std_error,
         "abs_gap": gap,
         "within_3_std_errors": bool(gap <= 3.0 * est.std_error),
         "truncation_fraction": est.truncation_fraction,
@@ -360,6 +371,10 @@ def _cmd_validate_mc(args, config):
         "warnings": list(est.warnings) + list(bd.warnings),
     }
     _emit(_json_dumps(payload), args.output)
+    if _is_soft_failure(bd):
+        print("warning: the analytic price missed its quadrature tolerance",
+              file=sys.stderr)
+        return _NONCONVERGENCE_EXIT
     return 0
 
 

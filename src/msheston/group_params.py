@@ -84,13 +84,24 @@ class FullModelParams:
     def rho_xz(self) -> float:
         return self.heston.rho
 
+    @property
+    def rho_effective(self) -> float:
+        """The averaged model's spot/variance correlation rho_xz * <f>."""
+        return self.rho_xz * math.exp(-0.5 * (self.nu * self.nu))
+
 
 def volatility_factor(fm: FullModelParams):
-    """The multiplicative volatility factor f(y), normalized so <f^2> = 1."""
+    """The multiplicative volatility factor f(y), normalized so <f^2> = 1.
+
+    ``f(y, out)`` writes f(y) into the array ``out`` when one is given.
+    """
     shift = fm.m + fm.nu * fm.nu
 
-    def f(y):
-        return np.exp(np.asarray(y, dtype=float) - shift)
+    def f(y, out=None):
+        if out is None:
+            return np.exp(np.asarray(y, dtype=float) - shift)
+        np.subtract(y, shift, out=out)
+        return np.exp(out, out=out)
 
     return f
 
@@ -125,12 +136,10 @@ def compute_group_params(fm: FullModelParams) -> tuple[float, GroupParams]:
             "representable"
         )
 
-    f_bar = math.exp(-0.5 * nu2)
     phi_p_bar = -1.0
-    psi_p_bar = -f_bar
+    psi_p_bar = -math.exp(-0.5 * nu2)
     f_phi_p_bar = -growth * _expm1_ratio(-2.0 * nu2)
     f_psi_p_bar = -_expm1_ratio(-nu2)
-    rho_eff = fm.rho_xz * f_bar
 
     root2nu = math.sqrt(2.0) * nu
     v1 = fm.rho_yz * sigma * root2nu * phi_p_bar
@@ -139,4 +148,4 @@ def compute_group_params(fm: FullModelParams) -> tuple[float, GroupParams]:
     v4 = fm.rho_xy * fm.rho_xz * sigma * root2nu * f_psi_p_bar
 
     amp = math.sqrt(fm.epsilon)
-    return rho_eff, GroupParams(amp * v1, amp * v2, amp * v3, amp * v4)
+    return fm.rho_effective, GroupParams(amp * v1, amp * v2, amp * v3, amp * v4)

@@ -62,7 +62,10 @@ class VolSurface:
     """Implied vols grouped by expiry, with the valuation metadata.
 
     ``rates`` and ``dividend_yields`` map expiry (years) to the per-expiry
-    level; within each expiry strikes are strictly increasing.
+    level; within each expiry strikes are strictly increasing.  A model
+    surface lists in ``errors`` the points it could not invert and in
+    ``soft_failures`` the (expiry, strike) points whose price missed its
+    quadrature tolerance.
     """
 
     spot: float
@@ -70,6 +73,7 @@ class VolSurface:
     rates: dict
     dividend_yields: dict
     errors: tuple = field(default_factory=tuple)
+    soft_failures: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if not self.spot > 0:
@@ -243,22 +247,25 @@ def model_surface(
     integration.  With ``v`` zero or None the surface is the pure
     baseline-model surface.  Points whose model price cannot be inverted
     (possible for extreme correction sizes) are collected into
-    ``surface.errors`` instead of failing the grid.  A ValueError names a
-    non-finite ``dividend_yield``.
+    ``surface.errors`` instead of failing the grid, and points priced beyond
+    the quadrature tolerance (tagged ``nonconvergence``) into
+    ``surface.soft_failures``.  A ValueError names a non-finite
+    ``dividend_yield``.
     """
     if not math.isfinite(dividend_yield):
         raise ValueError(f"dividend_yield must be finite, got {dividend_yield!r}")
     source = (
         "heston_model" if v is None or v.is_zero else "multiscale_model"
     )
-    points = []
-    errors = []
+    points, errors, soft_failures = [], [], []
     strips = [
         (strikes, expiry, spot * math.exp(-dividend_yield * expiry), p, v)
         for expiry in expiries
     ]
     for expiry, breakdowns in zip(expiries, price_strips(strips, spec)):
         for strike, bd in zip(strikes, breakdowns):
+            if "nonconvergence" in bd.warnings:
+                soft_failures.append((expiry, strike))
             try:
                 vol = implied_vol(
                     bd.total, spot, strike, expiry, p.r,
@@ -274,4 +281,5 @@ def model_surface(
         rates={expiry: p.r for expiry in expiries},
         dividend_yields={expiry: dividend_yield for expiry in expiries},
         errors=tuple(errors),
+        soft_failures=tuple(soft_failures),
     )

@@ -4,8 +4,10 @@ Everything here deliberately avoids the library's own evaluation paths:
 arbitrary-precision direct formula evaluation (mpmath), a Gil-Pelaez Heston
 pricer on scipy's QUADPACK, an ODE-system route to the corrected price
 (scipy DOP853), the closed forms the exponential-OU volatility factor
-admits for the averaged quantities, and a plain Euler fast-factor simulator
-(which shares only the Monte Carlo's random streams and colouring).
+admits for the averaged quantities, and two Monte Carlo simulators: the
+plain payoff estimator, which draws the spot's own normal, and a plain Euler
+fast-factor update of the path sums (which shares only the Monte Carlo's
+random streams and loadings).
 """
 
 from __future__ import annotations
@@ -324,20 +326,26 @@ def exp_ou_unit_v(sigma, nu, rho_xy, rho_xz, rho_yz, brackets=None) -> np.ndarra
 
 
 # ----------------------------------------------------------------------
-# Plain Euler fast-factor update, a convergence oracle for the exact
-# OU-conditional update of ``mc.simulate_paths``.
+# Monte Carlo oracles: the plain payoff estimator, which draws the spot's own
+# normal, and a plain Euler fast-factor update of the path sums.
 # ----------------------------------------------------------------------
 
 
-def euler_terminal_prices(fm, horizon, cfg) -> np.ndarray:
-    """Terminal prices per unit of spot with a plain Euler step for Y.
+def _pair_draws(rng, rows, width):
+    """``rows`` rows of ``width`` normals, followed by their mirrors."""
+    normals = rng.standard_normal((rows, width))
+    return np.concatenate([normals, -normals], axis=1)
 
-    Draws the same per-chunk streams and colours them as ``simulate_paths``
-    does, so the two differ only in the fast-factor step.  The Euler step is
-    explosive once Z dt / eps nears 2; it is used only at dt <= eps / 50.
+
+def payoff_terminal_prices(fm, horizon, cfg) -> np.ndarray:
+    """Terminal prices per unit of spot, with three normals per step.
+
+    The spot takes an exact-in-distribution Euler step of its log given the
+    current volatility, the fast factor the exact OU-conditional update of
+    ``mc.simulate_paths`` and Z the same full-truncation Euler step; only
+    the per-chunk seeding is shared with it.  Path ``i`` and path
+    ``n_paths // 2 + i`` form an antithetic pair.
     """
-    if cfg.dt > fm.epsilon / 50.0:
-        raise ValueError("the Euler fast-factor update needs dt <= epsilon / 50")
     p = fm.heston
     n_steps = max(1, int(round(horizon / cfg.dt)))
     dt = horizon / n_steps
@@ -348,24 +356,74 @@ def euler_terminal_prices(fm, horizon, cfg) -> np.ndarray:
     f = volatility_factor(fm)
     n_base = cfg.n_paths // 2
     streams = mc._chunk_streams(cfg.seed, math.ceil(n_base / mc._CHUNK))
-    xs = []
+    bases, mirrors = [], []
     for chunk, rng in enumerate(streams):
         width = min(n_base - chunk * mc._CHUNK, mc._CHUNK)
         log_x = np.zeros(2 * width)
         y = np.full(2 * width, fm.y0)
         z = np.full(2 * width, p.z)
         for _ in range(n_steps):
-            normals = rng.standard_normal((3, width))
-            w = chol @ np.concatenate([normals, -normals], axis=1)
+            w = chol @ _pair_draws(rng, 3, width)
             z_floor = np.maximum(z, 0.0)
             sig = np.sqrt(z_floor) * f(y)
             log_x += (p.r - 0.5 * sig * sig) * dt + sig * sdt * w[0]
-            rate = z_floor / fm.epsilon
-            y = y + rate * (fm.m - y) * dt + fm.nu * math.sqrt(
-                2.0
-            ) * np.sqrt(rate) * sdt * w[1]
+            c = z_floor * (dt / fm.epsilon)
+            y = fm.m + (y - fm.m) * np.exp(-c) + fm.nu * np.sqrt(
+                -np.expm1(-2.0 * c)
+            ) * w[1]
             z = z + p.kappa * (p.theta - z_floor) * dt + p.sigma * np.sqrt(
                 z_floor
             ) * sdt * w[2]
-        xs.append(np.exp(log_x))
-    return np.concatenate(xs)
+        x = np.exp(log_x)
+        bases.append(x[:width])
+        mirrors.append(x[width:])
+    return np.concatenate(bases + mirrors)
+
+
+def euler_path_sums(fm, horizon, cfg) -> mc.PathSums:
+    """``mc.simulate_paths`` with a plain Euler step for Y.
+
+    Draws the same per-chunk normals and loads them on the same Cholesky
+    factor, so the two differ only in the fast-factor step.  The Euler step
+    is explosive once Z dt / eps nears 2; it is used only at
+    dt <= eps / 50.
+    """
+    if cfg.dt > fm.epsilon / 50.0:
+        raise ValueError("the Euler fast-factor update needs dt <= epsilon / 50")
+    p = fm.heston
+    n_steps = max(1, int(round(horizon / cfg.dt)))
+    dt = horizon / n_steps
+    sdt = math.sqrt(dt)
+    (_, _, _), (l10, l11, _), (a, b, _) = mc._yzx_factor(fm)
+    f = volatility_factor(fm)
+    n_base = cfg.n_paths // 2
+    streams = mc._chunk_streams(cfg.seed, math.ceil(n_base / mc._CHUNK))
+    bases, mirrors = [], []
+    truncated = 0
+    for chunk, rng in enumerate(streams):
+        width = min(n_base - chunk * mc._CHUNK, mc._CHUNK)
+        y = np.full(2 * width, fm.y0)
+        z = np.full(2 * width, p.z)
+        sums = np.zeros((4, 2 * width))
+        for _ in range(n_steps):
+            # simulate_paths fills e1, then e2, from the stream
+            e1, e2 = _pair_draws(rng, 1, width)[0], _pair_draws(rng, 1, width)[0]
+            truncated += np.count_nonzero(z < 0.0)
+            z_floor = np.maximum(z, 0.0)
+            sig = np.sqrt(z_floor) * f(y)
+            w_z = l10 * e1 + l11 * e2
+            sums += [sig * sig * dt, sig * (a * e1 + b * e2) * sdt,
+                     z_floor * dt, np.sqrt(z_floor) * w_z * sdt]
+            rate = z_floor / fm.epsilon
+            y = y + rate * (fm.m - y) * dt + fm.nu * math.sqrt(
+                2.0
+            ) * np.sqrt(rate) * sdt * e1
+            z = z + p.kappa * (p.theta - z_floor) * dt + p.sigma * np.sqrt(
+                z_floor
+            ) * sdt * w_z
+        bases.append(sums[:, :width])
+        mirrors.append(sums[:, width:])
+    return mc.PathSums(
+        *np.concatenate(bases + mirrors, axis=1),
+        truncation_fraction=truncated / (n_steps * cfg.n_paths),
+    )

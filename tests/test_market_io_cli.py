@@ -375,9 +375,13 @@ class TestCli:
         assert rc == 0
         payload = json.loads(out.read_text())
         for key in ("analytic_corrected", "mc_price", "mc_std_error",
-                    "abs_gap", "within_3_std_errors", "truncation_fraction"):
+                    "mc_uncontrolled_std_error", "mc_correction",
+                    "mc_correction_std_error", "abs_gap", "within_3_std_errors",
+                    "truncation_fraction"):
             assert key in payload
         assert payload["mc_std_error"] > 0
+        # the controls take out most of the variance
+        assert payload["mc_std_error"] < payload["mc_uncontrolled_std_error"]
 
     def test_validate_mc_single_pair_is_numeric_error(self, capsys):
         # one antithetic pair has no standard error
@@ -559,6 +563,30 @@ class TestCli:
         assert payload["heston"]["soft_failures"] > 0
         assert payload["multiscale"]["soft_failures"] > 0
         assert "ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep", "validate-mc"])
+    def test_soft_failures_of_sweep_and_validate_mc_exit_4(
+        self, tmp_path, capsys, command
+    ):
+        # the prices missed their tolerance: the outputs are still written,
+        # stderr says so and the exit code is 4
+        tight = ["--abs-tol", "1e-13", "--rel-tol", "1e-13", "--max-subdivisions", "2"]
+        if command == "sweep":
+            argv = ["sweep", "--spot", "100", "--expiry", "1", "--strikes", "90,110",
+                    "--vary", "v3e", "--values=0,0.01", "--output-dir", str(tmp_path),
+                    *HESTON_FLAGS]
+        else:
+            argv = ["validate-mc", "--spot", "100", "--strike", "100",
+                    "--expiry", "0.5", *FULL_MODEL_FLAGS, "--n-paths", "200",
+                    "--dt", "0.01", "--output", str(tmp_path / "mc.json")]
+        assert main(argv + tight) == 4
+        err = capsys.readouterr().err
+        assert "warning:" in err and "quadrature tolerance" in err
+        if command == "sweep":
+            assert len(list(tmp_path.glob("*.csv"))) == 2
+        else:
+            payload = json.loads((tmp_path / "mc.json").read_text())
+            assert "nonconvergence" in payload["warnings"]
 
     def test_too_few_quotes_for_both_stages_exit_3_before_pricing(
         self, tmp_path, monkeypatch, capsys

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from msheston.cli import _SETTINGS, build_parser
+from msheston.cli import _SETTINGS, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,6 +50,22 @@ def test_readme_shows_every_subcommand():
     shown = {_subcommand(argv) for argv in readme_commands()}
     assert shown == {"price", "surface", "sweep", "calibrate", "validate-mc",
                      "group-params"}
+
+
+def test_readme_surface_example_reports_soft_failures(capsys):
+    # at 3 subdivisions and tolerances of 1e-12 every price of the example
+    # misses its tolerance: the CSV is still written, each point is named on
+    # stderr, and the exit code is 4, as for calibrate
+    (argv,) = [a for a in readme_commands() if _subcommand(a) == "surface"]
+    tight = ["--abs-tol", "1e-12", "--rel-tol", "1e-12", "--max-subdivisions", "3"]
+    assert main(argv + tight) == 4
+    captured = capsys.readouterr()
+    rows = captured.out.strip().splitlines()[1:]
+    warnings = captured.err.strip().splitlines()
+    assert len(rows) == len(warnings) == 60
+    assert all("nonconvergence" in line for line in warnings)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def readme_config_table() -> dict:
