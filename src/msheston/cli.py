@@ -220,10 +220,6 @@ def _report_points(surface, where: str = "") -> bool:
     return bool(surface.soft_failures)
 
 
-def _is_soft_failure(bd) -> bool:
-    return any(w.startswith("nonconvergence") for w in bd.warnings)
-
-
 def _breakdown_payload(bd) -> dict:
     return {
         "total": bd.total,
@@ -249,7 +245,7 @@ def _cmd_price(args, config):
     else:
         lines = [f"{k:>18}: {val}" for k, val in _breakdown_payload(bd).items()]
         _emit("\n".join(lines) + "\n", args.output)
-    return _NONCONVERGENCE_EXIT if _is_soft_failure(bd) else 0
+    return _NONCONVERGENCE_EXIT if "nonconvergence" in bd.warnings else 0
 
 
 def _cmd_surface(args, config):
@@ -371,7 +367,7 @@ def _cmd_validate_mc(args, config):
         "warnings": list(est.warnings) + list(bd.warnings),
     }
     _emit(_json_dumps(payload), args.output)
-    if _is_soft_failure(bd):
+    if "nonconvergence" in bd.warnings:
         print("warning: the analytic price missed its quadrature tolerance",
               file=sys.stderr)
         return _NONCONVERGENCE_EXIT

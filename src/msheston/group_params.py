@@ -98,10 +98,7 @@ def volatility_factor(fm: FullModelParams):
     shift = fm.m + fm.nu * fm.nu
 
     def f(y, out=None):
-        if out is None:
-            return np.exp(np.asarray(y, dtype=float) - shift)
-        np.subtract(y, shift, out=out)
-        return np.exp(out, out=out)
+        return np.exp(np.subtract(y, shift, out=out), out=out)
 
     return f
 
