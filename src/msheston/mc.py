@@ -33,13 +33,18 @@ happens already at ``dt = eps``).
 
 Paths come in antithetic pairs: every draw of normals drives a path and its
 mirror.  They are generated in fixed-size chunks, each driven by its own
-counter-based substream spawned from the seed, so results are bit-identical
-regardless of how chunks would be scheduled across workers.
+counter-based substream spawned from the seed.  One helper thread draws the
+next step's normals while the calling thread computes the current step: each
+step takes one (2, width) block, e1 in row 0 and e2 in row 1, from its chunk's
+stream.  Only that thread touches a stream, one block at a time and in step
+order, and a C-order fill of the block takes the same normals as two fills of
+one row each, so the sums are bit-identical to a serial loop over the steps.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +64,8 @@ _YZX = [1, 2, 0]
 @dataclass(frozen=True)
 class SimConfig:
     """Path count (an even number of at least 8: four antithetic pairs, one
-    more than the three coefficients of the control-variate regression), step
-    size and seed."""
+    more than the three coefficients of the control-variate regression), a
+    finite step size and a non-negative integer seed."""
 
     n_paths: int
     dt: float
@@ -71,8 +76,10 @@ class SimConfig:
             raise ValueError(
                 f"n_paths must be an even number of at least 8, got {self.n_paths}"
             )
-        if not self.dt > 0:
-            raise ValueError("dt must be strictly positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and strictly positive, got {self.dt}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -165,26 +172,37 @@ def simulate_paths(fm: FullModelParams, horizon: float, cfg: SimConfig) -> PathS
 
     bases, mirrors = [], []
     truncated = 0
-    for chunk_idx in range(n_chunks):
-        lo = chunk_idx * _CHUNK
-        width = min(n_base, lo + _CHUNK) - lo
-        rng = streams[chunk_idx]
-        n = 2 * width
+    # overflow rolls a state to inf; the periodic finite check turns that into
+    # a located StepExplosion instead of a numpy warning
+    with ThreadPoolExecutor(1) as drawer, np.errstate(over="ignore", invalid="ignore"):
+        for chunk_idx in range(n_chunks):
+            lo = chunk_idx * _CHUNK
+            width = min(n_base, lo + _CHUNK) - lo
+            rng = streams[chunk_idx]
+            n = 2 * width
 
-        y = np.full(n, fm.y0, dtype=float)
-        z = np.full(n, p.z, dtype=float)
-        # running sums of sigma^2, sigma dW^x, Z and sqrt(Z) dW^z; the factors
-        # dt and 1 / sigma of I, I_z and M_z are applied once at the end
-        s_var, s_mart, s_var_z, s_mart_z = np.zeros((4, n))
-        e1, w_x, w_z, z_floor, sqrt_z, sig, tmp, em = np.empty((8, n))
-        e2, half = np.empty((2, width))
-        # overflow rolls a state to inf; the periodic finite check turns that
-        # into a located StepExplosion instead of a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.full(n, fm.y0, dtype=float)
+            z = np.full(n, p.z, dtype=float)
+            # running sums of sigma^2, sigma dW^x, Z and sqrt(Z) dW^z; the
+            # factors dt and 1 / sigma of I, I_z and M_z are applied once at
+            # the end
+            s_var, s_mart, s_var_z, s_mart_z = np.zeros((4, n))
+            e1, w_x, w_z, z_floor, sqrt_z, sig, tmp, em = np.empty((8, n))
+            half = np.empty(width)
+            # step s reads its (e1, e2) from normals[s % 2] while the drawer
+            # fills the other buffer for step s + 1; NumPy's generator
+            # releases the GIL while it fills, so the draws overlap this
+            # thread's arithmetic
+            normals = np.empty((2, 2, width))
+            drawn = drawer.submit(rng.standard_normal, out=normals[0])
             for step in range(n_steps):
-                base = e1[:width]
-                rng.standard_normal(out=base)
-                rng.standard_normal(out=e2)
+                drawn.result()
+                base, e2 = normals[step % 2]
+                if step + 1 < n_steps:
+                    drawn = drawer.submit(
+                        rng.standard_normal, out=normals[(step + 1) % 2]
+                    )
+                e1[:width] = base
                 np.multiply(e2, z_shock * l11, out=w_z[:width])
                 np.multiply(base, z_shock * l10, out=half)
                 w_z[:width] += half
@@ -235,12 +253,12 @@ def simulate_paths(fm: FullModelParams, horizon: float, cfg: SimConfig) -> PathS
                             path_index=lo + (idx % width),
                             step=step,
                         )
-        s_var *= dt
-        s_var_z *= dt
-        s_mart_z *= 1.0 / p.sigma
-        sums = (s_var, s_mart, s_var_z, s_mart_z)
-        bases.append([s[:width] for s in sums])
-        mirrors.append([s[width:] for s in sums])
+            s_var *= dt
+            s_var_z *= dt
+            s_mart_z *= 1.0 / p.sigma
+            sums = (s_var, s_mart, s_var_z, s_mart_z)
+            bases.append([s[:width] for s in sums])
+            mirrors.append([s[width:] for s in sums])
 
     frac = truncated / (n_steps * cfg.n_paths)
     if frac > MAX_TRUNCATION_FRACTION:

@@ -392,6 +392,27 @@ class TestCli:
         assert captured.out == ""
         assert "n_paths" in captured.err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dt", "inf", "dt must be finite and strictly positive, got inf"),
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ])
+    def test_validate_mc_rejects_bad_sim_setting_up_front(
+        self, monkeypatch, capsys, flag, value, message
+    ):
+        # rejected before the group coefficients, the analytic price or a
+        # single path-step is computed
+        def not_reached(*args):
+            raise AssertionError("computed past a bad sim setting")
+
+        monkeypatch.setattr(cli, "compute_group_params", not_reached)
+        argv = ["validate-mc", "--spot", "100", "--strike", "100",
+                "--expiry", "0.5", *FULL_MODEL_FLAGS, "--n-paths", "200",
+                flag, value]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("flag, text", [
         ("--strikes", "70:130"), ("--expiries", "0.5,x"), ("--values", "1:2:x"),
         ("--expiries", "0.5:1:0"), ("--strikes", "90:100:0"), ("--values", "0:1:0"),

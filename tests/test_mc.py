@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -71,6 +72,11 @@ class TestSimConfig:
             SimConfig(n_paths=11, dt=1e-3, seed=1)
         with pytest.raises(ValueError):
             SimConfig(n_paths=2, dt=1e-3, seed=1)
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(n_paths=10, dt=math.inf, seed=1)
+        for seed in (-1, 1.5):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(n_paths=10, dt=1e-3, seed=seed)
 
 
 class TestCorrelateBrownians:
@@ -185,10 +191,68 @@ class TestSimulatePaths:
         )
         fm = _full_model()
         cfg = SimConfig(n_paths=16, dt=1e-2, seed=2)
+        threads = threading.active_count()
         with pytest.raises(StepExplosion) as excinfo:
             simulate_paths(fm, 1.0, cfg)
         assert excinfo.value.step >= 0
         assert excinfo.value.path_index >= 0
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3])
+    def test_stream_order_matches_serial_oracle(self, n_steps):
+        # I_z and M_z do not depend on Y, and euler_path_sums draws e1, then
+        # e2, serially from the same chunk streams: a skipped, doubled or
+        # reordered draw moves them by O(1).  Two chunks; at one step nothing
+        # is drawn ahead, at three the last step draws nothing ahead.
+        fm = _full_model(epsilon=1.0)
+        n_base = mc_mod._CHUNK + 100
+        cfg = SimConfig(n_paths=2 * n_base, dt=1e-2, seed=31)
+        horizon = n_steps * cfg.dt
+        threads = threading.active_count()
+        sample = simulate_paths(fm, horizon, cfg)
+        assert threading.active_count() == threads
+        oracle = euler_path_sums(fm, horizon, cfg)
+        for got, want in ((sample.variance_z, oracle.variance_z),
+                          (sample.martingale_z, oracle.martingale_z)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 2])
+    def test_a_failed_draw_is_raised_without_hanging(self, monkeypatch, fail_at):
+        # the first draw, one drawn ahead and the last one
+        boom = RuntimeError("draw failed")
+
+        class FailingStream:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_normal(self, out):
+                if self.calls == fail_at:
+                    raise boom
+                self.calls += 1
+                return self.rng.standard_normal(out=out)
+
+        streams = mc_mod._chunk_streams
+        monkeypatch.setattr(
+            mc_mod, "_chunk_streams",
+            lambda seed, n: [FailingStream(rng) for rng in streams(seed, n)],
+        )
+        cfg = SimConfig(n_paths=16, dt=1e-2, seed=2)
+        threads = threading.active_count()
+        raised = []
+
+        def run():
+            try:
+                simulate_paths(_full_model(), 3 * cfg.dt, cfg)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(raised) == 1 and raised[0] is boom
+        assert threading.active_count() == threads
 
 
 class TestMcPriceCall:
