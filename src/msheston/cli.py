@@ -362,7 +362,7 @@ def _cmd_validate_mc(args, config):
         "within_3_std_errors": bool(gap <= 3.0 * est.std_error),
         "truncation_fraction": est.truncation_fraction,
         "n_paths": est.n_paths,
-        "dt": cfg.dt,
+        "dt": est.dt,
         "seed": cfg.seed,
         "warnings": list(est.warnings) + list(bd.warnings),
     }

@@ -50,6 +50,11 @@ class FullModelParams:
     ``heston.rho`` holds the *raw* spot/variance correlation rho_xz; the
     effective correlation of the averaged model is derived, not stored.  The
     fast factor is exponential-OU (``volatility_factor``).
+
+    Correlations are admissible when c^2 = 1 - (a^2 + b^2) > 0 in the Cholesky
+    factor of their matrix in the order (y, z, x), whose closed form is
+    l10 = rho_yz, l11 = sqrt(1 - rho_yz^2), a = rho_xy, b = (rho_xz - a l10) / l11;
+    the Monte Carlo loads its normals on it (``brownian_loadings``).
     """
 
     heston: HestonParams
@@ -66,19 +71,28 @@ class FullModelParams:
         if not self.nu > 0:
             raise ValueError("nu must be strictly positive")
         # HestonParams already holds rho_xz = heston.rho inside (-1, 1)
-        rho_xz = self.heston.rho
         for name, val in (("rho_xy", self.rho_xy), ("rho_yz", self.rho_yz)):
             if not val * val < 1.0:
                 raise ValueError(f"{name}**2 must be strictly below 1")
-        gram = (
-            self.rho_xy**2 + rho_xz**2 + self.rho_yz**2
-            - 2.0 * self.rho_xy * rho_xz * self.rho_yz
-        )
-        if not gram < 1.0:
+        self._loadings()
+
+    def _loadings(self) -> tuple[float, float, float, float, float]:
+        """(l10, l11, a, b, c); raises ValueError unless c^2 > 0."""
+        l11 = math.sqrt(1.0 - self.rho_yz * self.rho_yz)
+        a = self.rho_xy
+        b = (self.rho_xz - a * self.rho_yz) / l11
+        c2 = 1.0 - (a * a + b * b)
+        if not c2 > 0.0:
             raise ValueError(
                 "correlations do not form a positive-definite Brownian "
-                f"covariance (criterion value {gram:.6g} >= 1)"
+                f"covariance (c^2 = 1 - (rho_xy^2 + b^2) = {c2:.6g} <= 0)"
             )
+        return self.rho_yz, l11, a, b, math.sqrt(c2)
+
+    @property
+    def brownian_loadings(self) -> tuple[float, float, float, float, float]:
+        """(l10, l11, a, b, c), the loadings of W^z and W^x on e1, e2, e3."""
+        return self._loadings()
 
     @property
     def rho_xz(self) -> float:

@@ -1,12 +1,13 @@
 """Conditional Monte Carlo of the full two-factor dynamics, the pricing oracle.
 
-The spot's Brownian W^x is split along the Cholesky factor L of the
-correlations taken in the order (y, z, x):
+The spot's Brownian W^x is split along the closed-form loadings that
+``FullModelParams.brownian_loadings`` gives for the correlations taken in the
+order (y, z, x), the same numbers that decide whether a triple is admissible:
 
-    W^y = e1,    W^z = L10 e1 + L11 e2,    W^x = a e1 + b e2 + c e3,
+    W^y = e1,    W^z = l10 e1 + l11 e2,    W^x = a e1 + b e2 + c e3.
 
-with (a, b, c) the last row of L.  Only e1 and e2 are drawn.  They drive the
-fast factor Y and the variance Z, and each path accumulates four sums:
+Only e1 and e2 are drawn.  They drive the fast factor Y and the variance Z,
+and each path accumulates four sums:
 
     I   = int sigma^2 dt,                 M   = int sigma (a e1 + b e2) sqrt(dt),
     I_z = int Z dt,                       M_z = int sqrt(Z) dW^z,
@@ -57,8 +58,6 @@ _CHUNK = 1 << 16
 _FINITE_CHECK_EVERY = 64
 # Share of Z step states floored at zero above which a sample is flagged.
 MAX_TRUNCATION_FRACTION = 1e-3
-# (y, z, x) as rows of ``correlation_matrix``, which is ordered (x, y, z)
-_YZX = [1, 2, 0]
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ class McEstimate:
     minus the Heston call with the effective correlation on the same variance
     paths, both regressed on the martingales M and M_z.
     ``uncontrolled_std_error`` is the standard error of the price without
-    that regression.
+    that regression.  ``dt`` is the step the paths took.
     """
 
     price: float
@@ -99,40 +98,28 @@ class McEstimate:
     correction_std_error: float
     uncontrolled_std_error: float
     n_paths: int
+    dt: float
     truncation_fraction: float
     warnings: tuple = field(default_factory=tuple)
 
 
 @dataclass(frozen=True)
 class PathSums:
-    """The sums I, M, I_z and M_z of every path, plus diagnostics."""
+    """The sums I, M, I_z and M_z of every path, the step dt taken, and diagnostics."""
 
     variance: np.ndarray
     martingale: np.ndarray
     variance_z: np.ndarray
     martingale_z: np.ndarray
+    dt: float
     truncation_fraction: float
     warnings: tuple = field(default_factory=tuple)
 
 
-def correlation_matrix(rho_xy: float, rho_xz: float, rho_yz: float) -> np.ndarray:
-    """Brownian correlation matrix for (W^x, W^y, W^z).
-
-    ``FullModelParams`` has already checked that it is positive definite.
-    """
-    return np.array(
-        [
-            [1.0, rho_xy, rho_xz],
-            [rho_xy, 1.0, rho_yz],
-            [rho_xz, rho_yz, 1.0],
-        ]
-    )
-
-
-def _yzx_factor(fm: FullModelParams) -> np.ndarray:
-    """Lower Cholesky factor L of the correlations in the order (y, z, x)."""
-    rho = correlation_matrix(fm.rho_xy, fm.rho_xz, fm.rho_yz)
-    return np.linalg.cholesky(rho[np.ix_(_YZX, _YZX)])
+def _require_finite_positive(**values):
+    for name, x in values.items():
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"{name} must be finite and strictly positive, got {x!r}")
 
 
 def _chunk_streams(seed: int, n_chunks: int):
@@ -145,18 +132,15 @@ def simulate_paths(fm: FullModelParams, horizon: float, cfg: SimConfig) -> PathS
 
     Reproducible: identical (fm, horizon, cfg) give bit-identical sums.  Each
     array holds all base paths first and their mirrors after them in the same
-    order, so path ``i`` and path ``n_paths // 2 + i`` form a pair.
+    order, so path ``i`` and path ``n_paths // 2 + i`` form a pair.  The
+    step taken is ``horizon / max(1, round(horizon / cfg.dt))``.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be strictly positive")
+    _require_finite_positive(horizon=horizon)
     p = fm.heston
-    warnings = []
-    if cfg.dt > fm.epsilon:
-        warnings.append("fast_factor_step_coarse")
-
     n_steps = max(1, int(round(horizon / cfg.dt)))
     dt = horizon / n_steps
-    (_, _, _), (l10, l11, _), (a, b, _) = _yzx_factor(fm)
+    warnings = ["fast_factor_step_coarse"] if dt > fm.epsilon else []
+    l10, l11, a, b, _ = fm.brownian_loadings
     f = volatility_factor(fm)
     sdt = math.sqrt(dt)
     # W^z comes scaled by the step's shock sigma sqrt(dt), W^x by sqrt(dt)
@@ -265,6 +249,7 @@ def simulate_paths(fm: FullModelParams, horizon: float, cfg: SimConfig) -> PathS
         warnings.append("truncation_fraction_above_threshold")
     return PathSums(
         *(np.concatenate(parts) for parts in zip(*bases, *mirrors)),
+        dt=dt,
         truncation_fraction=frac,
         warnings=tuple(warnings),
     )
@@ -309,10 +294,9 @@ def mc_price_call(
     Each estimate is taken over the per-pair means, the unbiased estimator
     under mirrored draws, regressed on the per-pair means of M and M_z.
     """
-    if not strike > 0 or not spot > 0:
-        raise ValueError("strike and spot must be positive")
+    _require_finite_positive(strike=strike, expiry=expiry, spot=spot)
     sums = simulate_paths(fm, expiry, cfg)
-    a, b, c = _yzx_factor(fm)[2]
+    _, _, a, b, c = fm.brownian_loadings
     rho = fm.rho_effective
     disc_strike = strike * math.exp(-fm.heston.r * expiry)
     full = _bs_calls(
@@ -341,6 +325,7 @@ def mc_price_call(
         correction_std_error=correction_std_error,
         uncontrolled_std_error=float(pairs(full).std(ddof=1) / math.sqrt(n_base)),
         n_paths=cfg.n_paths,
+        dt=sums.dt,
         truncation_fraction=sums.truncation_fraction,
         warnings=sums.warnings,
     )

@@ -7,7 +7,8 @@ pricer on scipy's QUADPACK, an ODE-system route to the corrected price
 admits for the averaged quantities, and two Monte Carlo simulators: the
 plain payoff estimator, which draws the spot's own normal, and a plain Euler
 fast-factor update of the path sums (which shares only the Monte Carlo's
-random streams and loadings).
+random streams).  Both load their normals on NumPy's Cholesky factor of
+``correlation_matrix``, not on the closed-form loadings of ``FullModelParams``.
 """
 
 from __future__ import annotations
@@ -331,6 +332,24 @@ def exp_ou_unit_v(sigma, nu, rho_xy, rho_xz, rho_yz, brackets=None) -> np.ndarra
 # ----------------------------------------------------------------------
 
 
+def correlation_matrix(rho_xy: float, rho_xz: float, rho_yz: float) -> np.ndarray:
+    """Brownian correlation matrix for (W^x, W^y, W^z)."""
+    return np.array(
+        [
+            [1.0, rho_xy, rho_xz],
+            [rho_xy, 1.0, rho_yz],
+            [rho_xz, rho_yz, 1.0],
+        ]
+    )
+
+
+def yzx_cholesky(fm) -> np.ndarray:
+    """NumPy's lower Cholesky factor of the correlations in the order (y, z, x)."""
+    yzx = [1, 2, 0]
+    rho = correlation_matrix(fm.rho_xy, fm.rho_xz, fm.rho_yz)
+    return np.linalg.cholesky(rho[np.ix_(yzx, yzx)])
+
+
 def _pair_draws(rng, rows, width):
     """``rows`` rows of ``width`` normals, followed by their mirrors."""
     normals = rng.standard_normal((rows, width))
@@ -350,9 +369,7 @@ def payoff_terminal_prices(fm, horizon, cfg) -> np.ndarray:
     n_steps = max(1, int(round(horizon / cfg.dt)))
     dt = horizon / n_steps
     sdt = math.sqrt(dt)
-    chol = np.linalg.cholesky(
-        mc.correlation_matrix(fm.rho_xy, fm.rho_xz, fm.rho_yz)
-    )
+    chol = np.linalg.cholesky(correlation_matrix(fm.rho_xy, fm.rho_xz, fm.rho_yz))
     f = volatility_factor(fm)
     n_base = cfg.n_paths // 2
     streams = mc._chunk_streams(cfg.seed, math.ceil(n_base / mc._CHUNK))
@@ -383,10 +400,10 @@ def payoff_terminal_prices(fm, horizon, cfg) -> np.ndarray:
 def euler_path_sums(fm, horizon, cfg) -> mc.PathSums:
     """``mc.simulate_paths`` with a plain Euler step for Y.
 
-    Draws the same per-chunk normals and loads them on the same Cholesky
-    factor, so the two differ only in the fast-factor step.  The Euler step
-    is explosive once Z dt / eps nears 2; it is used only at
-    dt <= eps / 50.
+    Draws the same per-chunk normals and loads them on NumPy's Cholesky
+    factor, which matches the closed-form loadings to rounding, so the two
+    differ only in the fast-factor step.  The Euler step is explosive once
+    Z dt / eps nears 2; it is used only at dt <= eps / 50.
     """
     if cfg.dt > fm.epsilon / 50.0:
         raise ValueError("the Euler fast-factor update needs dt <= epsilon / 50")
@@ -394,7 +411,7 @@ def euler_path_sums(fm, horizon, cfg) -> mc.PathSums:
     n_steps = max(1, int(round(horizon / cfg.dt)))
     dt = horizon / n_steps
     sdt = math.sqrt(dt)
-    (_, _, _), (l10, l11, _), (a, b, _) = mc._yzx_factor(fm)
+    (_, _, _), (l10, l11, _), (a, b, _) = yzx_cholesky(fm)
     f = volatility_factor(fm)
     n_base = cfg.n_paths // 2
     streams = mc._chunk_streams(cfg.seed, math.ceil(n_base / mc._CHUNK))
@@ -425,5 +442,6 @@ def euler_path_sums(fm, horizon, cfg) -> mc.PathSums:
         mirrors.append(sums[:, width:])
     return mc.PathSums(
         *np.concatenate(bases + mirrors, axis=1),
+        dt=dt,
         truncation_fraction=truncated / (n_steps * cfg.n_paths),
     )

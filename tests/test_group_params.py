@@ -15,6 +15,7 @@ from msheston.group_params import (
 from msheston.kernel import HestonParams
 
 from .helpers import (
+    correlation_matrix,
     exp_ou_brackets,
     exp_ou_f_bar,
     exp_ou_phi_prime,
@@ -22,7 +23,11 @@ from .helpers import (
     exp_ou_unit_v,
     group_array,
     mp_exp_ou_brackets,
+    yzx_cholesky,
 )
+
+# Gram value 0.9999999999999999 < 1, yet the Cholesky factor's c^2 rounds to 0
+BOUNDARY_TRIPLE = {"rho_xy": -0.22, "rho_xz": -0.9816607981044054, "rho_yz": 0.03}
 
 
 def _full_model(**overrides):
@@ -68,6 +73,16 @@ class TestFullModelValidation:
                         heston=HestonParams(kappa=1.0, theta=0.24, sigma=0.39,
                                             rho=0.9, z=0.24, r=0.05))
 
+    def test_rejects_the_boundary_triple_that_lapack_rejects(self):
+        t = BOUNDARY_TRIPLE
+        rho = correlation_matrix(t["rho_xy"], t["rho_xz"], t["rho_yz"])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(rho)
+        with pytest.raises(ValueError, match="positive-definite"):
+            _full_model(rho_xy=t["rho_xy"], rho_yz=t["rho_yz"],
+                        heston=HestonParams(kappa=1.0, theta=0.24, sigma=0.39,
+                                            rho=t["rho_xz"], z=0.24, r=0.05))
+
     def test_rejects_bad_epsilon_and_nu(self):
         with pytest.raises(ValueError):
             _full_model(epsilon=0.0)
@@ -79,6 +94,58 @@ class TestFullModelValidation:
         f = volatility_factor(fm)
         val = _gaussian_quad(lambda y: f(y) ** 2, fm.m, fm.nu)
         assert val == pytest.approx(1.0, abs=1e-10)
+
+
+def _triple_model(rho_xy, rho_xz, rho_yz):
+    return _full_model(rho_xy=rho_xy, rho_yz=rho_yz,
+                       heston=HestonParams(kappa=1.0, theta=0.24, sigma=0.39,
+                                           rho=rho_xz, z=0.24, r=0.05))
+
+
+_GRID = [-0.999, -0.9, -0.7, -0.5, -0.3, 0.0, 0.3, 0.5, 0.7, 0.9, 0.999]
+
+
+def _grid_models():
+    """The admissible triples of a grid with |rho| up to 0.999."""
+    models = []
+    for triple in [(xy, xz, yz) for xy in _GRID for xz in _GRID for yz in _GRID]:
+        try:
+            models.append(_triple_model(*triple))
+        except ValueError:
+            pass
+    return models
+
+
+def _near_boundary_models():
+    """Triples whose rho_xz lies 1e-6 of its admissible half-width inside
+    either end of the admissible range, at each (rho_xy, rho_yz) of the grid."""
+    models = []
+    for xy in _GRID:
+        for yz in _GRID:
+            half = (1.0 - 1e-6) * math.sqrt((1.0 - xy * xy) * (1.0 - yz * yz))
+            models += [_triple_model(xy, xy * yz + sign * half, yz) for sign in (1, -1)]
+    return models
+
+
+class TestBrownianLoadings:
+    def test_match_numpy_cholesky(self):
+        grid = _grid_models()
+        assert len(grid) > len(_GRID) ** 3 // 4
+        for fm in grid + _near_boundary_models():
+            l10, l11, a, b, c = fm.brownian_loadings
+            lapack = yzx_cholesky(fm)
+            np.testing.assert_allclose(
+                [l10, l11, a, b, c * c],
+                [lapack[1, 0], lapack[1, 1], lapack[2, 0], lapack[2, 1],
+                 lapack[2, 2] ** 2],
+                rtol=0, atol=1e-15,
+            )
+
+    def test_bit_equal_to_numpy_at_the_benchmark_correlations(self, table1_full_model):
+        lapack = yzx_cholesky(table1_full_model)
+        assert table1_full_model.brownian_loadings == (
+            lapack[1, 0], lapack[1, 1], lapack[2, 0], lapack[2, 1], lapack[2, 2]
+        )
 
 
 class TestGaussianAverage:

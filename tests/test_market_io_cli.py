@@ -413,6 +413,35 @@ class TestCli:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_validate_mc_writes_the_step_taken(self, capsys):
+        # one step of the whole expiry, not the asked 5
+        argv = ["validate-mc", "--spot", "100", "--strike", "100",
+                "--expiry", "1", *FULL_MODEL_FLAGS, "--n-paths", "16", "--dt", "5"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dt"] == 1.0
+        assert "fast_factor_step_coarse" in payload["warnings"]
+
+    @pytest.mark.parametrize("command", [["group-params"], [
+        "validate-mc", "--spot", "100", "--strike", "100", "--expiry", "0.5",
+        "--n-paths", "16",
+    ]])
+    def test_boundary_correlations_exit_3_before_pricing(
+        self, monkeypatch, capsys, command
+    ):
+        # the Gram value of this triple is 0.9999999999999999 < 1, but the
+        # Cholesky factor it loads the Brownians on does not exist
+        def not_reached(*args):
+            raise AssertionError("computed past inadmissible correlations")
+
+        monkeypatch.setattr(cli, "compute_group_params", not_reached)
+        argv = [*command, *FULL_MODEL_FLAGS, "--rho-xy", "-0.22",
+                "--rho-xz", "-0.9816607981044054", "--rho-yz", "0.03"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive-definite" in captured.err
+
     @pytest.mark.parametrize("flag, text", [
         ("--strikes", "70:130"), ("--expiries", "0.5,x"), ("--values", "1:2:x"),
         ("--expiries", "0.5:1:0"), ("--strikes", "90:100:0"), ("--values", "0:1:0"),

@@ -8,11 +8,11 @@ import msheston.mc as mc_mod
 from msheston.errors import StepExplosion
 from msheston.group_params import FullModelParams, compute_group_params
 from msheston.kernel import HestonParams
-from msheston.mc import SimConfig, correlation_matrix, mc_price_call, simulate_paths
+from msheston.mc import SimConfig, mc_price_call, simulate_paths
 from msheston.pricer import OptionSpec, price_corrected
 from msheston.vol_surface import bs_call
 
-from .helpers import euler_path_sums, payoff_terminal_prices
+from .helpers import correlation_matrix, euler_path_sums, payoff_terminal_prices
 
 
 def _full_model(**overrides):
@@ -50,7 +50,7 @@ def _pairs(x):
 def _spot_martingales(fm, sums):
     """The discounted spot over its start on each path, given the path sums,
     under the full model and under the Heston leg."""
-    a, b, _ = mc_mod._yzx_factor(fm)[2]
+    _, _, a, b, _ = fm.brownian_loadings
     rho = fm.rho_effective
     return (
         np.exp(sums.martingale - 0.5 * (a * a + b * b) * sums.variance),
@@ -261,6 +261,39 @@ class TestMcPriceCall:
         cfg = SimConfig(n_paths=128, dt=1e-3, seed=1)
         est = mc_price_call(fm, 100.0, 0.05, cfg)
         assert "fast_factor_step_coarse" in est.warnings
+
+    @pytest.mark.parametrize("horizon, dt, n_steps, coarse", [
+        # three steps of 9.67e-5 <= epsilon, though the asked dt exceeds it
+        (2.9e-4, 1.05e-4, 3, False),
+        # one step of 1.4e-4 > epsilon, though the asked dt equals it
+        (1.4e-4, 1e-4, 1, True),
+    ])
+    def test_reports_and_judges_the_step_taken(self, horizon, dt, n_steps, coarse):
+        fm = _full_model(epsilon=1e-4)
+        cfg = SimConfig(n_paths=16, dt=dt, seed=1)
+        est = mc_price_call(fm, 100.0, horizon, cfg)
+        assert est.dt == simulate_paths(fm, horizon, cfg).dt == horizon / n_steps
+        assert ("fast_factor_step_coarse" in est.warnings) is coarse
+
+    @pytest.mark.parametrize("name", ["strike", "expiry", "spot"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+    def test_rejects_a_bad_input_by_name_before_simulating(
+        self, monkeypatch, name, value
+    ):
+        def not_reached(*args):
+            raise AssertionError("simulated past a bad input")
+
+        monkeypatch.setattr(mc_mod, "simulate_paths", not_reached)
+        kwargs = {"strike": 100.0, "expiry": 1.0, "spot": 100.0, name: value}
+        cfg = SimConfig(n_paths=16, dt=1e-2, seed=1)
+        with pytest.raises(ValueError, match=f"{name} must be finite and strictly"):
+            mc_price_call(_full_model(), cfg=cfg, **kwargs)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
+    def test_simulate_paths_rejects_a_bad_horizon(self, horizon):
+        cfg = SimConfig(n_paths=16, dt=1e-2, seed=1)
+        with pytest.raises(ValueError, match="horizon must be finite and strictly"):
+            simulate_paths(_full_model(), horizon, cfg)
 
     def test_conditional_and_payoff_estimators_agree(self):
         # seed 23: the payoff estimator draws the spot's own normal and prices
