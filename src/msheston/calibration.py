@@ -11,15 +11,19 @@ quote residuals and nothing else: the Feller condition is reported
 A fit runs in natural units, (kappa, rho, sigma, theta, z, v1e..v4e),
 inside the box of ``DEFAULT_BOUNDS`` overridden by ``CalibProblem.bounds``:
 SciPy's trust-region reflective method keeps every iterate strictly inside
-it, and the Jacobian's difference steps are clipped into it.
+it, and the multiscale stage's difference steps are clipped into it.
 
 Each stage is one ``least_squares`` run from its start point.  Each
-residual evaluation prices every expiry in one ``price_strips`` call, and
-each Jacobian prices the iterate and its forward-difference neighbours, every
-expiry of each, in one more: a run costs nfev + njev integrations.  A
-Jacobian differences prices, not vols, and divides by vega at the iterate's
-model vol, so it inverts only the iterate's quotes.  The reported objective
-and per-expiry residuals are read off the run's final residual vector.
+residual evaluation prices every expiry in one ``price_slopes`` call, whose
+price slopes ride on the mesh that the prices choose, and inverts the quotes
+once; the Jacobian at that x is read off the same pass, so a run costs nfev
+integrations.  The baseline stage's columns are exact: the kernel's
+derivatives d(C + z*D) in each Heston parameter.  The corrected stage's
+v-columns are exact too, the correction being linear in v, and its Heston
+columns difference the prices of one neighbour per parameter, priced on the
+same mesh.  Price slopes become vol slopes through 1/vega at the model vol.
+The reported objective and per-expiry residuals are read off the run's
+final residual vector.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ from scipy.optimize import least_squares
 
 from .errors import NonConvergence, NonFinite, OutOfBand
 from .kernel import HestonParams
-from .pricer import GroupParams, price_strips
+from .pricer import GROUP_NAMES, HESTON_NAMES, GroupParams, price_slopes, price_strips
 from .quadrature import QuadratureSpec
 from .vol_surface import VolSurface, bs_vega, implied_vol
 
-THETA_NAMES = ("kappa", "rho", "sigma", "theta", "z")
-V_NAMES = ("v1e", "v2e", "v3e", "v4e")
+THETA_NAMES = HESTON_NAMES
+V_NAMES = GROUP_NAMES
 
 DEFAULT_BOUNDS = {
     "kappa": (1e-3, 50.0),
@@ -131,10 +135,11 @@ class CalibResult:
     what ``least_squares`` minimized, and ``per_expiry_rss`` their mean
     square per expiry, both from the run's final residual vector.
     ``iterations`` is ``least_squares``' nfev: residual evaluations on
-    accepted or rejected trust-region steps.  ``jacobians`` is its njev:
-    each Jacobian is one batched integration that prices the iterate and its
-    neighbours, one per free parameter, and inverts the iterate's quotes
-    only.  A run costs nfev + njev integrations.
+    accepted or rejected trust-region steps, each one batched integration
+    that also carries the price slopes.  ``jacobians`` is its njev: each
+    Jacobian is read off the residual evaluation at its x, which
+    ``least_squares`` has just made, so it neither prices nor inverts.  A
+    run costs nfev integrations.
     ``soft_failures`` counts the run's integrations in which any strip came
     back tagged ``nonconvergence``: their prices are best estimates that
     missed the quadrature tolerance.  ``feller_satisfied`` reports whether
@@ -181,21 +186,15 @@ def _box(bounds: dict, multiscale: bool):
 # -- objective -----------------------------------------------------------------
 
 
-def _prices(points, prob: CalibProblem):
-    """Call prices of each (p, v) point in market order, from one
-    ``price_strips`` call, and whether any strip came back tagged
-    ``nonconvergence``."""
-    market = prob.market
+def _strips(p: HestonParams, v, market: VolSurface) -> list:
+    """One call strip per expiry of ``market`` at (p, v), in market order."""
     strips = []
-    for p, v in points:
-        for expiry in market.expiries():
-            rate = market.rate(expiry)
-            spot_eff = market.spot * math.exp(-market.dividend_yield(expiry) * expiry)
-            p_exp = p if p.r == rate else p.replace(r=rate)
-            strips.append((market.strikes(expiry), expiry, spot_eff, p_exp, v))
-    priced = [bd for strip in price_strips(strips, prob.quadrature) for bd in strip]
-    soft = any("nonconvergence" in bd.warnings for bd in priced)
-    return np.reshape([bd.total for bd in priced], (len(points), market.n_points)), soft
+    for expiry in market.expiries():
+        rate = market.rate(expiry)
+        spot_eff = market.spot * math.exp(-market.dividend_yield(expiry) * expiry)
+        p_exp = p if p.r == rate else p.replace(r=rate)
+        strips.append((market.strikes(expiry), expiry, spot_eff, p_exp, v))
+    return strips
 
 
 def _vol_residuals(prices, market: VolSurface):
@@ -225,7 +224,9 @@ def objective_heston(p: HestonParams, prob: CalibProblem) -> np.ndarray:
 
 def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
     """Per-quote residual vector of the corrected model at the (p, v) pair ``phi``."""
-    return _vol_residuals(_prices([phi], prob)[0][0], prob.market)[0]
+    strips = _strips(*phi, prob.market)
+    prices = [bd.total for strip in price_strips(strips, prob.quadrature) for bd in strip]
+    return _vol_residuals(prices, prob.market)[0]
 
 
 def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
@@ -240,22 +241,56 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
     return tuple(rows)
 
 
-def _forward_jacobian(x, lo, hi, prices, market) -> np.ndarray:
-    """Residual Jacobian at ``x``: column j is -(P(x + h_j e_j) - P(x)) / h_j / vega.
+def _heston_neighbours(x, lo, hi) -> np.ndarray:
+    """The values the Heston entries x[:5] step to for forward differences.
 
     SciPy's 2-point step h_j = 1e-6 sign(x_j) max(1, |x_j|) in natural units,
     flipped inward where it would leave the bounds, then clipped into them,
     since a box narrower than the step (theta in [1e-8, 1e-7]) leaves it on
-    both sides; ``prices`` prices x and its neighbours in one batch.  Vega is
-    at the iterate's model vol (d sigma / dP exactly), so only the iterate's
-    quotes are inverted.
+    both sides.
     """
+    x, lo, hi = x[:5], lo[:5], hi[:5]
     h = 1e-6 * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = np.where((x + h < lo) | (x + h > hi), -h, h)
-    neighbours = x + np.diag(np.clip(x + h, lo, hi) - x)
-    rows = prices(np.vstack((x, neighbours)))
-    slopes = _vol_residuals(rows[0], market)[1]
-    return -(rows[1:] - rows[0]).T / (np.diag(neighbours) - x) * slopes[:, None]
+    return np.clip(x + h, lo, hi)
+
+
+def _linearize(x, prob: CalibProblem, lo, hi):
+    """Residuals at ``x``, their Jacobian, and whether any strip came back
+    tagged ``nonconvergence``, from one integration.
+
+    The price slopes ride on the mesh that the prices at ``x`` choose.  At
+    5 entries every column is exact: static times d(C + z*D) in each Heston
+    parameter.  At 9 the four v-columns are exact, the correction being
+    linear in v, and each Heston column is a forward difference of a
+    neighbour (``_heston_neighbours``) priced on the same mesh.  Price slopes
+    become vol slopes through 1/vega at the model vol of ``x``, so only the
+    quotes of ``x`` are inverted; a quote with no implied vol keeps its
+    constant residual and gets a zero row.
+    """
+    market = prob.market
+    rate = market.rate(market.expiries()[0])
+    p, v = _unpack(x, rate)
+    steps, riders = None, []
+    if v is not None:
+        moved = _heston_neighbours(x, lo, hi)
+        for j, value in enumerate(moved):
+            shifted = x.copy()
+            shifted[j] = value
+            riders += _strips(*_unpack(shifted, rate), market)
+        steps = moved - x[:5]
+    wrt = THETA_NAMES if v is None else V_NAMES
+    breakdowns, slopes, shifted_prices = price_slopes(
+        _strips(p, v, market), wrt, riders, prob.quadrature)
+    priced = [bd for strip in breakdowns for bd in strip]
+    prices = np.array([bd.total for bd in priced])
+    residuals, dvol = _vol_residuals(prices, market)
+    dprice = np.hstack(slopes)
+    if steps is not None:
+        shifted_prices = np.reshape(np.concatenate(shifted_prices), (len(steps), -1))
+        dprice = np.vstack(((shifted_prices - prices) / steps[:, None], dprice))
+    tagged = any("nonconvergence" in bd.warnings for bd in priced)
+    return residuals, -(dprice * dvol).T, tagged
 
 
 def _fit(prob, x0, lo, hi) -> CalibResult:
@@ -264,27 +299,30 @@ def _fit(prob, x0, lo, hi) -> CalibResult:
     SciPy's TRF keeps every iterate strictly inside the box [lo, hi] and
     accepts a step only when the cost falls, so the run never ends above its
     start.  Its trust region is scaled by the Jacobian's column norms, since
-    the parameters' natural units differ by orders of magnitude.  It costs
-    nfev + njev integrations and inverts the quotes once per residual pass
-    and once per Jacobian, at the iterate.
+    the parameters' natural units differ by orders of magnitude.  Each
+    residual evaluation is one ``_linearize`` pass, which inverts the quotes
+    once and keeps its Jacobian: ``least_squares`` asks for the Jacobian only
+    at the x it has just evaluated, so a run costs nfev integrations.
     """
     rate = prob.market.rate(prob.market.expiries()[0])
     soft = []  # per integration: did any strip come back tagged?
-
-    def prices(xs):
-        rows, tagged = _prices([_unpack(x, rate) for x in xs], prob)
-        soft.append(tagged)
-        return rows
+    last = []  # the x of the last pass and its Jacobian
 
     def fun(x):
-        return _vol_residuals(prices([x])[0], prob.market)[0]
+        residuals, jacobian, tagged = _linearize(x, prob, lo, hi)
+        soft.append(tagged)
+        last[:] = [x.copy(), jacobian]
+        return residuals
 
     def jac(x):
-        return _forward_jacobian(x, lo, hi, prices, prob.market)
+        if not np.array_equal(x, last[0]):
+            fun(x)
+        return last[1]
 
-    # SciPy's default 1e-8 tolerances: the forward-difference Jacobian (a 1e-6
-    # step on quadrature output) cannot resolve finer steps, and tighter ones
-    # only cycle through rejected trust-region steps at the cost's noise floor
+    # SciPy's default 1e-8 tolerances: the residuals carry the quadrature's
+    # error, and the multiscale stage's Heston columns are 1e-6-step forward
+    # differences, so tighter ones only cycle through rejected trust-region
+    # steps at the cost's noise floor
     fit = least_squares(
         fun,
         x0,
@@ -312,9 +350,10 @@ def calibrate_heston(prob: CalibProblem, start: HestonParams) -> CalibResult:
     """Fit the five baseline parameters by trust-region least squares.
 
     One run from ``start``, which must lie inside the bounds: a
-    ``ValueError`` names the first parameter that does not.  Forward-difference
-    Jacobians step 1e-6 max(1, |x|) in natural units, all columns from one
-    batched pricing pass.  Deterministic for fixed inputs.
+    ``ValueError`` names the first parameter that does not.  The Jacobian is
+    exact on the residual pass's mesh: each column integrates the kernel's
+    derivative d(C + z*D) in its parameter, with no difference step.
+    Deterministic for fixed inputs.
     """
     prob.require_enough_quotes(5)
     x0 = _pack(start, None)

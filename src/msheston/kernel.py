@@ -124,6 +124,34 @@ def _cd_of(tau, k, p: HestonParams):
     return c_val, d_val, (d, m_minus_d, m_plus_d, w, zeta, log_zeta)
 
 
+def _exponent_slopes(tau, k, p: HestonParams, c_val, d_val, parts):
+    """d(C + z*D)/d(kappa, rho, sigma, theta, z), stacked on a new first axis.
+
+    ``c_val``, ``d_val`` and ``parts`` are the three values of
+    ``_cd_of(tau, k, p)``.  With M' the slope of M and s' = 1 for sigma, 0
+    otherwise, d' = (M*M' + sigma*s'*(k^2 - ik)) / d and
+    (M - d)' = -(M'*(M - d) + sigma*s'*(k^2 - ik)) / d, which does not
+    cancel where M - d is O(sigma^2); w, zeta and log zeta follow by the
+    chain rule.  C is linear in theta, and z multiplies D.
+    """
+    d, m_minus_d, _, w, zeta, _ = parts
+    kk = k * k - 1j * k
+    m = p.kappa + 1j * p.rho * p.sigma * k
+    # M' for kappa, rho and sigma, and the sigma^2 (k^2 - ik) term's slope
+    dm = np.stack(np.broadcast_arrays(1.0 + 0j, 1j * p.sigma * k, 1j * p.rho * k))
+    ds = np.stack(np.broadcast_arrays(0j, 0j, p.sigma * kk))
+    dd = (m * dm + ds) / d
+    dmd = -(dm * m_minus_d + ds) / d
+    dw = dd * (tau * np.exp(-tau * d) - w) / d
+    dx = (dmd * w + m_minus_d * dw) / 2.0
+    # C = kappa*theta/sigma^2 * G: the prefactor's own slopes are C/kappa,
+    # 0 and -2C/sigma
+    dpre = np.stack(np.broadcast_arrays(c_val / p.kappa, 0j, -2.0 * c_val / p.sigma))
+    dc = dpre + p.kappa * p.theta / p.sigma**2 * (dmd * tau - 2.0 * dx / zeta)
+    dbig_d = -kk * (dw - w * dx / zeta) / (2.0 * zeta)
+    return np.concatenate((dc + p.z * dbig_d, (c_val / p.theta)[None], d_val[None]))
+
+
 def _b_coeffs(k, v):
     """(B0, B1, B2) of the correction source b = B0 + B1*D + B2*D**2; linear in v."""
     k2 = k * k

@@ -56,6 +56,9 @@ from .group_params import FullModelParams, volatility_factor
 
 _CHUNK = 1 << 16
 _FINITE_CHECK_EVERY = 64
+# The most steps one simulation may take; a horizon that needs more is
+# refused before anything is drawn.
+MAX_STEPS = 10**7
 # Share of Z step states floored at zero above which a sample is flagged.
 MAX_TRUNCATION_FRACTION = 1e-3
 
@@ -133,11 +136,17 @@ def simulate_paths(fm: FullModelParams, horizon: float, cfg: SimConfig) -> PathS
     Reproducible: identical (fm, horizon, cfg) give bit-identical sums.  Each
     array holds all base paths first and their mirrors after them in the same
     order, so path ``i`` and path ``n_paths // 2 + i`` form a pair.  The
-    step taken is ``horizon / max(1, round(horizon / cfg.dt))``.
+    step taken is ``horizon / max(1, round(horizon / cfg.dt))``; a step
+    count above ``MAX_STEPS`` raises a ValueError naming the horizon, dt and
+    the count.
     """
     _require_finite_positive(horizon=horizon)
     p = fm.heston
-    n_steps = max(1, int(round(horizon / cfg.dt)))
+    steps = horizon / cfg.dt  # may overflow to inf
+    if not steps < MAX_STEPS + 0.5:
+        raise ValueError(f"horizon {horizon!r} at dt {cfg.dt!r} takes {steps:.3g} "
+                         f"steps, more than {MAX_STEPS}")
+    n_steps = max(1, int(round(steps)))
     dt = horizon / n_steps
     warnings = ["fast_factor_step_coarse"] if dt > fm.epsilon else []
     l10, l11, a, b, _ = fm.brownian_loadings

@@ -30,9 +30,14 @@ integrand has one row per strike of every strip, ``static``, when no strip
 carries a correction, and otherwise two: ``static`` and the correction row,
 which is exactly 0 for the strips without one.  Each strip evaluates its
 kernel once per node on its own map scale and hands it to its strikes, and
-all rows share the refinement, so a calibration residual pass or Jacobian,
-or a whole surface, costs one integration.  A strip's breakdowns discount
-its own slice of the integral's strike columns.
+all rows share the refinement, so a calibration residual pass, or a whole
+surface, costs one integration.  A strip's breakdowns discount its own
+slice of the integral's strike columns.
+
+``price_slopes`` adds rows that ride on the mesh the price rows choose,
+without steering it: the exact slopes of each price in named parameters,
+and the prices of further strips.  The price rows, their error bounds and
+the integrand calls stay those of ``price_strips``.
 
 Quadrature trouble never aborts a price: each breakdown of a strip whose own
 rows miss their tolerance carries a ``nonconvergence`` warning and the best
@@ -48,11 +53,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NonConvergence
-from .kernel import HestonParams, _cd_of, _f_hats
+from .kernel import HestonParams, _cd_of, _exponent_slopes, _f_hats
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 DEFAULT_CALL_CONTOUR = 1.5
 DEFAULT_PUT_CONTOUR = -0.5
+
+# The parameters a price has exact slopes in, in the order of
+# ``kernel._exponent_slopes`` and of the GroupParams fields
+HESTON_NAMES = ("kappa", "rho", "sigma", "theta", "z")
+GROUP_NAMES = ("v1e", "v2e", "v3e", "v4e")
 
 
 @dataclass(frozen=True)
@@ -139,50 +149,114 @@ def _columns(objs, names):
     })
 
 
-def _strip_integrals(strips, spec, payoff):
+# one unit correction coefficient per leading row: the correction row at
+# these coefficients is its exact slope in each, since it is linear in v
+_UNIT_V = SimpleNamespace(**{
+    name: row[:, None, None] for name, row in zip(GROUP_NAMES, np.eye(4))
+})
+
+
+def _strip_integrals(strips, spec, payoff, wrt=(), n_riders=0):
     """Integrals of a list of strips on the payoff's contour, with error bounds.
 
     ``strips`` holds validated ``(strikes, tau, spot, p, v, scale)`` tuples.
     One adaptive integration over u covers them all: each strip maps u to
     its own ``k = -log(u)/scale + i*k_i`` and evaluates its kernel once per
-    node, with its parameters held as column arrays, and a row-to-strip index
-    gathers that kernel into the rows ``static`` of its strikes.  If any
-    strip's ``v`` is nonzero, each strike adds the row
-    ``static*(kappa*theta*f0_hat + z*f1_hat)``, exactly 0 where ``v`` is;
-    otherwise that row is zeros, not integrated.  Returns the doubled real
-    integrals, shape (2, strikes), the bounds summed over each strike's rows
-    and whether any of them missed its tolerance.
+    node, with its parameters held as column arrays, and hands it to the
+    rows ``static`` of its strikes.  If any strip's ``v`` is nonzero, each
+    strike adds the row ``static*(kappa*theta*f0_hat + z*f1_hat)``, exactly
+    0 where ``v`` is; otherwise that row is zeros, not integrated.
+
+    The last ``n_riders`` strips ride: their rows, and for each name in
+    ``wrt`` one slope row per strike of the other strips, are integrated on
+    the mesh that the other strips' rows choose.  A slope row is
+    ``static*d(C + z*D)/d name`` for a Heston parameter and ``static`` times
+    the correction factor at that unit coefficient for a correction
+    coefficient.  All rows are written into one array per integrand call.
+
+    Returns the doubled real integrals of the steering strips, shape
+    (2, strikes), the bounds summed over each strike's rows, whether any of
+    them missed its tolerance, the doubled real slopes, shape
+    (len(wrt), strikes), and the doubled real integrals of the riders,
+    shape (2, rider strikes).
     """
-    row_strip = np.repeat(np.arange(len(strips)), [len(s[0]) for s in strips])
+    sizes = [len(s[0]) for s in strips]
+    n_steer = len(strips) - n_riders
+    n_s, n_r = sum(sizes[:n_steer]), sum(sizes[n_steer:])
+    corrected = not all(s[4].is_zero for s in strips)
+    planes = 2 if corrected else 1
+    # the first row of each plane of each strip: steering price planes,
+    # then the slope planes, then the riders' price planes
+    steer_rows = planes * n_s
+    ride_base = steer_rows + len(wrt) * n_s
+    rows_of = np.cumsum([0] + sizes).tolist()
+    layout = []
+    for j, size in enumerate(sizes):
+        if j < n_steer:
+            firsts = [rows_of[j] + i * n_s for i in range(planes + len(wrt))]
+        else:
+            at = ride_base + rows_of[j] - n_s
+            firsts = [at + i * n_r for i in range(planes)]
+        layout.append([slice(f, f + size) for f in firsts])
     log_k = np.log(np.concatenate([s[0] for s in strips]))[:, None]
-    q = np.array([s[3].r * s[1] + math.log(s[2]) for s in strips])[row_strip, None]
+    q = np.repeat([s[3].r * s[1] + math.log(s[2]) for s in strips], sizes)[:, None]
     tau = np.array([s[1] for s in strips])[:, None]
     scale = np.array([s[5] for s in strips])[:, None]
-    p = _columns([s[3] for s in strips], ("kappa", "theta", "sigma", "rho", "z"))
-    v = _columns([s[4] for s in strips], ("v1e", "v2e", "v3e", "v4e"))
-    corrected = not all(s[4].is_zero for s in strips)
+    p = _columns([s[3] for s in strips], HESTON_NAMES)
+    v = _columns([s[4] for s in strips], GROUP_NAMES)
     k_i = DEFAULT_CALL_CONTOUR if payoff == "call" else DEFAULT_PUT_CONTOUR
+    # slope factors are formed for the steering strips only
+    head = slice(0, n_steer)
+    p_head = _columns([s[3] for s in strips[head]], HESTON_NAMES)
+    heston_slopes = any(name in HESTON_NAMES for name in wrt)
+    group_slopes = any(name in GROUP_NAMES for name in wrt)
 
     def integrand(us):
         k = -np.log(us) / scale + 1j * k_i
         c_val, big_d_val, parts = _cd_of(tau, k, p)
         kernel = np.exp(c_val + p.z * big_d_val) / (us * scale)
-        static = _payoff_transform(k[row_strip], log_k, q) * kernel[row_strip]
-        if not corrected:
-            return static
-        f0, f1 = _f_hats(tau, k, v, parts)
-        weight = p.kappa * p.theta * f0 + p.z * f1
-        return np.stack((static, static * weight[row_strip]))
+        factors = []
+        if corrected:
+            f0, f1 = _f_hats(tau, k, v, parts)
+            factors.append(p.kappa * p.theta * f0 + p.z * f1)
+        slopes = {}
+        parts_head = tuple(a[head] for a in parts)
+        if heston_slopes:
+            slopes.update(zip(HESTON_NAMES, _exponent_slopes(
+                tau[head], k[head], p_head, c_val[head], big_d_val[head], parts_head)))
+        if group_slopes:
+            f0, f1 = _f_hats(tau[head], k[head], _UNIT_V, parts_head)
+            slopes.update(zip(GROUP_NAMES, p_head.kappa * p_head.theta * f0 + p_head.z * f1))
+        factors += [slopes[name] for name in wrt]
+        out = np.empty((ride_base + planes * n_r, us.size), dtype=complex)
+        for j, rows in enumerate(layout):
+            strikes = slice(rows_of[j], rows_of[j + 1])
+            static = np.multiply(_payoff_transform(k[j], log_k[strikes], q[strikes]),
+                                 kernel[j], out=out[rows[0]])
+            for plane, factor in zip(rows[1:], factors):
+                np.multiply(static, factor[j], out=out[plane])
+        return out
 
     try:
-        value, err = integrate_adaptive(integrand, 0.0, 1.0, spec)
+        value, err = integrate_adaptive(integrand, 0.0, 1.0, spec,
+                                        ride=len(wrt) * n_s + planes * n_r)
     except NonConvergence as exc:
         # quadrature trouble never aborts a price: keep the best estimate
         value, err = np.asarray(exc.estimate), np.asarray(exc.error_bound)
-    if not corrected:  # no correction row: every correction part is 0
-        value, err = (np.stack((a, np.zeros_like(a))) for a in (value, err))
-    missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
-    return 2.0 * value.real, 2.0 * err.sum(axis=0), missed.any(axis=0)
+
+    def price_planes(flat, n):
+        planes_ = flat.reshape(planes, n)
+        return planes_ if corrected else np.vstack((planes_, np.zeros_like(planes_)))
+
+    value_s, err_s = price_planes(value[:steer_rows], n_s), price_planes(err, n_s)
+    missed = err_s > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value_s))
+    return (
+        2.0 * value_s.real,
+        2.0 * err_s.sum(axis=0),
+        missed.any(axis=0),
+        2.0 * value[steer_rows:ride_base].real.reshape(len(wrt), n_s),
+        2.0 * price_planes(value[ride_base:], n_r).real,
+    )
 
 
 def _finite_positive(name: str, *values: float) -> None:
@@ -190,6 +264,24 @@ def _finite_positive(name: str, *values: float) -> None:
     for value in values:
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _prepare(strips):
+    """Validated ``(strikes, tau, spot, p, v, scale)`` tuples of ``strips``."""
+    prepared = []
+    for strikes, expiry, spot, p, v in strips:
+        strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
+        if not strikes.size:
+            raise ValueError("strikes must be nonempty")
+        tau, spot = float(expiry), float(spot)
+        _finite_positive("strike", *strikes.tolist())
+        _finite_positive("expiry", tau)
+        _finite_positive("spot", spot)
+        variance = p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
+        scale = min(c_infinity(tau, p), 4.0 * math.sqrt(variance))
+        v = GroupParams.zero() if v is None else v
+        prepared.append((strikes, tau, spot, p, v, scale))
+    return prepared
 
 
 def price_strips(
@@ -212,30 +304,54 @@ def price_strips(
     """
     if payoff not in ("call", "put"):
         raise ValueError(f"unsupported payoff {payoff!r}")
+    return _priced(_prepare(strips), spec, payoff, (), 0)[0]
+
+
+def price_slopes(strips, wrt, riders=(), spec: QuadratureSpec | None = None):
+    """Call prices of ``strips``, their exact slopes, and ``riders`` priced
+    on the same mesh, from one adaptive integration.
+
+    ``strips`` and ``riders`` are strips as in ``price_strips``.  The mesh
+    and the breakdowns are those of ``price_strips(strips, spec)``, bit for
+    bit: the slope rows and the riders ride.  ``wrt`` names parameters
+    of ``HESTON_NAMES``, whose slopes are those of ``p_heston``, and of
+    ``GROUP_NAMES``, whose slopes are those of ``p_correction`` (exact: the
+    correction is linear in v).  Returns the breakdowns of each strip, one
+    (len(wrt), strikes) array of discounted slopes per strip, and one array
+    of discounted totals per rider.  A ValueError names an unknown
+    parameter.
+    """
+    for name in wrt:
+        if name not in HESTON_NAMES + GROUP_NAMES:
+            raise ValueError(f"no slope in {name!r}; known: "
+                             f"{', '.join(HESTON_NAMES + GROUP_NAMES)}")
+    prepared = _prepare(list(strips) + list(riders))
+    return _priced(prepared, spec, "call", tuple(wrt), len(riders))
+
+
+def _priced(prepared, spec, payoff, wrt, n_riders):
+    """Breakdowns, slopes and rider totals of ``prepared`` strips, the last
+    ``n_riders`` of which ride; see ``price_slopes``."""
     if spec is None:
         spec = QuadratureSpec()
-    prepared = []
-    for strikes, expiry, spot, p, v in strips:
-        strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-        if not strikes.size:
-            raise ValueError("strikes must be nonempty")
-        tau, spot = float(expiry), float(spot)
-        _finite_positive("strike", *strikes.tolist())
-        _finite_positive("expiry", tau)
-        _finite_positive("spot", spot)
-        variance = p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
-        scale = min(c_infinity(tau, p), 4.0 * math.sqrt(variance))
-        v = GroupParams.zero() if v is None else v
-        prepared.append((strikes, tau, spot, p, v, scale))
     if not prepared:
-        return []
-    values, errors, missed = _strip_integrals(prepared, spec, payoff)
+        return [], [], []
+    values, errors, missed, slopes, rider_values = _strip_integrals(
+        prepared, spec, payoff, wrt, n_riders)
+    n_steer = len(prepared) - n_riders
     edges = np.cumsum([0] + [len(s[0]) for s in prepared]).tolist()
-    results = []
-    for (strikes, tau, spot, p, _, _), lo, hi in zip(prepared, edges, edges[1:]):
+    results, strip_slopes, riders = [], [], []
+    for j, ((strikes, tau, spot, p, _, _), lo, hi) in enumerate(
+            zip(prepared, edges, edges[1:])):
         discount = math.exp(-p.r * tau)
+        scale = discount / (2.0 * math.pi)
+        if j >= n_steer:
+            at = edges[n_steer]
+            riders.append((scale * rider_values[:, lo - at:hi - at]).sum(axis=0))
+            continue
         # this strip's price, correction and bound rows, discounted
-        rows = discount / (2.0 * math.pi) * np.vstack((values[:, lo:hi], errors[lo:hi]))
+        rows = scale * np.vstack((values[:, lo:hi], errors[lo:hi]))
+        strip_slopes.append(scale * slopes[:, lo:hi])
         base = ("nonconvergence",) if missed[lo:hi].any() else ()
         strip = []
         for strike, h, c, err in zip(strikes, *rows.tolist()):
@@ -247,7 +363,7 @@ def price_strips(
             tags = base if inside else base + ("outside_no_arbitrage_band",)
             strip.append(PriceBreakdown(h, c, err, tags))
         results.append(strip)
-    return results
+    return results, strip_slopes, riders
 
 
 def price_strikes(

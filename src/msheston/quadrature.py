@@ -82,24 +82,36 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be at least 1")
 
 
-def _panels(f, lo, hi):
+def _panels(f, lo, hi, ride):
     """GK15 on every panel (lo[j], hi[j]) through one call of ``f``.
 
-    Returns per-component (value, error) of shape ``(..., n_panels)``.
+    Returns the Kronrod values of all components and the errors of all but
+    the last ``ride`` rows of the first axis, shapes ``(..., n_panels)``.
+    The integrand's array is overwritten.
     """
     hw = 0.5 * (hi - lo)
     xs = (0.5 * (lo + hi))[:, None] + hw[:, None] * _NODES
     vals = np.asarray(f(xs.ravel()))
     if vals.shape[-1] != xs.size:
         raise ValueError("integrand must return (..., n) for n abscissae")
+    if not 0 <= ride < (len(vals) if vals.ndim > 1 else 1):
+        raise ValueError(f"ride = {ride} must leave at least one row to steer")
+    if not (vals.flags.writeable and vals.dtype.kind in "fc"):
+        vals = vals.astype(np.result_type(vals, 1.0))
     vals = vals.reshape(vals.shape[:-1] + xs.shape)
-    resk = vals @ _WK
-    resg = vals @ _WG
+    steer = vals[: len(vals) - ride]
+    resk = steer @ _WK
+    resg = steer @ _WG
     value = resk * hw
+    if ride:
+        value = np.concatenate((value, (vals[len(vals) - ride:] @ _WK) * hw))
     raw = np.abs(resk - resg) * hw
-    resabs = np.abs(vals) @ _WK
-    mean = resk * 0.5
-    asc = (np.abs(vals - mean[..., None]) @ _WK) * hw
+    # one real scratch array serves |vals| and |vals - mean|, the latter
+    # formed in place
+    scratch = np.abs(steer)
+    resabs = scratch @ _WK
+    steer -= (resk * 0.5)[..., None]
+    asc = (np.abs(steer, out=scratch) @ _WK) * hw
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(
             (asc > 0.0) & (raw > 0.0),
@@ -115,12 +127,20 @@ def integrate_adaptive(
     a: float,
     b: float,
     spec: QuadratureSpec,
+    ride: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Globally adaptive GK15 over (a, b) for a vector-valued integrand.
 
     ``f`` maps an ``(n,)`` array of abscissae to ``(..., n)`` component
-    values (real or complex).  The start mesh is graded towards ``a``, the
-    end where the pricer's map puts ``k = infinity``: the ``m + 1`` panels
+    values (real or complex), a new array on each call: the rule overwrites
+    it.  The last ``ride`` rows of its first axis ride: they are integrated
+    on the mesh that the other rows, the steering rows, choose, and neither
+    refine it nor count towards convergence, so the steering rows' values,
+    their error bounds and the calls of ``f`` are the same as without the
+    riding rows.
+
+    The start mesh is graded towards ``a``, the end where the pricer's map
+    puts ``k = infinity``: the ``m + 1`` panels
     ``[a, a + h/2**m], [a + h/2**m, a + h/2**(m-1)], ..., [a + h/2, b]`` with
     ``h = b - a``, all evaluated in the first call of ``f``.  The depth
     ``m = ceil(log2(h / abs_tol))``, at which the panel touching ``a`` holds
@@ -132,7 +152,8 @@ def integrate_adaptive(
     ``tol = max(abs_tol, rel_tol * |component|)`` (worst panels first, up
     to ``max_subdivisions`` panels in all) and evaluates all the children in
     one call of ``f``.  Returns the per-component ``(value, error)`` pair
-    once every component's summed error meets its tolerance.
+    once every component's summed error meets its tolerance; with ``ride``,
+    the value holds every row and the error only the steering rows.
 
     Raises
     ------
@@ -145,10 +166,11 @@ def integrate_adaptive(
     m = min(math.ceil(math.log2(max(h / spec.abs_tol, 1.0))), spec.max_subdivisions - 1)
     inner = float(a) + h * 2.0 ** -np.arange(m, 0, -1.0)
     lo, hi = np.append(float(a), inner), np.append(inner, float(b))
-    value, err = _panels(f, lo, hi)
+    value, err = _panels(f, lo, hi, ride)
     while True:
         total, bound = value.sum(axis=-1), err.sum(axis=-1)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        steered = total[: len(total) - ride] if ride else total
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(steered))
         if np.all(bound <= tol):
             return total, bound
         n = lo.size
@@ -168,7 +190,7 @@ def integrate_adaptive(
             )
         new_lo = np.concatenate((lo[split], mid[split]))
         new_hi = np.concatenate((mid[split], hi[split]))
-        new_value, new_err = _panels(f, new_lo, new_hi)
+        new_value, new_err = _panels(f, new_lo, new_hi, ride)
         lo = np.concatenate((np.delete(lo, split), new_lo))
         hi = np.concatenate((np.delete(hi, split), new_hi))
         value = np.concatenate((np.delete(value, split, axis=-1), new_value), axis=-1)

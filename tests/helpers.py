@@ -44,6 +44,17 @@ def mp_d(k, p, dps: int = 50):
         return complex(val)
 
 
+def _mp_cd(t, kc, kappa, theta, sigma, rho):
+    """(C, D) at the current mpmath precision from mpf/mpc inputs."""
+    m = kappa + 1j * rho * sigma * kc
+    d = mp.sqrt(sigma**2 * (kc * kc - 1j * kc) + m * m)
+    w = (1 - mp.exp(-t * d)) / d
+    zeta = 1 + (m - d) * w / 2
+    big_c = kappa * theta / sigma**2 * ((m - d) * t - 2 * mp.log(zeta))
+    big_d = -(kc * kc - 1j * kc) * w / (2 * zeta)
+    return big_c, big_d
+
+
 def mp_cd(tau, k, p, dps: int = 50):
     """Direct high-precision exponent pair (C, D) of the transform kernel.
 
@@ -52,17 +63,35 @@ def mp_cd(tau, k, p, dps: int = 50):
     its cancellation at tau*d ~ 1e-9.
     """
     with mp.workdps(dps):
-        kc = mp.mpc(complex(k))
-        kappa, theta, sigma, rho, t = (
-            mp.mpf(x) for x in (p.kappa, p.theta, p.sigma, p.rho, tau)
-        )
-        m = kappa + 1j * rho * sigma * kc
-        d = mp.sqrt(sigma**2 * (kc * kc - 1j * kc) + m * m)
-        w = (1 - mp.exp(-t * d)) / d
-        zeta = 1 + (m - d) * w / 2
-        big_c = kappa * theta / sigma**2 * ((m - d) * t - 2 * mp.log(zeta))
-        big_d = -(kc * kc - 1j * kc) * w / (2 * zeta)
+        big_c, big_d = _mp_cd(mp.mpf(tau), mp.mpc(complex(k)), *(
+            mp.mpf(x) for x in (p.kappa, p.theta, p.sigma, p.rho)))
         return complex(big_c), complex(big_d)
+
+
+def mp_cd_slopes(tau, k, p, dps: int = 50) -> np.ndarray:
+    """d(C + z*D)/d(kappa, rho, sigma, theta, z) by central differences of
+    ``mp_cd``'s formulas at ``dps`` digits.
+
+    The step is 10**(-dps/2.5) relative to each parameter: at 50 digits the
+    O(h^2) truncation and the rounding over h both sit near 1e-30.
+    """
+    names = ("kappa", "rho", "sigma", "theta", "z")
+    with mp.workdps(dps):
+        t, kc = mp.mpf(tau), mp.mpc(complex(k))
+        x = {name: mp.mpf(getattr(p, name)) for name in names}
+
+        def exponent(y):
+            big_c, big_d = _mp_cd(t, kc, y["kappa"], y["theta"], y["sigma"], y["rho"])
+            return big_c + y["z"] * big_d
+
+        out = []
+        for name in names:
+            h = abs(x[name]) * mp.mpf(10) ** (-dps / 2.5)
+            up, down = dict(x), dict(x)
+            up[name] += h
+            down[name] -= h
+            out.append(complex((exponent(up) - exponent(down)) / (2 * h)))
+        return np.array(out)
 
 
 def mp_big_a(tau, k, s, p, dps: int = 60):

@@ -20,10 +20,11 @@ from msheston.calibration import (
 from msheston import calibration, cli, pricer
 from msheston.calibration import (
     _box,
-    _forward_jacobian,
+    _fit,
+    _heston_neighbours,
+    _linearize,
     _pack,
     _per_expiry_rss,
-    _prices,
     _unpack,
 )
 from msheston.errors import NonFinite
@@ -141,7 +142,7 @@ class TestObjective:
         # such quotes get zero Jacobian rows; the others still move
         lo, hi = _box({}, multiscale=True)
         x = _pack(TRUTH_P, GroupParams(0.0, 0.0, 0.49, 0.0))
-        jac = _forward_jacobian(x, lo, hi, _price_rows(prob), heston_market)
+        jac = _linearize(x, prob, lo, hi)[1]
         assert np.all(jac[out] == 0.0)
         assert np.all(np.any(jac[~out] != 0.0, axis=1))
 
@@ -303,7 +304,7 @@ class TestCalibrateHeston:
         def no_pricing(*args, **kwargs):
             raise AssertionError("priced before counting the quotes")
 
-        monkeypatch.setattr(calibration, "price_strips", no_pricing)
+        monkeypatch.setattr(pricer, "integrate_adaptive", no_pricing)
         with pytest.raises(ValueError, match="4 quotes cannot identify 5 free"):
             calibrate_heston(_problem(few), TRUTH_P)
 
@@ -336,7 +337,7 @@ class TestCalibrateMultiscale:
 class TestOneRunPerStage:
     """A stage is its least_squares run, and its report is that run's result."""
 
-    def test_stage_costs_nfev_plus_njev(self, fits, monkeypatch, multiscale_market):
+    def test_stage_costs_nfev(self, fits, monkeypatch, multiscale_market):
         integrations = []
 
         def counted(*args, **kwargs):
@@ -352,28 +353,26 @@ class TestOneRunPerStage:
         stages.append((m_res, fits[-1], len(integrations)))
         assert len(fits) == 2
         for res, fit, n_integrations in stages:
-            assert n_integrations == fit.nfev + fit.njev
+            # each residual pass carries its Jacobian: njev costs nothing
+            assert n_integrations == fit.nfev
             assert res.objective == fit.fun @ fit.fun
             assert res.iterations == fit.nfev
             assert res.jacobians == fit.njev
 
 
-def _price_rows(prob):
-    """The ``prices`` callable of a corrected-model fit on ``prob``."""
-    rate = prob.market.rate(prob.market.expiries()[0])
-    return lambda xs: _prices([_unpack(x, rate) for x in xs], prob)[0]
+class _Stop(Exception):
+    pass
 
 
 class TestBatchedPasses:
-    """A residual pass and a Jacobian each price all their points in one
-    integration, and each inverts only one point's quotes."""
+    """A residual pass prices all its points in one integration and inverts
+    one point's quotes; the Jacobian at its x costs nothing more."""
 
     def _setup(self, market, spec=SPEC):
-        # a box on v1e that the start point nearly touches, so that the
-        # forward step along v1e has to be flipped inward
-        bounds = {"v1e": (-0.01, 0.01)}
+        # a box on sigma that the start point nearly touches, so that the
+        # multiscale stage's forward step along sigma has to be flipped inward
+        bounds = {"sigma": (0.1, 0.5 + 1e-7)}
         prob = CalibProblem(market=market, bounds=bounds, quadrature=spec)
-        lo, hi = _box(bounds, multiscale=True)
         x = _pack(
             TRUTH_P.replace(kappa=1.4, sigma=0.5),
             GroupParams(0.01 - 1e-7, -0.001, -0.004, 0.0015),
@@ -383,7 +382,7 @@ class TestBatchedPasses:
         def residuals(x):
             return objective_multiscale(_unpack(x, rate), prob)
 
-        return x, lo, hi, _price_rows(prob), residuals
+        return x, prob, residuals
 
     def test_one_integration_per_pass(self, monkeypatch, multiscale_market):
         calls, inversions = [], []
@@ -396,44 +395,55 @@ class TestBatchedPasses:
             inversions.append(1)
             return implied_vol(*args, **kwargs)
 
+        def first_passes(fun, x0, jac, **kwargs):
+            # the residual pass at x0, the Jacobian there, and one elsewhere
+            res = fun(x0)
+            seen = [(len(calls), len(inversions))]
+            jacs = [jac(x0)]
+            seen.append((len(calls), len(inversions)))
+            jacs.append(jac(0.999 * x0))
+            seen.append((len(calls), len(inversions)))
+            raise _Stop(res, jacs, seen)
+
         monkeypatch.setattr(pricer, "integrate_adaptive", counted)
         monkeypatch.setattr(calibration, "implied_vol", counted_inversion)
+        monkeypatch.setattr(calibration, "least_squares", first_passes)
         n = multiscale_market.n_points
-        x, lo, hi, prices, residuals = self._setup(multiscale_market)
-        res = residuals(x)
-        assert (len(calls), len(inversions)) == (1, n)
-        assert res.shape == (n,)
-        # the iterate and its 9 neighbours in one integration; inverting the
-        # neighbours too would make 10 n inversions
-        jac = _forward_jacobian(x, lo, hi, prices, multiscale_market)
-        assert (len(calls), len(inversions)) == (2, 2 * n)
-        assert jac.shape == (n, 9)
+        x, prob, _ = self._setup(multiscale_market)
+        for multiscale in (False, True):
+            calls.clear()
+            inversions.clear()
+            with pytest.raises(_Stop) as stop:
+                _fit(prob, x if multiscale else x[:5], *_box(prob.bounds, multiscale))
+            res, jacs, seen = stop.value.args
+            assert res.shape == (n,)
+            assert all(jac.shape == (n, 9 if multiscale else 5) for jac in jacs)
+            # the Jacobian at the residual pass's x neither prices nor
+            # inverts; elsewhere it takes one more pass
+            assert seen == [(1, n), (1, n), (2, 2 * n)]
 
     def test_jacobian_against_central_differences(self, multiscale_market):
         # central differences of the residuals with step 1e-4, each point
-        # priced on its own at 1e-11 quadrature tolerances; the forward price
-        # differences (step 1e-6 in natural units) over vega at the iterate
-        # meet them to 9.9e-6 in the v3e column, 3.0e-6 of its largest entry,
-        # to 5.6e-6 in the z column, whose largest entry is 2, and closer
-        # elsewhere
+        # priced on its own at 1e-11 quadrature tolerances; the exact
+        # Heston-stage columns meet them to 2.0e-7 of their scale (z), where
+        # forward differences met them to 3.6e-6, and the multiscale stage's
+        # exact v-columns and forward-difference Heston columns to 3.0e-6
+        # (v3e, whose largest entry is 3.2) and 2.8e-6 (z)
         spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-        x, lo, hi, prices, residuals = self._setup(multiscale_market, spec)
-        steps = []
-
-        def recorded(xs):
-            steps.append(np.diag(xs[1:]) - x)
-            return prices(xs)
-
-        jac = _forward_jacobian(x, lo, hi, recorded, multiscale_market)
-        # v1e > 0 steps down, flipped at its upper bound; v4e > 0 steps up
-        assert steps[0][5] < 0.0 < steps[0][8]
+        x9, prob, residuals = self._setup(multiscale_market, spec)
+        lo, hi = _box(prob.bounds, multiscale=True)
+        # kappa steps up; sigma, flipped at its upper bound, steps down
+        steps = _heston_neighbours(x9, lo, hi) - x9[:5]
+        assert steps[2] < 0.0 < steps[0]
         delta = 1e-4
-        for j in range(len(x)):
-            e = np.zeros_like(x)
-            e[j] = delta
-            central = (residuals(x + e) - residuals(x - e)) / (2.0 * delta)
-            scale = max(1.0, float(np.max(np.abs(central))))
-            assert np.max(np.abs(jac[:, j] - central)) <= 1e-5 * scale, j
+        for x in (x9[:5], x9):
+            jac = _linearize(x, prob, lo[: len(x)], hi[: len(x)])[1]
+            for j in range(len(x)):
+                e = np.zeros_like(x)
+                e[j] = delta
+                central = (residuals(x + e) - residuals(x - e)) / (2.0 * delta)
+                scale = max(1.0, float(np.max(np.abs(central))))
+                assert np.max(np.abs(jac[:, j] - central)) <= 1e-5 * scale, (len(x), j)
 
 
 class TestSoftFailures:

@@ -8,6 +8,7 @@ from msheston.kernel import (
     _b_coeffs,
     _cd_of,
     _d_of,
+    _exponent_slopes,
     _f_hats,
     _log1p,
 )
@@ -19,7 +20,7 @@ from .conftest import (
     d_zero_call_contour,
     group_at_epsilon,
 )
-from .helpers import mp_cd, mp_d, naive_big_c, ode_transforms
+from .helpers import mp_cd, mp_cd_slopes, mp_d, naive_big_c, ode_transforms
 
 # At sigma = 1e-3 and one day beta*w ~ 1e-9: f0_hat then needs log zeta to
 # full precision relative to beta*w, and its second log ratio cancels to
@@ -171,6 +172,59 @@ class TestBigD:
         )
         fine = max(abs(big_d(t, k, p)) / (1 + abs(k)) for t in taus for k in ks)
         assert fine <= 2.0 * coarse
+
+
+_SLOPE_SETS = {
+    "table1": TABLE1_HESTON,
+    "feller_violated": EDGE_HESTON["feller_violated"],
+    "rho_plus_0999": TABLE1_HESTON.replace(rho=0.999),
+    "rho_minus_0999": TABLE1_HESTON.replace(rho=-0.999),
+    # M - d is O(sigma^2) along the whole contour
+    "sigma_1e-2": TABLE1_HESTON.replace(sigma=1e-2),
+    "sigma_1e-3": _SMALL_SIGMA,
+}
+
+
+def exponent_slopes(tau, k, p):
+    c_val, d_val, parts = _cd_of(tau, np.asarray(k), p)
+    return _exponent_slopes(tau, np.asarray(k), p, c_val, d_val, parts)
+
+
+class TestExponentSlopes:
+    """d(C + z*D)/d(kappa, rho, sigma, theta, z) against 50-digit central
+    differences of the mpmath kernel."""
+
+    @pytest.mark.parametrize("p", _SLOPE_SETS.values(), ids=_SLOPE_SETS.keys())
+    def test_against_mpmath(self, p):
+        # tau from 2 days to 10 years, k_r from 1e-8 to 100 on both contours:
+        # met to 5.3e-13 of max(1, |slope|), the worst at sigma = 1e-3
+        for tau in (2 / 365, 0.25, 1.0, 10.0):
+            for kr in (1e-8, 0.5, 20.0, 100.0):
+                for ki in (1.5, -0.5):
+                    k = complex(kr, ki)
+                    ref = mp_cd_slopes(tau, k, p)
+                    err = np.abs(exponent_slopes(tau, k, p) - ref)
+                    assert np.all(err <= 1e-11 * np.maximum(1.0, np.abs(ref))), (tau, k)
+
+    def test_next_to_d_zero(self, table1_heston):
+        # on the contour through d = 0 the slope of w loses eps/(tau*|d|):
+        # 4.0e-13 at k_r = 1e-3 and tau = 1, 5.9e-10 at k_r = 1e-6
+        ki = d_zero_call_contour(table1_heston)
+        for tau in (2 / 365, 1.0, 10.0):
+            for kr in (1e-3, 0.01, 1.0):
+                k = complex(kr, ki)
+                ref = mp_cd_slopes(tau, k, table1_heston)
+                err = np.abs(exponent_slopes(tau, k, table1_heston) - ref)
+                assert np.all(err <= 1e-11 * np.maximum(1.0, np.abs(ref))), (tau, k)
+
+    def test_broadcasts_like_the_kernel(self, table1_heston):
+        # one leading row per parameter over the kernel's own shape
+        k = np.linspace(0.1, 30.0, 12).reshape(3, 4) + 1.5j
+        slopes = exponent_slopes(0.5, k, table1_heston)
+        assert slopes.shape == (5, 3, 4)
+        assert slopes[3] == pytest.approx(
+            _cd_of(0.5, k, table1_heston)[0] / table1_heston.theta, rel=1e-15)
+        assert np.all(slopes[4] == _cd_of(0.5, k, table1_heston)[1])
 
 
 class TestBigC:

@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from msheston import calibration, cli
+from msheston import calibration, cli, pricer
 from msheston.cli import main
 from msheston.errors import EmptyAfterFilter, ParseError
 from msheston.kernel import HestonParams
@@ -422,6 +422,17 @@ class TestCli:
         assert payload["dt"] == 1.0
         assert "fast_factor_step_coarse" in payload["warnings"]
 
+    def test_validate_mc_refuses_too_many_steps(self, capsys):
+        # 2000 years at dt = 1e-4 is 2e7 steps: refused before any path-step
+        argv = ["validate-mc", "--spot", "100", "--strike", "100",
+                "--expiry", "2000", *FULL_MODEL_FLAGS, "--n-paths", "16",
+                "--dt", "1e-4"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("horizon 2000.0 at dt 0.0001 takes 2e+07 steps, more than 10000000"
+                in captured.err)
+
     @pytest.mark.parametrize("command", [["group-params"], [
         "validate-mc", "--spot", "100", "--strike", "100", "--expiry", "0.5",
         "--n-paths", "16",
@@ -646,7 +657,7 @@ class TestCli:
         def no_pricing(*args, **kwargs):
             raise AssertionError("priced before counting the quotes")
 
-        monkeypatch.setattr(calibration, "price_strips", no_pricing)
+        monkeypatch.setattr(pricer, "integrate_adaptive", no_pricing)
         chain = tmp_path / "seven.csv"
         write_chain(chain, [_row(365, k, 0.2) for k in (85.0, 90.0, 95.0, 100.0, 105.0)]
                     + [_row(182, k, 0.21) for k in (95.0, 100.0)])
@@ -738,7 +749,7 @@ class TestCli:
         def no_pricing(*args, **kwargs):
             raise AssertionError("priced before rejecting the bound")
 
-        monkeypatch.setattr(calibration, "price_strips", no_pricing)
+        monkeypatch.setattr(pricer, "integrate_adaptive", no_pricing)
         cfg = {"calibration": {"start": CALIB_START, "bounds": {name: pair}}}
         argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain_path)]
         assert main(argv) == 3
@@ -753,7 +764,7 @@ class TestCli:
         def no_pricing(*args, **kwargs):
             raise AssertionError("priced before checking the start")
 
-        monkeypatch.setattr(calibration, "price_strips", no_pricing)
+        monkeypatch.setattr(pricer, "integrate_adaptive", no_pricing)
         cfg = {"calibration": {"start": CALIB_START,
                                "bounds": {"kappa": [2.0, 3.0]}}}
         argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain_path)]

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import numpy as np
@@ -293,6 +294,22 @@ class TestMcPriceCall:
     def test_simulate_paths_rejects_a_bad_horizon(self, horizon):
         cfg = SimConfig(n_paths=16, dt=1e-2, seed=1)
         with pytest.raises(ValueError, match="horizon must be finite and strictly"):
+            simulate_paths(_full_model(), horizon, cfg)
+
+    @pytest.mark.parametrize("horizon, dt, count", [
+        (1e12, 1e-4, "1e+16"),       # 1e16 steps would loop for years
+        (1e10, 1e-300, "inf"),       # the ratio overflows
+        (1e3 + 1e-3, 1e-4, "1e+07"),  # 10,000,010 steps
+    ])
+    def test_simulate_paths_refuses_too_many_steps(self, monkeypatch, horizon, dt, count):
+        def not_drawn(*args):
+            raise AssertionError("drew normals past the step bound")
+
+        monkeypatch.setattr(mc_mod, "_chunk_streams", not_drawn)
+        cfg = SimConfig(n_paths=8, dt=dt, seed=1)
+        message = (f"horizon {horizon!r} at dt {dt!r} takes {count} steps, "
+                   f"more than {mc_mod.MAX_STEPS}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             simulate_paths(_full_model(), horizon, cfg)
 
     def test_conditional_and_payoff_estimators_agree(self):

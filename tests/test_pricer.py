@@ -15,6 +15,7 @@ from msheston.pricer import (
     c_infinity,
     price_corrected,
     price_heston,
+    price_slopes,
     price_strikes,
     price_strips,
 )
@@ -372,16 +373,17 @@ class TestPriceStrips:
 
     def test_integrand_rows(self, table1_heston, monkeypatch):
         # one row per strike when no strip is corrected; a price and a
-        # correction row per strike as soon as one is, the correction row of
-        # an uncorrected strip integrating to exactly 0
+        # correction row per strike as soon as one is (all price rows
+        # first), the correction row of an uncorrected strip integrating to
+        # exactly 0
         shapes = []
 
-        def recording(f, *args):
+        def recording(f, *args, **kwargs):
             def rows(us):
                 vals = f(us)
                 shapes.append(vals.shape[:-1])
                 return vals
-            return integrate_adaptive(rows, *args)
+            return integrate_adaptive(rows, *args, **kwargs)
 
         monkeypatch.setattr(pricer, "integrate_adaptive", recording)
         base = ([90.0, 100.0, 110.0], 1.0, 100.0, table1_heston, None)
@@ -389,8 +391,8 @@ class TestPriceStrips:
         zero = ([95.0], 2.0, 100.0, table1_heston, GroupParams.zero())
         for strips, shape in (
             ([base, zero], (4,)),
-            ([corr], (2, 2)),
-            ([base, corr, zero], (2, 6)),
+            ([corr], (4,)),
+            ([base, corr, zero], (12,)),
         ):
             shapes.clear()
             priced = price_strips(strips)
@@ -405,8 +407,8 @@ class TestPriceStrips:
 class TestAffineInV:
     """One batch is affine in the correction coefficients: strips that differ
     only in v share the mesh, so the correction row is linear in each
-    coefficient to rounding, and a forward-difference v-column of the
-    calibration Jacobian is already exact."""
+    coefficient to rounding, and the correction row at a unit coefficient,
+    which ``price_slopes`` integrates, is the exact slope in it."""
 
     @pytest.mark.parametrize("spec", [QuadratureSpec(),
                                       QuadratureSpec(abs_tol=1e-5, rel_tol=1e-5)],
@@ -425,6 +427,29 @@ class TestAffineInV:
                 [(strikes, 0.5, 100.0, table1_heston, w) for w in steps], spec)
         ])
         assert np.all(np.abs(p0 - 2.0 * p1 + p2) <= 1e-13 * np.abs(p1 - p0))
+
+    @pytest.mark.parametrize("spec", [QuadratureSpec(),
+                                      QuadratureSpec(abs_tol=1e-5, rel_tol=1e-5)],
+                             ids=["default", "1e-5"])
+    def test_slopes_are_one_unit_differences(self, table1_heston, spec):
+        # the exact v-slopes against steps of 1 in each coefficient priced as
+        # riders on the same mesh: they met to 1.1e-14 of |P1 - P0|
+        v = GroupParams(0.01, -0.001, -0.004, 0.0015)
+        strikes = np.linspace(80.0, 120.0, 5)
+        names = pricer.GROUP_NAMES
+        strips = [(strikes, 0.5, 100.0, table1_heston, v),
+                  (strikes[::2], 2.0, 100.0, table1_heston, v)]
+        riders = [(s[0], s[1], s[2], s[3],
+                   dataclasses.replace(v, **{name: getattr(v, name) + 1.0}))
+                  for name in names for s in strips]
+        breakdowns, slopes, shifted = price_slopes(strips, names, riders, spec)
+        p0 = np.concatenate([[bd.total for bd in strip] for strip in breakdowns])
+        forward = np.reshape(np.concatenate(shifted), (len(names), -1)) - p0
+        assert np.all(np.abs(np.hstack(slopes) - forward) <= 1e-12 * np.abs(forward))
+
+    def test_unknown_slope_rejected(self, table1_heston):
+        with pytest.raises(ValueError, match="no slope in 'r'; known: kappa, rho"):
+            price_slopes([([100.0], 1.0, 100.0, table1_heston, None)], ("r",))
 
 
 class TestContourChoice:

@@ -106,6 +106,84 @@ class TestUnitInterval:
         assert err.shape == (3,)
 
 
+class TestRidingRows:
+    """Rows that ride are integrated on the mesh the other rows choose and
+    change nothing of theirs."""
+
+    @staticmethod
+    def _steering(u):
+        # an endpoint singularity and an oscillation: several rounds
+        return np.stack([np.log(u), np.cos(40.0 * u)])
+
+    @staticmethod
+    def _with_riders(u):
+        # a rider that alone would need far more refinement than the mesh
+        # gets, and one the mesh integrates to the last digits
+        return np.concatenate([TestRidingRows._steering(u),
+                               np.stack([np.sin(400.0 * u), u * u])])
+
+    @pytest.mark.parametrize("max_subdivisions", [512, 6])
+    def test_steering_rows_bit_identical(self, max_subdivisions):
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12,
+                              max_subdivisions=max_subdivisions)
+        results = []
+        for f, ride in ((self._steering, 0), (self._with_riders, 2)):
+            g, sizes = counting(f)
+            try:
+                value, err = integrate_adaptive(g, 0.0, 1.0, spec, ride=ride)
+            except NonConvergence as exc:
+                value, err = exc.estimate, exc.error_bound
+            results.append((value, err, sizes))
+        (value, err, sizes), (ridden, ridden_err, ridden_sizes) = results
+        assert ridden_sizes == sizes
+        assert ridden[:2].tobytes() == value.tobytes()
+        assert ridden_err.tobytes() == err.tobytes()
+        assert ridden.shape == (4,) and ridden_err.shape == (2,)
+        if max_subdivisions == 512:
+            assert len(sizes) > 1
+            assert ridden[3] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        else:  # the start mesh fills the budget: the estimate, in one call
+            assert err[0] > spec.abs_tol
+
+    def test_riders_on_a_pricing_integration(self, table1_heston):
+        # slope rows and a neighbour strip leave the strips' breakdowns,
+        # bounds and tags bit-identical, in the same integrand calls
+        strips = [(np.linspace(80.0, 120.0, 5), 0.5, 100.0, table1_heston,
+                   group_at_epsilon(1e-2)),
+                  ([100.0], 2.0, 100.0, table1_heston, None)]
+        neighbour = [(s[0], s[1], s[2], table1_heston.replace(kappa=1.001), s[4])
+                     for s in strips]
+        spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
+        calls = {}
+        for key, price in (
+            ("plain", lambda: pricer.price_strips(strips, spec)),
+            ("ridden", lambda: pricer.price_slopes(
+                strips, pricer.GROUP_NAMES + ("kappa",), neighbour, spec)[0]),
+        ):
+            sizes = []
+            original = pricer.integrate_adaptive
+
+            def counted(f, *args, **kwargs):
+                g, seen = counting(f)
+                try:
+                    return original(g, *args, **kwargs)
+                finally:
+                    sizes.extend(seen)
+
+            pricer.integrate_adaptive = counted
+            try:
+                calls[key] = (repr(price()), sizes)
+            finally:
+                pricer.integrate_adaptive = original
+        assert calls["ridden"] == calls["plain"]
+        assert len(calls["plain"][1]) > 1
+
+    def test_at_least_one_row_steers(self):
+        with pytest.raises(ValueError, match="ride = 2 must leave at least one row"):
+            integrate_adaptive(lambda u: np.stack([u, u]), 0.0, 1.0,
+                               QuadratureSpec(), ride=2)
+
+
 class TestHalfLine:
     def test_pure_exponential(self):
         for c_inf in (0.3, 1.0, 3.1):
@@ -188,10 +266,10 @@ class TestRounds:
         """The sizes of the integrand calls of the pricer's integrations."""
         sizes = []
 
-        def counted(f, a, b, spec):
+        def counted(f, a, b, spec, **kwargs):
             g, seen = counting(f)
             try:
-                return integrate_adaptive(g, a, b, spec)
+                return integrate_adaptive(g, a, b, spec, **kwargs)
             finally:
                 sizes.extend(seen)
 
