@@ -11,19 +11,16 @@ quote residuals and nothing else: the Feller condition is reported
 A fit runs in natural units, (kappa, rho, sigma, theta, z, v1e..v4e),
 inside the box of ``DEFAULT_BOUNDS`` overridden by ``CalibProblem.bounds``:
 SciPy's trust-region reflective method keeps every iterate strictly inside
-it, and the multiscale stage's difference steps are clipped into it.
+it.
 
 Each stage is one ``least_squares`` run from its start point.  Each
-residual evaluation prices every expiry in one ``price_slopes`` call, whose
-price slopes ride on the mesh that the prices choose, and inverts the quotes
-once; the Jacobian at that x is read off the same pass, so a run costs nfev
-integrations.  The baseline stage's columns are exact: the kernel's
-derivatives d(C + z*D) in each Heston parameter.  The corrected stage's
-v-columns are exact too, the correction being linear in v, and its Heston
-columns difference the prices of one neighbour per parameter, priced on the
-same mesh.  Price slopes become vol slopes through 1/vega at the model vol.
-The reported objective and per-expiry residuals are read off the run's
-final residual vector.
+residual evaluation prices every expiry in one ``price_slopes`` call and
+inverts the quotes once; the Jacobian at that x is read off the same pass,
+so a run costs nfev integrations.  Every column of both stages is exact,
+with no difference step: the slope of each total price in each parameter,
+riding on the mesh that the prices choose, over vega at the model vol.  The
+reported objective and per-expiry residuals are read off the run's final
+residual vector.
 """
 
 from __future__ import annotations
@@ -136,8 +133,8 @@ class CalibResult:
     square per expiry, both from the run's final residual vector.
     ``iterations`` is ``least_squares``' nfev: residual evaluations on
     accepted or rejected trust-region steps, each one batched integration
-    that also carries the price slopes.  ``jacobians`` is its njev: each
-    Jacobian is read off the residual evaluation at its x, which
+    that also carries the exact price slopes.  ``jacobians`` is its njev:
+    each Jacobian is read off the residual evaluation at its x, which
     ``least_squares`` has just made, so it neither prices nor inverts.  A
     run costs nfev integrations.
     ``soft_failures`` counts the run's integrations in which any strip came
@@ -241,56 +238,25 @@ def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
     return tuple(rows)
 
 
-def _heston_neighbours(x, lo, hi) -> np.ndarray:
-    """The values the Heston entries x[:5] step to for forward differences.
-
-    SciPy's 2-point step h_j = 1e-6 sign(x_j) max(1, |x_j|) in natural units,
-    flipped inward where it would leave the bounds, then clipped into them,
-    since a box narrower than the step (theta in [1e-8, 1e-7]) leaves it on
-    both sides.
-    """
-    x, lo, hi = x[:5], lo[:5], hi[:5]
-    h = 1e-6 * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    h = np.where((x + h < lo) | (x + h > hi), -h, h)
-    return np.clip(x + h, lo, hi)
-
-
-def _linearize(x, prob: CalibProblem, lo, hi):
+def _linearize(x, prob: CalibProblem):
     """Residuals at ``x``, their Jacobian, and whether any strip came back
     tagged ``nonconvergence``, from one integration.
 
-    The price slopes ride on the mesh that the prices at ``x`` choose.  At
-    5 entries every column is exact: static times d(C + z*D) in each Heston
-    parameter.  At 9 the four v-columns are exact, the correction being
-    linear in v, and each Heston column is a forward difference of a
-    neighbour (``_heston_neighbours``) priced on the same mesh.  Price slopes
-    become vol slopes through 1/vega at the model vol of ``x``, so only the
-    quotes of ``x`` are inverted; a quote with no implied vol keeps its
-    constant residual and gets a zero row.
+    Every column is exact and rides on the mesh that the prices at ``x``
+    choose: ``price_slopes`` gives the slope of each total price in every
+    entry of ``x``, Heston parameters and correction coefficients alike.
+    Price slopes become vol slopes through 1/vega at the model vol of ``x``,
+    so only the quotes of ``x`` are inverted; a quote with no implied vol
+    keeps its constant residual and gets a zero row.
     """
     market = prob.market
-    rate = market.rate(market.expiries()[0])
-    p, v = _unpack(x, rate)
-    steps, riders = None, []
-    if v is not None:
-        moved = _heston_neighbours(x, lo, hi)
-        for j, value in enumerate(moved):
-            shifted = x.copy()
-            shifted[j] = value
-            riders += _strips(*_unpack(shifted, rate), market)
-        steps = moved - x[:5]
-    wrt = THETA_NAMES if v is None else V_NAMES
-    breakdowns, slopes, shifted_prices = price_slopes(
-        _strips(p, v, market), wrt, riders, prob.quadrature)
+    p, v = _unpack(x, market.rate(market.expiries()[0]))
+    wrt = THETA_NAMES if v is None else THETA_NAMES + V_NAMES
+    breakdowns, slopes = price_slopes(_strips(p, v, market), wrt, prob.quadrature)
     priced = [bd for strip in breakdowns for bd in strip]
-    prices = np.array([bd.total for bd in priced])
-    residuals, dvol = _vol_residuals(prices, market)
-    dprice = np.hstack(slopes)
-    if steps is not None:
-        shifted_prices = np.reshape(np.concatenate(shifted_prices), (len(steps), -1))
-        dprice = np.vstack(((shifted_prices - prices) / steps[:, None], dprice))
+    residuals, dvol = _vol_residuals([bd.total for bd in priced], market)
     tagged = any("nonconvergence" in bd.warnings for bd in priced)
-    return residuals, -(dprice * dvol).T, tagged
+    return residuals, -(np.hstack(slopes) * dvol).T, tagged
 
 
 def _fit(prob, x0, lo, hi) -> CalibResult:
@@ -309,7 +275,7 @@ def _fit(prob, x0, lo, hi) -> CalibResult:
     last = []  # the x of the last pass and its Jacobian
 
     def fun(x):
-        residuals, jacobian, tagged = _linearize(x, prob, lo, hi)
+        residuals, jacobian, tagged = _linearize(x, prob)
         soft.append(tagged)
         last[:] = [x.copy(), jacobian]
         return residuals
@@ -320,9 +286,8 @@ def _fit(prob, x0, lo, hi) -> CalibResult:
         return last[1]
 
     # SciPy's default 1e-8 tolerances: the residuals carry the quadrature's
-    # error, and the multiscale stage's Heston columns are 1e-6-step forward
-    # differences, so tighter ones only cycle through rejected trust-region
-    # steps at the cost's noise floor
+    # error, so tighter ones only cycle through rejected trust-region steps
+    # at the cost's noise floor
     fit = least_squares(
         fun,
         x0,

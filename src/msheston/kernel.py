@@ -35,6 +35,7 @@ from .errors import BranchCrossing
 # above the cutoff the direct form loses at most eps/|x| = 2.2e-15 relative.
 _LOG_SERIES_CUTOFF = 0.1
 _M2_SERIES = np.array([(-1.0) ** n * (n + 1) / (n + 2) for n in range(15, -1, -1)])
+_DM2_SERIES = np.polyder(_M2_SERIES)
 
 
 @dataclass(frozen=True)
@@ -124,17 +125,15 @@ def _cd_of(tau, k, p: HestonParams):
     return c_val, d_val, (d, m_minus_d, m_plus_d, w, zeta, log_zeta)
 
 
-def _exponent_slopes(tau, k, p: HestonParams, c_val, d_val, parts):
-    """d(C + z*D)/d(kappa, rho, sigma, theta, z), stacked on a new first axis.
+def _part_slopes(tau, k, p: HestonParams, parts):
+    """d(d, M - d, M + d, w, zeta)/d(kappa, rho, sigma) of ``parts``, the third
+    value of ``_cd_of``, each stacked on a new first axis.
 
-    ``c_val``, ``d_val`` and ``parts`` are the three values of
-    ``_cd_of(tau, k, p)``.  With M' the slope of M and s' = 1 for sigma, 0
-    otherwise, d' = (M*M' + sigma*s'*(k^2 - ik)) / d and
-    (M - d)' = -(M'*(M - d) + sigma*s'*(k^2 - ik)) / d, which does not
-    cancel where M - d is O(sigma^2); w, zeta and log zeta follow by the
-    chain rule.  C is linear in theta, and z multiplies D.
+    With M' the slope of M and s' = 1 for sigma, 0 otherwise,
+    d' = (M*M' + sigma*s'*(k^2 - ik)) / d and (M -+ d)' = -+(M'*(M -+ d) +
+    sigma*s'*(k^2 - ik)) / d, which does not cancel where M - d is O(sigma^2).
     """
-    d, m_minus_d, _, w, zeta, _ = parts
+    d, m_minus_d, m_plus_d, w, _, _ = parts
     kk = k * k - 1j * k
     m = p.kappa + 1j * p.rho * p.sigma * k
     # M' for kappa, rho and sigma, and the sigma^2 (k^2 - ik) term's slope
@@ -142,13 +141,26 @@ def _exponent_slopes(tau, k, p: HestonParams, c_val, d_val, parts):
     ds = np.stack(np.broadcast_arrays(0j, 0j, p.sigma * kk))
     dd = (m * dm + ds) / d
     dmd = -(dm * m_minus_d + ds) / d
+    dpd = (dm * m_plus_d + ds) / d
     dw = dd * (tau * np.exp(-tau * d) - w) / d
-    dx = (dmd * w + m_minus_d * dw) / 2.0
+    return dd, dmd, dpd, dw, (dmd * w + m_minus_d * dw) / 2.0
+
+
+def _exponent_slopes(tau, k, p: HestonParams, c_val, d_val, parts, dparts):
+    """d(C + z*D)/d(kappa, rho, sigma, theta, z), stacked on a new first axis.
+
+    ``c_val``, ``d_val`` and ``parts`` are the three values of
+    ``_cd_of(tau, k, p)``, and ``dparts`` is ``_part_slopes`` of them.  C is
+    linear in theta, and z multiplies D.
+    """
+    _, m_minus_d, _, w, zeta, _ = parts
+    _, dmd, _, dw, dzeta = dparts
+    kk = k * k - 1j * k
     # C = kappa*theta/sigma^2 * G: the prefactor's own slopes are C/kappa,
     # 0 and -2C/sigma
     dpre = np.stack(np.broadcast_arrays(c_val / p.kappa, 0j, -2.0 * c_val / p.sigma))
-    dc = dpre + p.kappa * p.theta / p.sigma**2 * (dmd * tau - 2.0 * dx / zeta)
-    dbig_d = -kk * (dw - w * dx / zeta) / (2.0 * zeta)
+    dc = dpre + p.kappa * p.theta / p.sigma**2 * (dmd * tau - 2.0 * dzeta / zeta)
+    dbig_d = -kk * (dw - w * dzeta / zeta) / (2.0 * zeta)
     return np.concatenate((dc + p.z * dbig_d, (c_val / p.theta)[None], d_val[None]))
 
 
@@ -162,6 +174,29 @@ def _b_coeffs(k, v):
     )
 
 
+def _q_coeffs(tau, k, v, parts):
+    """(a, beta, c, e, (b0, b1, b2), (q0, q1, q2)) of the closed-form
+    correction transforms, with ``parts`` as in ``_f_hats``."""
+    d, m_minus_d, m_plus_d = parts[:3]
+    a, beta, c = -(k * k - 1j * k) / 2.0, m_minus_d / 2.0, m_plus_d / 2.0
+    e = np.exp(-tau * d)
+    b0, b1, b2 = _b_coeffs(k, v)
+    d2 = d * d
+    q0 = (b0 * c * c + b1 * a * c + b2 * a * a) / d2
+    q1 = -(2.0 * b0 * c * beta + b1 * a * (c + beta) + 2.0 * b2 * a * a) / d2
+    q2 = (b0 * beta * beta + b1 * a * beta + b2 * a * a) / d2
+    return a, beta, c, e, (b0, b1, b2), (q0, q1, q2)
+
+
+def _series_below_cutoff(x, direct, series):
+    """``direct``, but ``polyval(series, x)`` where |x| < the cutoff."""
+    direct = np.asarray(direct)
+    small = np.abs(x) < _LOG_SERIES_CUTOFF
+    if np.any(small):
+        direct[small] = np.polyval(series, x[small])
+    return direct
+
+
 def _f_hats(tau, k, v, parts):
     """Correction transforms (f0_hat, f1_hat) at time tau, in closed form.
 
@@ -173,26 +208,15 @@ def _f_hats(tau, k, v, parts):
     carries full precision relative to beta*w = zeta - 1, as the O(tau^2) q0
     and q1 brackets of f0 need at short tau.
     """
-    d, m_minus_d, m_plus_d, w, zeta, log_zeta = parts
-    a = -(k * k - 1j * k) / 2.0
-    beta = m_minus_d / 2.0
-    c = m_plus_d / 2.0
-    e = np.exp(-tau * d)
-    b0, b1, b2 = _b_coeffs(k, v)
-    d2 = d * d
-    q0 = (b0 * c * c + b1 * a * c + b2 * a * a) / d2
-    q1 = -(2.0 * b0 * c * beta + b1 * a * (c + beta) + 2.0 * b2 * a * a) / d2
-    q2 = (b0 * beta * beta + b1 * a * beta + b2 * a * a) / d2
+    d, _, _, w, zeta, log_zeta = parts
+    _, beta, c, e, _, (q0, q1, q2) = _q_coeffs(tau, k, v, parts)
     f1 = (q0 * w + q1 * tau * e + q2 * e * w) / (zeta * zeta)
     # (log(1 + x) + 1/(1 + x) - 1)/x^2 at x = beta*w, with 1 + x = zeta; the
     # direct form cancels to eps/|x|, so the nodes below the cutoff (x = 0
     # included) take the series instead
     x = np.asarray(beta * w)
-    small = np.abs(x) < _LOG_SERIES_CUTOFF
     with np.errstate(divide="ignore", invalid="ignore"):
-        m2 = np.asarray((log_zeta - x / zeta) / (x * x))
-    if np.any(small):
-        m2[small] = np.polyval(_M2_SERIES, x[small])
+        m2 = _series_below_cutoff(x, (log_zeta - x / zeta) / (x * x), _M2_SERIES)
     # w * log(zeta) / x = log(zeta) / beta, and beta * c = a * sigma^2 / 2
     # never vanishes on the contour
     f0 = (
@@ -201,3 +225,40 @@ def _f_hats(tau, k, v, parts):
         + q2 * w * w * m2
     )
     return f0, f1
+
+
+def _f_hat_slopes(tau, k, v, parts, dparts):
+    """d(f0_hat, f1_hat)/d(kappa, rho, sigma), each stacked on a new first
+    axis: the closed forms of ``_f_hats`` differentiated term by term, with
+    ``dparts`` the ``_part_slopes`` of ``parts`` (theta and z do not enter
+    them).  (beta*c)' is beta*c*(beta'/beta + c'/c), and below the cutoff m2
+    takes its series' slope."""
+    d, _, _, w, zeta, log_zeta = parts
+    dd, dmd, dpd, dw, dzeta = dparts
+    a, beta, c, e, (b0, b1, b2), (q0, q1, q2) = _q_coeffs(tau, k, v, parts)
+    dbeta, dc, de = dmd / 2.0, dpd / 2.0, -tau * dd * e
+    # each q is a bracket over d^2: the bracket's slope, less q * 2d'/d
+    d2, dlog_d2 = d * d, 2.0 * dd / d
+    dq0 = (2.0 * b0 * c + b1 * a) * dc / d2 - q0 * dlog_d2
+    dq1 = -(2.0 * b0 * (dc * beta + c * dbeta) + b1 * a * (dc + dbeta)) / d2 - q1 * dlog_d2
+    dq2 = (2.0 * b0 * beta + b1 * a) * dbeta / d2 - q2 * dlog_d2
+    num = q0 * w + q1 * tau * e + q2 * e * w
+    dnum = (dq0 * w + q0 * dw + tau * (dq1 * e + q1 * de)
+            + dq2 * e * w + q2 * (de * w + e * dw))
+    df1 = (dnum - 2.0 * num * dzeta / zeta) / (zeta * zeta)
+    x = np.asarray(beta * w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m2 = _series_below_cutoff(x, (log_zeta - x / zeta) / (x * x), _M2_SERIES)
+        dm2 = _series_below_cutoff(x, (1.0 / (zeta * zeta) - 2.0 * m2) / x, _DM2_SERIES)
+    dlog, dc_c = dzeta / zeta, dc / c
+    df0 = (
+        dq0 * ((d * tau + log_zeta) / (c * c) - w / (c * zeta))
+        + q0 * ((dd * tau + dlog - 2.0 * dc_c * (d * tau + log_zeta)) / (c * c)
+                - (dw - w * (dc_c + dlog)) / (c * zeta))
+        + dq1 * (tau * w / zeta - tau / c + log_zeta / (beta * c))
+        + q1 * (tau * (dw - w * dlog) / zeta + tau * dc / (c * c)
+                + (dlog - log_zeta * (dbeta / beta + dc_c)) / (beta * c))
+        + dq2 * w * w * m2
+        + q2 * w * (2.0 * dw * m2 + w * dm2 * dzeta)
+    )
+    return df0, df1

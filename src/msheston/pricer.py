@@ -35,9 +35,9 @@ surface, costs one integration.  A strip's breakdowns discount its own
 slice of the integral's strike columns.
 
 ``price_slopes`` adds rows that ride on the mesh the price rows choose,
-without steering it: the exact slopes of each price in named parameters,
-and the prices of further strips.  The price rows, their error bounds and
-the integrand calls stay those of ``price_strips``.
+without steering it: the exact slopes of each total price in named
+parameters.  The price rows, their error bounds and the integrand calls
+stay those of ``price_strips``.
 
 Quadrature trouble never aborts a price: each breakdown of a strip whose own
 rows miss their tolerance carries a ``nonconvergence`` warning and the best
@@ -53,7 +53,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NonConvergence
-from .kernel import HestonParams, _cd_of, _exponent_slopes, _f_hats
+from .kernel import (HestonParams, _cd_of, _exponent_slopes, _f_hat_slopes,
+                     _f_hats, _part_slopes)
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 DEFAULT_CALL_CONTOUR = 1.5
@@ -156,7 +157,7 @@ _UNIT_V = SimpleNamespace(**{
 })
 
 
-def _strip_integrals(strips, spec, payoff, wrt=(), n_riders=0):
+def _strip_integrals(strips, spec, payoff, wrt=()):
     """Integrals of a list of strips on the payoff's contour, with error bounds.
 
     ``strips`` holds validated ``(strikes, tau, spot, p, v, scale)`` tuples.
@@ -164,40 +165,25 @@ def _strip_integrals(strips, spec, payoff, wrt=(), n_riders=0):
     its own ``k = -log(u)/scale + i*k_i`` and evaluates its kernel once per
     node, with its parameters held as column arrays, and hands it to the
     rows ``static`` of its strikes.  If any strip's ``v`` is nonzero, each
-    strike adds the row ``static*(kappa*theta*f0_hat + z*f1_hat)``, exactly
-    0 where ``v`` is; otherwise that row is zeros, not integrated.
+    strike adds the row ``static*F`` with F = kappa*theta*f0_hat + z*f1_hat,
+    exactly 0 where ``v`` is; otherwise F = 0 and that row is zeros, not
+    integrated.
 
-    The last ``n_riders`` strips ride: their rows, and for each name in
-    ``wrt`` one slope row per strike of the other strips, are integrated on
-    the mesh that the other strips' rows choose.  A slope row is
-    ``static*d(C + z*D)/d name`` for a Heston parameter and ``static`` times
-    the correction factor at that unit coefficient for a correction
-    coefficient.  All rows are written into one array per integrand call.
+    Each name in ``wrt`` adds a row per strike, riding on the mesh the price
+    rows choose, the slope of its total ``static*(1 + F)``: with E = C + z*D,
+    ``static*(E'*(1 + F) + F')`` for a Heston parameter and ``static*F`` at
+    that unit coefficient for a correction coefficient.  All rows are
+    written into one array per integrand call.
 
-    Returns the doubled real integrals of the steering strips, shape
-    (2, strikes), the bounds summed over each strike's rows, whether any of
-    them missed its tolerance, the doubled real slopes, shape
-    (len(wrt), strikes), and the doubled real integrals of the riders,
-    shape (2, rider strikes).
+    Returns the doubled real integrals, shape (2, strikes), the bounds summed
+    over each strike's price rows, whether any of them missed its tolerance,
+    and the doubled real slopes, shape (len(wrt), strikes).
     """
     sizes = [len(s[0]) for s in strips]
-    n_steer = len(strips) - n_riders
-    n_s, n_r = sum(sizes[:n_steer]), sum(sizes[n_steer:])
+    n = sum(sizes)
     corrected = not all(s[4].is_zero for s in strips)
     planes = 2 if corrected else 1
-    # the first row of each plane of each strip: steering price planes,
-    # then the slope planes, then the riders' price planes
-    steer_rows = planes * n_s
-    ride_base = steer_rows + len(wrt) * n_s
     rows_of = np.cumsum([0] + sizes).tolist()
-    layout = []
-    for j, size in enumerate(sizes):
-        if j < n_steer:
-            firsts = [rows_of[j] + i * n_s for i in range(planes + len(wrt))]
-        else:
-            at = ride_base + rows_of[j] - n_s
-            firsts = [at + i * n_r for i in range(planes)]
-        layout.append([slice(f, f + size) for f in firsts])
     log_k = np.log(np.concatenate([s[0] for s in strips]))[:, None]
     q = np.repeat([s[3].r * s[1] + math.log(s[2]) for s in strips], sizes)[:, None]
     tau = np.array([s[1] for s in strips])[:, None]
@@ -205,9 +191,6 @@ def _strip_integrals(strips, spec, payoff, wrt=(), n_riders=0):
     p = _columns([s[3] for s in strips], HESTON_NAMES)
     v = _columns([s[4] for s in strips], GROUP_NAMES)
     k_i = DEFAULT_CALL_CONTOUR if payoff == "call" else DEFAULT_PUT_CONTOUR
-    # slope factors are formed for the steering strips only
-    head = slice(0, n_steer)
-    p_head = _columns([s[3] for s in strips[head]], HESTON_NAMES)
     heston_slopes = any(name in HESTON_NAMES for name in wrt)
     group_slopes = any(name in GROUP_NAMES for name in wrt)
 
@@ -220,43 +203,41 @@ def _strip_integrals(strips, spec, payoff, wrt=(), n_riders=0):
             f0, f1 = _f_hats(tau, k, v, parts)
             factors.append(p.kappa * p.theta * f0 + p.z * f1)
         slopes = {}
-        parts_head = tuple(a[head] for a in parts)
         if heston_slopes:
-            slopes.update(zip(HESTON_NAMES, _exponent_slopes(
-                tau[head], k[head], p_head, c_val[head], big_d_val[head], parts_head)))
+            dparts = _part_slopes(tau, k, p, parts)
+            de = _exponent_slopes(tau, k, p, c_val, big_d_val, parts, dparts)
+            if corrected:
+                # F' for kappa, rho and sigma, then for theta and z
+                df0, df1 = _f_hat_slopes(tau, k, v, parts, dparts)
+                df = np.concatenate((p.kappa * p.theta * df0 + p.z * df1,
+                                     [p.kappa * f0, f1]))
+                df[0] += p.theta * f0
+                de = de * (1.0 + factors[0]) + df
+            slopes.update(zip(HESTON_NAMES, de))
         if group_slopes:
-            f0, f1 = _f_hats(tau[head], k[head], _UNIT_V, parts_head)
-            slopes.update(zip(GROUP_NAMES, p_head.kappa * p_head.theta * f0 + p_head.z * f1))
+            f0, f1 = _f_hats(tau, k, _UNIT_V, parts)
+            slopes.update(zip(GROUP_NAMES, p.kappa * p.theta * f0 + p.z * f1))
         factors += [slopes[name] for name in wrt]
-        out = np.empty((ride_base + planes * n_r, us.size), dtype=complex)
-        for j, rows in enumerate(layout):
-            strikes = slice(rows_of[j], rows_of[j + 1])
-            static = np.multiply(_payoff_transform(k[j], log_k[strikes], q[strikes]),
-                                 kernel[j], out=out[rows[0]])
-            for plane, factor in zip(rows[1:], factors):
-                np.multiply(static, factor[j], out=out[plane])
+        out = np.empty(((planes + len(wrt)) * n, us.size), dtype=complex)
+        for j, (lo, hi) in enumerate(zip(rows_of, rows_of[1:])):
+            static = np.multiply(_payoff_transform(k[j], log_k[lo:hi], q[lo:hi]),
+                                 kernel[j], out=out[lo:hi])
+            for i, factor in enumerate(factors, 1):
+                np.multiply(static, factor[j], out=out[lo + i * n:hi + i * n])
         return out
 
     try:
-        value, err = integrate_adaptive(integrand, 0.0, 1.0, spec,
-                                        ride=len(wrt) * n_s + planes * n_r)
+        value, err = integrate_adaptive(integrand, 0.0, 1.0, spec, ride=len(wrt) * n)
     except NonConvergence as exc:
         # quadrature trouble never aborts a price: keep the best estimate
         value, err = np.asarray(exc.estimate), np.asarray(exc.error_bound)
-
-    def price_planes(flat, n):
-        planes_ = flat.reshape(planes, n)
-        return planes_ if corrected else np.vstack((planes_, np.zeros_like(planes_)))
-
-    value_s, err_s = price_planes(value[:steer_rows], n_s), price_planes(err, n_s)
-    missed = err_s > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value_s))
-    return (
-        2.0 * value_s.real,
-        2.0 * err_s.sum(axis=0),
-        missed.any(axis=0),
-        2.0 * value[steer_rows:ride_base].real.reshape(len(wrt), n_s),
-        2.0 * price_planes(value[ride_base:], n_r).real,
-    )
+    value_p, err_p = value[:planes * n].reshape(planes, n), err.reshape(planes, n)
+    missed = err_p > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value_p))
+    # without a corrected strip the correction row stays 0
+    prices = np.zeros((2, n))
+    prices[:planes] = 2.0 * value_p.real
+    return (prices, 2.0 * err_p.sum(axis=0), missed.any(axis=0),
+            2.0 * value[planes * n:].real.reshape(len(wrt), n))
 
 
 def _finite_positive(name: str, *values: float) -> None:
@@ -297,58 +278,48 @@ def price_strips(
     positive; a ValueError names the first that is not.  All strips share
     the payoff, its contour and the refinement: one integrand row per strike
     when no strip is corrected, two otherwise.  A strip is tagged
-    ``nonconvergence`` only if one of its own rows misses its tolerance.
+    ``nonconvergence`` only if one of its own rows misses its tolerance.  A
+    price is tagged ``outside_no_arbitrage_band`` if it leaves the band by
+    more than a slack of max(10 bounds, 1e-9*S), or if that slack is as wide
+    as the band, min(S, K*exp(-r*tau)), and so would admit any price.
     Returns one list of breakdowns per strip, in order; each strip agrees
     with its own ``price_strikes`` call within both quadrature bounds.
     A payoff other than ``"call"`` or ``"put"`` raises a ValueError.
     """
     if payoff not in ("call", "put"):
         raise ValueError(f"unsupported payoff {payoff!r}")
-    return _priced(_prepare(strips), spec, payoff, (), 0)[0]
+    return _priced(_prepare(strips), spec, payoff, ())[0]
 
 
-def price_slopes(strips, wrt, riders=(), spec: QuadratureSpec | None = None):
-    """Call prices of ``strips``, their exact slopes, and ``riders`` priced
-    on the same mesh, from one adaptive integration.
+def price_slopes(strips, wrt, spec: QuadratureSpec | None = None):
+    """Call prices of ``strips`` and the exact slopes of their totals in the
+    parameters ``wrt`` names (of ``HESTON_NAMES`` and ``GROUP_NAMES``), from
+    one adaptive integration.
 
-    ``strips`` and ``riders`` are strips as in ``price_strips``.  The mesh
-    and the breakdowns are those of ``price_strips(strips, spec)``, bit for
-    bit: the slope rows and the riders ride.  ``wrt`` names parameters
-    of ``HESTON_NAMES``, whose slopes are those of ``p_heston``, and of
-    ``GROUP_NAMES``, whose slopes are those of ``p_correction`` (exact: the
-    correction is linear in v).  Returns the breakdowns of each strip, one
-    (len(wrt), strikes) array of discounted slopes per strip, and one array
-    of discounted totals per rider.  A ValueError names an unknown
-    parameter.
+    The mesh and the breakdowns are those of ``price_strips(strips, spec)``,
+    bit for bit: the slope rows ride.  Returns the breakdowns of each strip
+    and one (len(wrt), strikes) array of discounted slopes per strip.  A
+    ValueError names an unknown parameter.
     """
     for name in wrt:
         if name not in HESTON_NAMES + GROUP_NAMES:
             raise ValueError(f"no slope in {name!r}; known: "
                              f"{', '.join(HESTON_NAMES + GROUP_NAMES)}")
-    prepared = _prepare(list(strips) + list(riders))
-    return _priced(prepared, spec, "call", tuple(wrt), len(riders))
+    return _priced(_prepare(strips), spec, "call", tuple(wrt))
 
 
-def _priced(prepared, spec, payoff, wrt, n_riders):
-    """Breakdowns, slopes and rider totals of ``prepared`` strips, the last
-    ``n_riders`` of which ride; see ``price_slopes``."""
+def _priced(prepared, spec, payoff, wrt):
+    """Breakdowns and slopes of ``prepared`` strips; see ``price_slopes``."""
     if spec is None:
         spec = QuadratureSpec()
     if not prepared:
-        return [], [], []
-    values, errors, missed, slopes, rider_values = _strip_integrals(
-        prepared, spec, payoff, wrt, n_riders)
-    n_steer = len(prepared) - n_riders
+        return [], []
+    values, errors, missed, slopes = _strip_integrals(prepared, spec, payoff, wrt)
     edges = np.cumsum([0] + [len(s[0]) for s in prepared]).tolist()
-    results, strip_slopes, riders = [], [], []
-    for j, ((strikes, tau, spot, p, _, _), lo, hi) in enumerate(
-            zip(prepared, edges, edges[1:])):
+    results, strip_slopes = [], []
+    for (strikes, tau, spot, p, _, _), lo, hi in zip(prepared, edges, edges[1:]):
         discount = math.exp(-p.r * tau)
         scale = discount / (2.0 * math.pi)
-        if j >= n_steer:
-            at = edges[n_steer]
-            riders.append((scale * rider_values[:, lo - at:hi - at]).sum(axis=0))
-            continue
         # this strip's price, correction and bound rows, discounted
         rows = scale * np.vstack((values[:, lo:hi], errors[lo:hi]))
         strip_slopes.append(scale * slopes[:, lo:hi])
@@ -358,12 +329,14 @@ def _priced(prepared, spec, payoff, wrt, n_riders):
             discounted = strike * discount
             lower, upper = ((spot - discounted, spot) if payoff == "call"
                             else (discounted - spot, discounted))
+            # a slack as wide as the band itself would admit any price
             slack = max(10.0 * err, 1e-9 * spot)
-            inside = max(lower, 0.0) - slack <= h + c <= upper + slack
+            floor = max(lower, 0.0)
+            inside = slack < upper - floor and floor - slack <= h + c <= upper + slack
             tags = base if inside else base + ("outside_no_arbitrage_band",)
             strip.append(PriceBreakdown(h, c, err, tags))
         results.append(strip)
-    return results, strip_slopes, riders
+    return results, strip_slopes
 
 
 def price_strikes(

@@ -21,7 +21,6 @@ from msheston import calibration, cli, pricer
 from msheston.calibration import (
     _box,
     _fit,
-    _heston_neighbours,
     _linearize,
     _pack,
     _per_expiry_rss,
@@ -140,9 +139,8 @@ class TestObjective:
         out = np.abs(res) == 1.0
         assert np.any(out)
         # such quotes get zero Jacobian rows; the others still move
-        lo, hi = _box({}, multiscale=True)
         x = _pack(TRUTH_P, GroupParams(0.0, 0.0, 0.49, 0.0))
-        jac = _linearize(x, prob, lo, hi)[1]
+        jac = _linearize(x, prob)[1]
         assert np.all(jac[out] == 0.0)
         assert np.all(np.any(jac[~out] != 0.0, axis=1))
 
@@ -369,10 +367,7 @@ class TestBatchedPasses:
     one point's quotes; the Jacobian at its x costs nothing more."""
 
     def _setup(self, market, spec=SPEC):
-        # a box on sigma that the start point nearly touches, so that the
-        # multiscale stage's forward step along sigma has to be flipped inward
-        bounds = {"sigma": (0.1, 0.5 + 1e-7)}
-        prob = CalibProblem(market=market, bounds=bounds, quadrature=spec)
+        prob = CalibProblem(market=market, quadrature=spec)
         x = _pack(
             TRUTH_P.replace(kappa=1.4, sigma=0.5),
             GroupParams(0.01 - 1e-7, -0.001, -0.004, 0.0015),
@@ -425,19 +420,16 @@ class TestBatchedPasses:
     def test_jacobian_against_central_differences(self, multiscale_market):
         # central differences of the residuals with step 1e-4, each point
         # priced on its own at 1e-11 quadrature tolerances; the exact
-        # Heston-stage columns meet them to 2.0e-7 of their scale (z), where
-        # forward differences met them to 3.6e-6, and the multiscale stage's
-        # exact v-columns and forward-difference Heston columns to 3.0e-6
-        # (v3e, whose largest entry is 3.2) and 2.8e-6 (z)
+        # Heston-stage columns meet them to 2.0e-7 of their scale (z).  The
+        # multiscale stage's exact Heston columns meet them to 3.0e-11,
+        # 6.9e-10, 1.4e-9, 8.8e-8 and 3.6e-7 (kappa to z), where forward
+        # differences met them to 1.2e-8, 3.2e-8, 6.5e-8, 1.9e-6 and 2.8e-6,
+        # and its v-columns to 3.0e-6 (v3e, whose largest entry is 3.2)
         spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
         x9, prob, residuals = self._setup(multiscale_market, spec)
-        lo, hi = _box(prob.bounds, multiscale=True)
-        # kappa steps up; sigma, flipped at its upper bound, steps down
-        steps = _heston_neighbours(x9, lo, hi) - x9[:5]
-        assert steps[2] < 0.0 < steps[0]
         delta = 1e-4
         for x in (x9[:5], x9):
-            jac = _linearize(x, prob, lo[: len(x)], hi[: len(x)])[1]
+            jac = _linearize(x, prob)[1]
             for j in range(len(x)):
                 e = np.zeros_like(x)
                 e[j] = delta

@@ -120,6 +120,21 @@ class TestHestonPrice:
             assert lower - 1e-8 <= bd.total <= 100.0 + 1e-8
             assert "outside_no_arbitrage_band" not in bd.warnings
 
+    def test_band_no_wider_than_its_slack_is_tagged(self, table1_heston):
+        # K = S = 100: the band min(S, K*exp(-r*tau)) is 0.67 at 100 y, and
+        # ten quadrature bounds (6.6e-3 there) fit inside it; at 150 and
+        # 200 y the calls' bounds (0.046 and 8.8) make a slack wider than the
+        # band (0.055 and 4.5e-3), which then admitted the 200-y call at
+        # 99.997; at 1000 y the call prices -1.2e35 and the put's bound is 1.8
+        def tagged(tau, kind):
+            bd = price_heston(OptionSpec(100.0, tau, 100.0, kind), table1_heston)
+            return "outside_no_arbitrage_band" in bd.warnings
+
+        assert not any(tagged(tau, kind) for tau in (50.0, 100.0) for kind in ("call", "put"))
+        assert not any(tagged(tau, "put") for tau in (150.0, 200.0))
+        assert all(tagged(tau, "call") for tau in (150.0, 200.0, 1000.0))
+        assert tagged(1000.0, "put")
+
     def test_deterministic(self, atm_option, table1_heston):
         a = price_heston(atm_option, table1_heston)
         b = price_heston(atm_option, table1_heston)
@@ -432,24 +447,60 @@ class TestAffineInV:
                                       QuadratureSpec(abs_tol=1e-5, rel_tol=1e-5)],
                              ids=["default", "1e-5"])
     def test_slopes_are_one_unit_differences(self, table1_heston, spec):
-        # the exact v-slopes against steps of 1 in each coefficient priced as
-        # riders on the same mesh: they met to 1.1e-14 of |P1 - P0|
+        # the exact v-slopes against steps of 1 in each coefficient, the
+        # shifted strips priced in the same call so that every strip steers
+        # one mesh: they met to 3.1e-15 of |P1 - P0|
         v = GroupParams(0.01, -0.001, -0.004, 0.0015)
         strikes = np.linspace(80.0, 120.0, 5)
         names = pricer.GROUP_NAMES
         strips = [(strikes, 0.5, 100.0, table1_heston, v),
                   (strikes[::2], 2.0, 100.0, table1_heston, v)]
-        riders = [(s[0], s[1], s[2], s[3],
-                   dataclasses.replace(v, **{name: getattr(v, name) + 1.0}))
-                  for name in names for s in strips]
-        breakdowns, slopes, shifted = price_slopes(strips, names, riders, spec)
-        p0 = np.concatenate([[bd.total for bd in strip] for strip in breakdowns])
-        forward = np.reshape(np.concatenate(shifted), (len(names), -1)) - p0
-        assert np.all(np.abs(np.hstack(slopes) - forward) <= 1e-12 * np.abs(forward))
+        shifted = [(s[0], s[1], s[2], s[3],
+                    dataclasses.replace(v, **{name: getattr(v, name) + 1.0}))
+                   for name in names for s in strips]
+        breakdowns, slopes = price_slopes(strips + shifted, names, spec)
+        totals = [[bd.total for bd in strip] for strip in breakdowns]
+        p0 = np.concatenate(totals[:len(strips)])
+        forward = np.reshape(np.concatenate(totals[len(strips):]), (len(names), -1)) - p0
+        exact = np.hstack(slopes[:len(strips)])
+        assert np.all(np.abs(exact - forward) <= 1e-12 * np.abs(forward))
 
     def test_unknown_slope_rejected(self, table1_heston):
         with pytest.raises(ValueError, match="no slope in 'r'; known: kappa, rho"):
             price_slopes([([100.0], 1.0, 100.0, table1_heston, None)], ("r",))
+
+
+class TestHestonSlopes:
+    """The Heston slopes of a corrected strip are those of its total price,
+    correction included."""
+
+    @pytest.mark.parametrize("p", [EDGE_HESTON["feller_violated"],
+                                   EDGE_HESTON["rho_minus_099"]],
+                             ids=["feller_violated", "rho_minus_099"])
+    def test_against_central_differences(self, table1_heston, p):
+        # steps of 1e-5 relative in each parameter, the shifted strips priced
+        # in the same call, so every strip steers one mesh (each on its own
+        # map scale): the slopes met the central differences to 1.3e-8 of
+        # max(1, |slope|), where the slopes of p_heston alone miss them by
+        # up to 0.28
+        names = pricer.HESTON_NAMES
+        v = GroupParams(0.01, -0.001, -0.004, 0.0015)
+        strikes = np.linspace(80.0, 120.0, 5)
+        strips = [(strikes, 0.5, 100.0, p, v), (strikes[::2], 2.0, 100.0, p, v)]
+        shifted = []
+        for name in names:
+            h = 1e-5 * abs(getattr(p, name))
+            for sign in (1.0, -1.0):
+                moved = p.replace(**{name: getattr(p, name) + sign * h})
+                shifted += [(s[0], s[1], s[2], moved, s[4]) for s in strips]
+        breakdowns, slopes = price_slopes(strips + shifted, names)
+        totals = np.concatenate([[bd.total for bd in strip] for strip in breakdowns])
+        n = len(strikes) + len(strikes[::2])
+        up, down = totals[n:].reshape(len(names), 2, n).transpose(1, 0, 2)
+        steps = np.array([1e-5 * abs(getattr(p, name)) for name in names])[:, None]
+        central = (up - down) / (2.0 * steps)
+        exact = np.hstack(slopes[:len(strips)])
+        assert np.all(np.abs(exact - central) <= 1e-7 * np.maximum(1.0, np.abs(central)))
 
 
 class TestContourChoice:

@@ -146,19 +146,18 @@ class TestRidingRows:
             assert err[0] > spec.abs_tol
 
     def test_riders_on_a_pricing_integration(self, table1_heston):
-        # slope rows and a neighbour strip leave the strips' breakdowns,
-        # bounds and tags bit-identical, in the same integrand calls
+        # the slope rows of all nine parameters, on a corrected strip and a
+        # baseline strip, leave the strips' breakdowns, bounds and tags
+        # bit-identical, in the same integrand calls
         strips = [(np.linspace(80.0, 120.0, 5), 0.5, 100.0, table1_heston,
                    group_at_epsilon(1e-2)),
                   ([100.0], 2.0, 100.0, table1_heston, None)]
-        neighbour = [(s[0], s[1], s[2], table1_heston.replace(kappa=1.001), s[4])
-                     for s in strips]
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
         calls = {}
         for key, price in (
             ("plain", lambda: pricer.price_strips(strips, spec)),
             ("ridden", lambda: pricer.price_slopes(
-                strips, pricer.GROUP_NAMES + ("kappa",), neighbour, spec)[0]),
+                strips, pricer.HESTON_NAMES + pricer.GROUP_NAMES, spec)[0]),
         ):
             sizes = []
             original = pricer.integrate_adaptive
