@@ -38,9 +38,6 @@ from .pricer import GROUP_NAMES, HESTON_NAMES, GroupParams, price_slopes, price_
 from .quadrature import QuadratureSpec
 from .vol_surface import VolSurface, bs_vega, implied_vol
 
-THETA_NAMES = HESTON_NAMES
-V_NAMES = GROUP_NAMES
-
 DEFAULT_BOUNDS = {
     "kappa": (1e-3, 50.0),
     "rho": (-0.999, 0.999),
@@ -108,11 +105,11 @@ class CalibProblem:
                                  "pair of numbers")
             lo, hi = pair
             a, b = (-1.0, 1.0) if name == "rho" else (
-                (-math.inf, math.inf) if name in V_NAMES else (0.0, math.inf))
+                (-math.inf, math.inf) if name in GROUP_NAMES else (0.0, math.inf))
             if not a < lo < hi < b:
                 raise ValueError(f"bounds.{name} = [{lo}, {hi}] must satisfy "
                                  f"lo < hi inside ({a:g}, {b:g})")
-            if name in V_NAMES and not lo <= 0.0 <= hi:
+            if name in GROUP_NAMES and not lo <= 0.0 <= hi:
                 raise ValueError(f"bounds.{name} = [{lo}, {hi}] must contain 0, "
                                  "where the corrected model is the baseline")
 
@@ -162,21 +159,21 @@ class CalibResult:
 
 
 def _pack(p: HestonParams, v: GroupParams | None) -> np.ndarray:
-    vals = [getattr(p, n) for n in THETA_NAMES]
+    vals = [getattr(p, n) for n in HESTON_NAMES]
     if v is not None:
-        vals += [getattr(v, n) for n in V_NAMES]
+        vals += [getattr(v, n) for n in GROUP_NAMES]
     return np.array(vals, dtype=float)
 
 
 def _unpack(x: np.ndarray, r: float):
     """(p, v) of a 5- or 9-entry parameter vector; v is None for 5."""
-    p = HestonParams(**{n: float(val) for n, val in zip(THETA_NAMES, x)}, r=r)
+    p = HestonParams(**{n: float(val) for n, val in zip(HESTON_NAMES, x)}, r=r)
     return p, (GroupParams(*(float(val) for val in x[5:])) if len(x) > 5 else None)
 
 
 def _box(bounds: dict, multiscale: bool):
     """(lo, hi) arrays: ``bounds`` over ``DEFAULT_BOUNDS``, in ``_pack`` order."""
-    names = THETA_NAMES + (V_NAMES if multiscale else ())
+    names = HESTON_NAMES + (GROUP_NAMES if multiscale else ())
     return np.array([bounds.get(n, DEFAULT_BOUNDS[n]) for n in names], dtype=float).T
 
 
@@ -251,7 +248,7 @@ def _linearize(x, prob: CalibProblem):
     """
     market = prob.market
     p, v = _unpack(x, market.rate(market.expiries()[0]))
-    wrt = THETA_NAMES if v is None else THETA_NAMES + V_NAMES
+    wrt = HESTON_NAMES if v is None else HESTON_NAMES + GROUP_NAMES
     breakdowns, slopes = price_slopes(_strips(p, v, market), wrt, prob.quadrature)
     priced = [bd for strip in breakdowns for bd in strip]
     residuals, dvol = _vol_residuals([bd.total for bd in priced], market)
@@ -323,7 +320,7 @@ def calibrate_heston(prob: CalibProblem, start: HestonParams) -> CalibResult:
     prob.require_enough_quotes(5)
     x0 = _pack(start, None)
     lo, hi = _box(prob.bounds, multiscale=False)
-    for name, x, b_lo, b_hi in zip(THETA_NAMES, x0, lo, hi):
+    for name, x, b_lo, b_hi in zip(HESTON_NAMES, x0, lo, hi):
         if not b_lo <= x <= b_hi:
             raise ValueError(f"start {name} = {x} violates "
                              f"bounds.{name} = [{b_lo}, {b_hi}]")

@@ -17,6 +17,7 @@ byte-identical artifacts; no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -25,24 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (
-    CALIBRATION_QUADRATURE,
-    DEFAULT_BOUNDS,
-    THETA_NAMES,
-    V_NAMES,
-    CalibProblem,
-    CalibResult,
-    calibrate_heston,
-    calibrate_multiscale,
-    format_residual_table,
-    residual_ratio_report,
-)
 from .errors import EmptyAfterFilter, MsHestonError, NonConvergence, ParseError
 from .group_params import FullModelParams, compute_group_params
 from .kernel import HestonParams
 from .market_io import ChainFilters, config_path, load_chain, load_config
-from .mc import McEstimate, SimConfig, mc_price_call
-from .pricer import GroupParams, OptionSpec, price_corrected
+from .pricer import GROUP_NAMES, HESTON_NAMES, GroupParams, OptionSpec, price_corrected
 from .quadrature import QuadratureSpec
 from .vol_surface import model_surface
 
@@ -70,7 +58,7 @@ _SETTINGS = {
         **_keys(("kappa", "theta", "sigma", "rho", "z"), float, _REQUIRED),
         "rate": (float, 0.0),
     },
-    "group": _keys(V_NAMES, float, 0.0),
+    "group": _keys(GROUP_NAMES, float, 0.0),
     "quadrature": {
         **_keys(("abs_tol", "rel_tol"), float, None),
         "max_subdivisions": (int, None),
@@ -89,8 +77,8 @@ _SETTINGS = {
     "calibration": {
         # the start point is a user judgment, typically from visually tuning
         # the baseline surface
-        "start": (_keys(THETA_NAMES, float, _REQUIRED), _REQUIRED),
-        "bounds": (_keys(DEFAULT_BOUNDS, (float, float), None), None),
+        "start": (_keys(HESTON_NAMES, float, _REQUIRED), _REQUIRED),
+        "bounds": (_keys(HESTON_NAMES + GROUP_NAMES, (float, float), None), None),
         **_keys(("min_days", "min_open_interest"), int, None),
     },
 }
@@ -230,6 +218,28 @@ def _breakdown_payload(bd) -> dict:
     }
 
 
+# -- SciPy-backed layers ---------------------------------------------------------
+
+# The fits load scipy.optimize and the simulation scipy.special, so these
+# import on call: the other commands never load SciPy.  The commands call
+# through these module-level names, which a tracer can wrap.
+
+
+def calibrate_heston(*args, **kwargs):
+    from . import calibration
+    return calibration.calibrate_heston(*args, **kwargs)
+
+
+def calibrate_multiscale(*args, **kwargs):
+    from . import calibration
+    return calibration.calibrate_multiscale(*args, **kwargs)
+
+
+def mc_price_call(*args, **kwargs):
+    from . import mc
+    return mc.mc_price_call(*args, **kwargs)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -265,7 +275,7 @@ def _cmd_sweep(args, config):
     p, base, spec = _pricing_inputs(args, config)
     strikes = _parse_floats(args.strikes, "--strikes")
     values = _parse_floats(args.values, "--values")
-    if args.vary not in V_NAMES:
+    if args.vary not in GROUP_NAMES:
         raise ParseError(f"--vary must be one of v1e..v4e, got {args.vary}", 0)
     names = [f"sweep_{args.vary}_{value:+.6f}.csv" for value in values]
     if len(set(names)) < len(names):
@@ -287,10 +297,11 @@ def _cmd_sweep(args, config):
     return _NONCONVERGENCE_EXIT if soft else 0
 
 
-def _stage_payload(res: CalibResult) -> dict:
-    """One stage's block of the ``calibrate`` JSON; ``group`` when it has one."""
+def _stage_payload(res) -> dict:
+    """One stage's ``CalibResult`` as a block of the ``calibrate`` JSON;
+    ``group`` when it has one."""
     group = {} if res.group is None else {
-        "group": {k: getattr(res.group, k) for k in V_NAMES}}
+        "group": {k: getattr(res.group, k) for k in GROUP_NAMES}}
     return {
         "params": {k: getattr(res.heston, k) for k in
                    ("kappa", "rho", "sigma", "theta", "z", "r")},
@@ -305,6 +316,9 @@ def _stage_payload(res: CalibResult) -> dict:
 
 
 def _cmd_calibrate(args, config):
+    from .calibration import (CALIBRATION_QUADRATURE, CalibProblem,
+                              format_residual_table, residual_ratio_report)
+
     calib = _settings("calibration", args, config)
     quadrature = replace(CALIBRATION_QUADRATURE, **_settings("quadrature", args, config))
     filters = ChainFilters(**_subset(calib, "min_days", "min_open_interest"))
@@ -338,6 +352,8 @@ def _cmd_calibrate(args, config):
 
 
 def _cmd_validate_mc(args, config):
+    from .mc import SimConfig
+
     fm = _full_model(args, config)
     spec = QuadratureSpec(**_settings("quadrature", args, config))
     cfg = SimConfig(**_settings("sim", args, config))
@@ -345,11 +361,11 @@ def _cmd_validate_mc(args, config):
     p_eff = fm.heston.replace(rho=rho_eff)
     opt = OptionSpec(strike=args.strike, expiry=args.expiry, spot=args.spot)
     bd = price_corrected(opt, p_eff, v, spec)
-    est: McEstimate = mc_price_call(fm, args.strike, args.expiry, cfg, spot=args.spot)
+    est = mc_price_call(fm, args.strike, args.expiry, cfg, spot=args.spot)
     gap = abs(bd.total - est.price)
     payload = {
         "epsilon": fm.epsilon,
-        "group_params": {k: getattr(v, k) for k in V_NAMES},
+        "group_params": {k: getattr(v, k) for k in GROUP_NAMES},
         "rho_effective": rho_eff,
         "analytic_heston": bd.p_heston,
         "analytic_corrected": bd.total,
@@ -399,7 +415,10 @@ def _add_flags(sp, section: str, keys=None):
         sp.add_argument("--" + key.replace("_", "-"), type=table[key][0], default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process and shared by every
+    call: parsing leaves it as it was, and callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="msheston",
         description="Multi-scale Heston pricing, calibration, and validation",

@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize import least_squares
 
 from msheston.calibration import (
-    THETA_NAMES,
     CalibProblem,
     calibrate_heston,
     calibrate_multiscale,
@@ -28,7 +27,7 @@ from msheston.calibration import (
 )
 from msheston.errors import NonFinite
 from msheston.kernel import HestonParams
-from msheston.pricer import GroupParams
+from msheston.pricer import HESTON_NAMES, GroupParams
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
 from msheston.vol_surface import VolPoint, VolSurface, implied_vol, model_surface
 
@@ -164,12 +163,12 @@ class TestCalibrateHeston:
         # four seeded starts, each parameter scaled by a factor in [0.6, 1.4]
         prob = _problem(_as_market(model_surface(EXPIRIES, STRIKES, truth, None, SPEC)))
         for seed in range(4):
-            factors = np.random.default_rng(seed).uniform(0.6, 1.4, len(THETA_NAMES))
+            factors = np.random.default_rng(seed).uniform(0.6, 1.4, len(HESTON_NAMES))
             start = truth.replace(**{
-                name: f * getattr(truth, name) for name, f in zip(THETA_NAMES, factors)})
+                name: f * getattr(truth, name) for name, f in zip(HESTON_NAMES, factors)})
             res = calibrate_heston(prob, start)
             assert res.converged, seed
-            for name in THETA_NAMES:
+            for name in HESTON_NAMES:
                 got, want = getattr(res.heston, name), getattr(truth, name)
                 tol = 1e-5 if name == "rho" else 1e-5 * want
                 assert abs(got - want) <= tol, (seed, name)

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -691,6 +695,37 @@ class TestCli:
                 "params": params, **blocks, "objective": 1.25e-6, "iterations": 7,
                 "jacobians": 6, "soft_failures": 2, "converged": True,
                 "feller_satisfied": False}
+
+    def test_one_parser_serves_every_command(self, capsys):
+        # the parser is built once per process: price, then surface, then
+        # price again in one process each write what the command writes
+        # alone in a fresh process, so no flag's value leaks between parses
+        price = [*PRICE, *HESTON_FLAGS, "--v3e", "-0.01", "--format", "table"]
+        surface = ["surface", "--spot", "100", "--expiries", "0.5,1",
+                   "--strikes", "90,100,110", *HESTON_FLAGS]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        alone = {}
+        for argv in (price, surface):
+            proc = subprocess.run(
+                [sys.executable, "-m", "msheston.cli", *argv], capture_output=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            alone[argv[0]] = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+        for argv in (price, surface, price):
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == alone[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        shown = capsys.readouterr().out
+        assert "{price,surface,sweep,calibrate,validate-mc,group-params}" in shown
+
+    def test_bounds_keys_are_the_fits_parameters(self):
+        # the command line's calibration.bounds keys and the fit's
+        # DEFAULT_BOUNDS are two tables that must name the same parameters
+        keys = cli._SETTINGS["calibration"]["bounds"][0]
+        assert list(keys) == list(calibration.DEFAULT_BOUNDS)
 
     def test_nonfinite_chain_number_exits_2(self, tmp_path, capsys):
         lines = _set(_two_row_chain(tmp_path), 3, "bid", "nan")

@@ -329,3 +329,24 @@ def test_import_does_not_load_scipy_stats():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_import_loads_no_scipy():
+    # the calibration and Monte Carlo names load SciPy on first access; the
+    # package and the command line load none of it
+    src = str(Path(msheston.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import sys, msheston, msheston.cli",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert not loaded, loaded[:5]",
+        "for name in msheston.__all__:",
+        "    getattr(msheston, name)",
+        "assert msheston.calibrate_heston is msheston.calibration.calibrate_heston",
+        "assert msheston.SimConfig is msheston.mc.SimConfig",
+        "assert not hasattr(msheston, 'no_such_name')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
