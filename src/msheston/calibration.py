@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import NonConvergence, NonFinite, OutOfBand
+from .errors import NonConvergence, OutOfBand
 from .kernel import HestonParams
 from .pricer import GROUP_NAMES, HESTON_NAMES, GroupParams, price_slopes, price_strips
 from .quadrature import QuadratureSpec
@@ -81,10 +81,6 @@ class CalibProblem:
     ValueError
         If a bound names no parameter or is not such a pair, before any
         pricing.
-    NonFinite
-        If a market implied vol is non-finite.  Model residuals fall back
-        to a finite penalty, so a quote is the only source of a non-finite
-        residual.
     """
 
     market: VolSurface
@@ -92,8 +88,6 @@ class CalibProblem:
     quadrature: QuadratureSpec = CALIBRATION_QUADRATURE
 
     def __post_init__(self):
-        if not all(math.isfinite(pt.implied_vol) for pt in self.market.points):
-            raise NonFinite("market implied vols must be finite")
         for name, pair in self.bounds.items():
             if name not in DEFAULT_BOUNDS:
                 raise ValueError(f"unknown bound bounds.{name}; known: "

@@ -283,12 +283,14 @@ def _cmd_sweep(args, config):
             f"--values {args.values!r} gives two files the same name "
             "(names keep 6 decimals)", 0
         )
+    # every value is refused or admitted before the first file is written
+    groups = [replace(base, **{args.vary: value}) for value in values]
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     soft = False
-    for value, name in zip(values, names):
+    for group, name in zip(groups, names):
         surface = model_surface(
-            [args.expiry], strikes, p, replace(base, **{args.vary: value}), spec,
+            [args.expiry], strikes, p, group, spec,
             spot=args.spot, dividend_yield=args.dividend_yield,
         )
         soft = _report_points(surface, f"{name}: ") or soft

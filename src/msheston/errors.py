@@ -1,4 +1,21 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its admissibility rule.
+
+``require_finite`` alone decides which numbers the parameter types and the
+pricing entry points admit, so a bad value is refused by name before any
+pricing or path-step.  Correlation intervals, integer settings and the chain
+parser's line-numbered errors are other rules, kept by their owners.
+"""
+
+import math
+
+
+def require_finite(*, positive: bool = False, **values) -> None:
+    """ValueError naming the first of ``values`` that is not finite, or, with
+    ``positive``, not finite and strictly positive."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            rule = "finite and positive" if positive else "finite"
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class MsHestonError(Exception):

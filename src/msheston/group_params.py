@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import NonFinite, require_finite
 from .kernel import HestonParams
 from .pricer import GroupParams
 
@@ -49,7 +49,8 @@ class FullModelParams:
 
     ``heston.rho`` holds the *raw* spot/variance correlation rho_xz; the
     effective correlation of the averaged model is derived, not stored.  The
-    fast factor is exponential-OU (``volatility_factor``).
+    fast factor is exponential-OU (``volatility_factor``), with epsilon and
+    nu finite and strictly positive and m and y0 finite.
 
     Correlations are admissible when c^2 = 1 - (a^2 + b^2) > 0 in the Cholesky
     factor of their matrix in the order (y, z, x), whose closed form is
@@ -66,10 +67,8 @@ class FullModelParams:
     y0: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be strictly positive")
-        if not self.nu > 0:
-            raise ValueError("nu must be strictly positive")
+        require_finite(positive=True, epsilon=self.epsilon, nu=self.nu)
+        require_finite(m=self.m, y0=self.y0)
         # HestonParams already holds rho_xz = heston.rho inside (-1, 1)
         for name, val in (("rho_xy", self.rho_xy), ("rho_yz", self.rho_yz)):
             if not val * val < 1.0:

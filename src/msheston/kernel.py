@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCrossing
+from .errors import BranchCrossing, require_finite
 
 # Below this |x| the second log ratio of the closed-form correction
 # transform switches to its power series (coefficients highest power first,
@@ -45,8 +45,8 @@ class HestonParams:
     ``rho`` is the effective spot/variance correlation (already averaged over
     any fast volatility factor), ``z`` the current instantaneous variance.
     Construction admits exactly the parameters the program prices: kappa,
-    theta, sigma and z strictly positive, r finite and |rho| < 1.  The Feller
-    condition ``2*kappa*theta >= sigma**2`` is reported by
+    theta, sigma and z finite and strictly positive, r finite and |rho| < 1.
+    The Feller condition ``2*kappa*theta >= sigma**2`` is reported by
     ``feller_satisfied``, never enforced: the pricer, the correction and the
     full-truncation Monte Carlo all handle a variance that can reach zero.
     """
@@ -59,11 +59,9 @@ class HestonParams:
     r: float
 
     def __post_init__(self):
-        for name in ("kappa", "theta", "sigma", "z"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not np.isfinite(self.r):
-            raise ValueError("r must be finite")
+        require_finite(positive=True, kappa=self.kappa, theta=self.theta,
+                       sigma=self.sigma, z=self.z)
+        require_finite(r=self.r)
         if not self.rho * self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
 

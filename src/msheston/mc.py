@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import StepExplosion
+from .errors import StepExplosion, require_finite
 from .group_params import FullModelParams, volatility_factor
 
 _CHUNK = 1 << 16
@@ -78,8 +78,7 @@ class SimConfig:
             raise ValueError(
                 f"n_paths must be an even number of at least 8, got {self.n_paths}"
             )
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and strictly positive, got {self.dt}")
+        require_finite(positive=True, dt=self.dt)
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -119,12 +118,6 @@ class PathSums:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _require_finite_positive(**values):
-    for name, x in values.items():
-        if not (math.isfinite(x) and x > 0):
-            raise ValueError(f"{name} must be finite and strictly positive, got {x!r}")
-
-
 def _chunk_streams(seed: int, n_chunks: int):
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     return [np.random.Generator(np.random.Philox(child)) for child in children]
@@ -140,7 +133,7 @@ def simulate_paths(fm: FullModelParams, horizon: float, cfg: SimConfig) -> PathS
     count above ``MAX_STEPS`` raises a ValueError naming the horizon, dt and
     the count.
     """
-    _require_finite_positive(horizon=horizon)
+    require_finite(positive=True, horizon=horizon)
     p = fm.heston
     steps = horizon / cfg.dt  # may overflow to inf
     if not steps < MAX_STEPS + 0.5:
@@ -303,7 +296,7 @@ def mc_price_call(
     Each estimate is taken over the per-pair means, the unbiased estimator
     under mirrored draws, regressed on the per-pair means of M and M_z.
     """
-    _require_finite_positive(strike=strike, expiry=expiry, spot=spot)
+    require_finite(positive=True, strike=strike, expiry=expiry, spot=spot)
     sums = simulate_paths(fm, expiry, cfg)
     _, _, a, b, c = fm.brownian_loadings
     rho = fm.rho_effective

@@ -52,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, require_finite
 from .kernel import (HestonParams, _cd_of, _exponent_slopes, _f_hat_slopes,
                      _f_hats, _part_slopes)
 from .quadrature import QuadratureSpec, integrate_adaptive
@@ -80,10 +80,7 @@ class GroupParams:
     v4e: float
 
     def __post_init__(self):
-        if not all(
-            np.isfinite(x) for x in (self.v1e, self.v2e, self.v3e, self.v4e)
-        ):
-            raise ValueError("correction coefficients must be finite")
+        require_finite(v1e=self.v1e, v2e=self.v2e, v3e=self.v3e, v4e=self.v4e)
 
     @classmethod
     def zero(cls) -> "GroupParams":
@@ -104,12 +101,8 @@ class OptionSpec:
     payoff_kind: str = "call"
 
     def __post_init__(self):
-        if not self.strike > 0:
-            raise ValueError("strike must be positive")
-        if not self.spot > 0:
-            raise ValueError("spot must be positive")
-        if not self.expiry > 0:
-            raise ValueError("expiry must be positive")
+        require_finite(positive=True, strike=self.strike, spot=self.spot,
+                       expiry=self.expiry)
         if self.payoff_kind not in ("call", "put"):
             raise ValueError(f"unsupported payoff_kind {self.payoff_kind!r}")
 
@@ -157,10 +150,11 @@ _UNIT_V = SimpleNamespace(**{
 })
 
 
-def _strip_integrals(strips, spec, payoff, wrt=()):
+def _strip_integrals(strips, edges, spec, payoff, wrt=()):
     """Integrals of a list of strips on the payoff's contour, with error bounds.
 
-    ``strips`` holds validated ``(strikes, tau, spot, p, v, scale)`` tuples.
+    ``strips`` holds validated ``(strikes, tau, spot, p, v, scale)`` tuples,
+    and strip ``j`` owns the strike columns ``edges[j]:edges[j + 1]``.
     One adaptive integration over u covers them all: each strip maps u to
     its own ``k = -log(u)/scale + i*k_i`` and evaluates its kernel once per
     node, with its parameters held as column arrays, and hands it to the
@@ -179,13 +173,12 @@ def _strip_integrals(strips, spec, payoff, wrt=()):
     over each strike's price rows, whether any of them missed its tolerance,
     and the doubled real slopes, shape (len(wrt), strikes).
     """
-    sizes = [len(s[0]) for s in strips]
-    n = sum(sizes)
+    n = edges[-1]
     corrected = not all(s[4].is_zero for s in strips)
     planes = 2 if corrected else 1
-    rows_of = np.cumsum([0] + sizes).tolist()
     log_k = np.log(np.concatenate([s[0] for s in strips]))[:, None]
-    q = np.repeat([s[3].r * s[1] + math.log(s[2]) for s in strips], sizes)[:, None]
+    q = np.repeat([s[3].r * s[1] + math.log(s[2]) for s in strips],
+                  np.diff(edges))[:, None]
     tau = np.array([s[1] for s in strips])[:, None]
     scale = np.array([s[5] for s in strips])[:, None]
     p = _columns([s[3] for s in strips], HESTON_NAMES)
@@ -219,7 +212,7 @@ def _strip_integrals(strips, spec, payoff, wrt=()):
             slopes.update(zip(GROUP_NAMES, p.kappa * p.theta * f0 + p.z * f1))
         factors += [slopes[name] for name in wrt]
         out = np.empty(((planes + len(wrt)) * n, us.size), dtype=complex)
-        for j, (lo, hi) in enumerate(zip(rows_of, rows_of[1:])):
+        for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
             static = np.multiply(_payoff_transform(k[j], log_k[lo:hi], q[lo:hi]),
                                  kernel[j], out=out[lo:hi])
             for i, factor in enumerate(factors, 1):
@@ -240,13 +233,6 @@ def _strip_integrals(strips, spec, payoff, wrt=()):
             2.0 * value[planes * n:].real.reshape(len(wrt), n))
 
 
-def _finite_positive(name: str, *values: float) -> None:
-    """ValueError naming ``name`` unless every one of ``values`` is finite and > 0."""
-    for value in values:
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _prepare(strips):
     """Validated ``(strikes, tau, spot, p, v, scale)`` tuples of ``strips``."""
     prepared = []
@@ -255,9 +241,9 @@ def _prepare(strips):
         if not strikes.size:
             raise ValueError("strikes must be nonempty")
         tau, spot = float(expiry), float(spot)
-        _finite_positive("strike", *strikes.tolist())
-        _finite_positive("expiry", tau)
-        _finite_positive("spot", spot)
+        for strike in strikes.tolist():
+            require_finite(positive=True, strike=strike)
+        require_finite(positive=True, expiry=tau, spot=spot)
         variance = p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
         scale = min(c_infinity(tau, p), 4.0 * math.sqrt(variance))
         v = GroupParams.zero() if v is None else v
@@ -314,8 +300,8 @@ def _priced(prepared, spec, payoff, wrt):
         spec = QuadratureSpec()
     if not prepared:
         return [], []
-    values, errors, missed, slopes = _strip_integrals(prepared, spec, payoff, wrt)
     edges = np.cumsum([0] + [len(s[0]) for s in prepared]).tolist()
+    values, errors, missed, slopes = _strip_integrals(prepared, edges, spec, payoff, wrt)
     results, strip_slopes = [], []
     for (strikes, tau, spot, p, _, _), lo, hi in zip(prepared, edges, edges[1:]):
         discount = math.exp(-p.r * tau)

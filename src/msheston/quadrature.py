@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, require_finite
 
 _EPS = np.finfo(float).eps
 
@@ -76,8 +76,7 @@ class QuadratureSpec:
     max_subdivisions: int = 512
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        require_finite(positive=True, abs_tol=self.abs_tol, rel_tol=self.rel_tol)
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 

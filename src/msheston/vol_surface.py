@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import NonConvergence, OutOfBand
+from .errors import NonConvergence, OutOfBand, require_finite
 from .kernel import HestonParams
 from .pricer import GroupParams, price_strips
 from .quadrature import QuadratureSpec
@@ -30,6 +30,7 @@ PRICE_TOL = 1e-10
 _SOURCES = ("market", "heston_model", "multiscale_model")
 
 _EPS = sys.float_info.epsilon
+_INF = math.inf
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -47,12 +48,8 @@ class VolPoint:
     source: str
 
     def __post_init__(self):
-        if not self.expiry > 0:
-            raise ValueError("expiry must be positive")
-        if not self.strike > 0:
-            raise ValueError("strike must be positive")
-        if not self.implied_vol > 0:
-            raise ValueError("implied_vol must be positive")
+        require_finite(positive=True, expiry=self.expiry, strike=self.strike,
+                       implied_vol=self.implied_vol)
         if self.source not in _SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
 
@@ -76,8 +73,7 @@ class VolSurface:
     soft_failures: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.spot > 0:
-            raise ValueError("spot must be positive")
+        require_finite(positive=True, spot=self.spot)
         ordered = tuple(sorted(self.points, key=lambda pt: (pt.expiry, pt.strike)))
         object.__setattr__(self, "points", ordered)
         seen = {}
@@ -129,8 +125,13 @@ def bs_call(
     dividend_yield: float = 0.0,
 ) -> float:
     """Black-Scholes call on a continuous-dividend forward; increasing in vol."""
-    if min(spot, strike, expiry, vol) <= 0:
-        raise ValueError("spot, strike, expiry, and vol must be positive")
+    # comparisons, not a call of ``require_finite``: this runs in every
+    # step of an implied-vol inversion, and NaN fails each of them
+    if not (0 < spot < _INF and 0 < strike < _INF and 0 < expiry < _INF
+            and 0 < vol < _INF and -_INF < rate < _INF
+            and -_INF < dividend_yield < _INF):
+        raise ValueError("spot, strike, expiry and vol must be finite and "
+                         "positive, rate and dividend_yield finite")
     s_eff = spot * math.exp(-dividend_yield * expiry)
     sq = vol * math.sqrt(expiry)
     d1 = (math.log(s_eff / strike) + (rate + 0.5 * vol * vol) * expiry) / sq
@@ -167,10 +168,12 @@ def implied_vol(
     OutOfBand
         If the price is at or outside the band; ``bound`` says which side.
     NonConvergence
-        If no bracket vol reproduces the price to tolerance: prices implying
-        vols outside [1e-4, 5.0], or time values too small for the float
-        price to resolve.
+        If the price is not finite, or if no bracket vol reproduces it to
+        tolerance: prices implying vols outside [1e-4, 5.0], or time values
+        too small for the float price to resolve.
     """
+    if not math.isfinite(price):
+        raise NonConvergence(f"price {price!r} is not finite; no vol is resolved")
     s_eff = spot * math.exp(-dividend_yield * expiry)
     discounted_strike = strike * math.exp(-rate * expiry)
     lower = max(s_eff - discounted_strike, 0.0)
@@ -252,8 +255,7 @@ def model_surface(
     ``surface.soft_failures``.  A ValueError names a non-finite
     ``dividend_yield``.
     """
-    if not math.isfinite(dividend_yield):
-        raise ValueError(f"dividend_yield must be finite, got {dividend_yield!r}")
+    require_finite(dividend_yield=dividend_yield)
     source = (
         "heston_model" if v is None or v.is_zero else "multiscale_model"
     )

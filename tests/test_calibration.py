@@ -25,7 +25,6 @@ from msheston.calibration import (
     _per_expiry_rss,
     _unpack,
 )
-from msheston.errors import NonFinite
 from msheston.kernel import HestonParams
 from msheston.pricer import HESTON_NAMES, GroupParams
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
@@ -242,20 +241,10 @@ class TestCalibrateHeston:
         assert 0.5 <= res.heston.kappa <= 1.6
 
     def test_nonfinite_start_detected(self, heston_market):
-        prob = _problem(heston_market)
-        bad = VolSurface(
-            spot=prob.market.spot,
-            points=tuple(
-                VolPoint(pt.expiry, pt.strike, math.inf, "market")
-                if i == 0
-                else pt
-                for i, pt in enumerate(prob.market.points)
-            ),
-            rates=dict(prob.market.rates),
-            dividend_yields={},
-        )
-        with pytest.raises(NonFinite):
-            calibrate_heston(_problem(bad), TRUTH_P)
+        # a non-finite market vol never reaches a fit: its quote is refused
+        pt = heston_market.points[0]
+        with pytest.raises(ValueError, match="implied_vol must be finite and positive"):
+            VolPoint(pt.expiry, pt.strike, math.inf, "market")
 
     @pytest.mark.parametrize("truth, start", [
         (TRUTH_P.replace(sigma=0.7), TRUTH_P.replace(sigma=0.7)),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -397,7 +398,7 @@ class TestCli:
         assert "n_paths" in captured.err
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--dt", "inf", "dt must be finite and strictly positive, got inf"),
+        ("--dt", "inf", "dt must be finite and positive, got inf"),
         ("--seed", "-1", "seed must be a non-negative integer, got -1"),
     ])
     def test_validate_mc_rejects_bad_sim_setting_up_front(
@@ -416,6 +417,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["surface", "--spot", "100", "--expiries", "1", "--strikes", "90,100",
+          *HESTON_FLAGS, "--z", "inf"], "z must be finite and positive, got inf"),
+        ([*PRICE, *HESTON_FLAGS, "--kappa", "inf"],
+         "kappa must be finite and positive, got inf"),
+        ([*PRICE, *HESTON_FLAGS, "--abs-tol", "inf"],
+         "abs_tol must be finite and positive, got inf"),
+        (["validate-mc", "--spot", "100", "--strike", "100", "--expiry", "0.5",
+          *FULL_MODEL_FLAGS, "--n-paths", "16", "--m", "inf"],
+         "m must be finite, got inf"),
+    ], ids=["surface-z", "price-kappa", "price-abs_tol", "validate_mc-m"])
+    def test_nonfinite_parameter_exits_3_by_name_before_pricing(
+        self, monkeypatch, tmp_path, capsys, argv, message
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("priced past a non-finite parameter")
+
+        for name in ("compute_group_params", "price_corrected", "model_surface"):
+            monkeypatch.setattr(cli, name, not_reached)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--output", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}\n" == captured.err
+        assert not out.exists()
 
     def test_validate_mc_writes_the_step_taken(self, capsys):
         # one step of the whole expiry, not the asked 5
@@ -489,6 +519,17 @@ class TestCli:
         assert "--values" in captured.err
         assert captured.out == ""
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_sweep_refuses_a_nonfinite_value_before_writing(self, tmp_path, capsys):
+        # the first value is admissible: its file must not be written either
+        argv = ["sweep", "--spot", "100", "--expiry", "0.5", "--vary", "v3e",
+                "--strikes", "90,100", "--values", "0,inf",
+                "--output-dir", str(tmp_path / "sweeps"), *HESTON_FLAGS]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: v3e must be finite, got inf\n"
+        assert captured.out == ""
+        assert not (tmp_path / "sweeps").exists()
 
     def test_group_params_accepts_feller_violation(self, capsys):
         # the coefficients do not depend on kappa or theta

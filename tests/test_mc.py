@@ -287,13 +287,13 @@ class TestMcPriceCall:
         monkeypatch.setattr(mc_mod, "simulate_paths", not_reached)
         kwargs = {"strike": 100.0, "expiry": 1.0, "spot": 100.0, name: value}
         cfg = SimConfig(n_paths=16, dt=1e-2, seed=1)
-        with pytest.raises(ValueError, match=f"{name} must be finite and strictly"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             mc_price_call(_full_model(), cfg=cfg, **kwargs)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
     def test_simulate_paths_rejects_a_bad_horizon(self, horizon):
         cfg = SimConfig(n_paths=16, dt=1e-2, seed=1)
-        with pytest.raises(ValueError, match="horizon must be finite and strictly"):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
             simulate_paths(_full_model(), horizon, cfg)
 
     @pytest.mark.parametrize("horizon, dt, count", [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import msheston
+from msheston import vol_surface
 from msheston.errors import NonConvergence, OutOfBand
 from msheston.pricer import GroupParams, price_strikes
 from msheston.quadrature import QuadratureSpec
@@ -55,6 +56,15 @@ class TestBsCall:
         assert bs_call(spot, strike, expiry, vol, rate) == pytest.approx(
             expected, rel=1e-12
         )
+
+    @pytest.mark.parametrize("arg", range(6))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_nonfinite_input(self, arg, value):
+        # spot, strike, expiry, vol, rate, dividend yield: none gives a NaN price
+        args = [100.0, 100.0, 1.0, 0.2, 0.05, 0.01]
+        args[arg] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            bs_call(*args)
 
     def test_against_high_precision(self):
         val = bs_call(100.0, 100.0, 1.0, 0.2, 0.05)
@@ -123,6 +133,15 @@ class TestImpliedVol:
         with pytest.raises(OutOfBand) as excinfo:
             implied_vol(intrinsic, 100.0, 80.0, 1.0, 0.05)
         assert excinfo.value.bound == "lower"
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_price_raises_before_iterating(self, monkeypatch, price):
+        def not_reached(*args):
+            raise AssertionError("iterated on a non-finite price")
+
+        monkeypatch.setattr(vol_surface, "bs_call", not_reached)
+        with pytest.raises(NonConvergence, match=f"price {price!r} is not finite"):
+            implied_vol(price, 100.0, 100.0, 1.0, 0.05)
 
     def test_benchmark_heston_price_regression(self, table1_heston):
         # pinned after the first verified build: self-oracle round trip of the
