@@ -1,12 +1,19 @@
 """Multi-scale Heston option pricing, calibration, and Monte Carlo validation.
 
-Only NumPy loads with the package.  The calibration and Monte Carlo names
-load their modules, and with them SciPy, on first access.
+Only NumPy loads with the package: the fit imports SciPy's optimizer and the
+Monte Carlo its normal CDF where they call them.
 """
 
-import importlib
-
 from . import errors
+from .calibration import (
+    CalibProblem,
+    CalibResult,
+    calibrate_heston,
+    calibrate_multiscale,
+    objective_heston,
+    objective_multiscale,
+    residual_ratio_report,
+)
 from .group_params import (
     FullModelParams,
     compute_group_params,
@@ -14,6 +21,7 @@ from .group_params import (
 )
 from .kernel import HestonParams
 from .market_io import ChainFilters, ChainLoadResult, OptionChainRow, load_chain
+from .mc import McEstimate, SimConfig, mc_price_call, simulate_paths
 from .pricer import (
     GroupParams,
     OptionSpec,
@@ -24,22 +32,6 @@ from .pricer import (
 )
 from .quadrature import QuadratureSpec
 from .vol_surface import VolPoint, VolSurface, bs_call, implied_vol, model_surface
-
-# name -> the module that defines it, imported when the name is first read
-_DEFERRED = {
-    **dict.fromkeys(
-        ("CalibProblem", "CalibResult", "calibrate_heston", "calibrate_multiscale",
-         "objective_heston", "objective_multiscale", "residual_ratio_report"),
-        "calibration"),
-    **dict.fromkeys(("McEstimate", "SimConfig", "mc_price_call", "simulate_paths"), "mc"),
-}
-
-
-def __getattr__(name):
-    if name in _DEFERRED:
-        return getattr(importlib.import_module(f".{_DEFERRED[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "errors",

@@ -30,7 +30,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import NonConvergence, OutOfBand
 from .kernel import HestonParams
@@ -248,6 +247,12 @@ def _linearize(x, prob: CalibProblem):
     residuals, dvol = _vol_residuals([bd.total for bd in priced], market)
     tagged = any("nonconvergence" in bd.warnings for bd in priced)
     return residuals, -(np.hstack(slopes) * dvol).T, tagged
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``; SciPy loads when a fit first runs."""
+    from scipy.optimize import least_squares
+    return least_squares(*args, **kwargs)
 
 
 def _fit(prob, x0, lo, hi) -> CalibResult:

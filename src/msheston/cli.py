@@ -26,10 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .calibration import (CALIBRATION_QUADRATURE, CalibProblem, calibrate_heston,
+                          calibrate_multiscale, format_residual_table,
+                          residual_ratio_report)
 from .errors import EmptyAfterFilter, MsHestonError, NonConvergence, ParseError
 from .group_params import FullModelParams, compute_group_params
 from .kernel import HestonParams
 from .market_io import ChainFilters, config_path, load_chain, load_config
+from .mc import SimConfig, mc_price_call
 from .pricer import GROUP_NAMES, HESTON_NAMES, GroupParams, OptionSpec, price_corrected
 from .quadrature import QuadratureSpec
 from .vol_surface import model_surface
@@ -218,28 +222,6 @@ def _breakdown_payload(bd) -> dict:
     }
 
 
-# -- SciPy-backed layers ---------------------------------------------------------
-
-# The fits load scipy.optimize and the simulation scipy.special, so these
-# import on call: the other commands never load SciPy.  The commands call
-# through these module-level names, which a tracer can wrap.
-
-
-def calibrate_heston(*args, **kwargs):
-    from . import calibration
-    return calibration.calibrate_heston(*args, **kwargs)
-
-
-def calibrate_multiscale(*args, **kwargs):
-    from . import calibration
-    return calibration.calibrate_multiscale(*args, **kwargs)
-
-
-def mc_price_call(*args, **kwargs):
-    from . import mc
-    return mc.mc_price_call(*args, **kwargs)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -318,9 +300,6 @@ def _stage_payload(res) -> dict:
 
 
 def _cmd_calibrate(args, config):
-    from .calibration import (CALIBRATION_QUADRATURE, CalibProblem,
-                              format_residual_table, residual_ratio_report)
-
     calib = _settings("calibration", args, config)
     quadrature = replace(CALIBRATION_QUADRATURE, **_settings("quadrature", args, config))
     filters = ChainFilters(**_subset(calib, "min_days", "min_open_interest"))
@@ -354,8 +333,6 @@ def _cmd_calibrate(args, config):
 
 
 def _cmd_validate_mc(args, config):
-    from .mc import SimConfig
-
     fm = _full_model(args, config)
     spec = QuadratureSpec(**_settings("quadrature", args, config))
     cfg = SimConfig(**_settings("sim", args, config))

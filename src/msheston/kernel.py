@@ -172,20 +172,6 @@ def _b_coeffs(k, v):
     )
 
 
-def _q_coeffs(tau, k, v, parts):
-    """(a, beta, c, e, (b0, b1, b2), (q0, q1, q2)) of the closed-form
-    correction transforms, with ``parts`` as in ``_f_hats``."""
-    d, m_minus_d, m_plus_d = parts[:3]
-    a, beta, c = -(k * k - 1j * k) / 2.0, m_minus_d / 2.0, m_plus_d / 2.0
-    e = np.exp(-tau * d)
-    b0, b1, b2 = _b_coeffs(k, v)
-    d2 = d * d
-    q0 = (b0 * c * c + b1 * a * c + b2 * a * a) / d2
-    q1 = -(2.0 * b0 * c * beta + b1 * a * (c + beta) + 2.0 * b2 * a * a) / d2
-    q2 = (b0 * beta * beta + b1 * a * beta + b2 * a * a) / d2
-    return a, beta, c, e, (b0, b1, b2), (q0, q1, q2)
-
-
 def _series_below_cutoff(x, direct, series):
     """``direct``, but ``polyval(series, x)`` where |x| < the cutoff."""
     direct = np.asarray(direct)
@@ -195,7 +181,7 @@ def _series_below_cutoff(x, direct, series):
     return direct
 
 
-def _f_hats(tau, k, v, parts):
+def _f_hats(tau, k, v, parts, dparts=None):
     """Correction transforms (f0_hat, f1_hat) at time tau, in closed form.
 
     f1_hat(tau) = int_0^tau b(s) exp(A(tau, k, s)) ds solves the correction
@@ -205,10 +191,23 @@ def _f_hats(tau, k, v, parts):
     ``_cd_of(tau, k, p)``: the only log is its rotation-safe log zeta, which
     carries full precision relative to beta*w = zeta - 1, as the O(tau^2) q0
     and q1 brackets of f0 need at short tau.
+
+    With ``dparts``, the ``_part_slopes`` of ``parts``, it also returns
+    d(f0_hat, f1_hat)/d(kappa, rho, sigma), each stacked on a new first axis:
+    the closed forms differentiated term by term (theta and z do not enter
+    them).  (beta*c)' is beta*c*(beta'/beta + c'/c), and below the cutoff m2
+    takes its series' slope.
     """
-    d, _, _, w, zeta, log_zeta = parts
-    _, beta, c, e, _, (q0, q1, q2) = _q_coeffs(tau, k, v, parts)
-    f1 = (q0 * w + q1 * tau * e + q2 * e * w) / (zeta * zeta)
+    d, m_minus_d, m_plus_d, w, zeta, log_zeta = parts
+    a, beta, c = -(k * k - 1j * k) / 2.0, m_minus_d / 2.0, m_plus_d / 2.0
+    e = np.exp(-tau * d)
+    b0, b1, b2 = _b_coeffs(k, v)
+    d2 = d * d
+    q0 = (b0 * c * c + b1 * a * c + b2 * a * a) / d2
+    q1 = -(2.0 * b0 * c * beta + b1 * a * (c + beta) + 2.0 * b2 * a * a) / d2
+    q2 = (b0 * beta * beta + b1 * a * beta + b2 * a * a) / d2
+    num = q0 * w + q1 * tau * e + q2 * e * w
+    f1 = num / (zeta * zeta)
     # (log(1 + x) + 1/(1 + x) - 1)/x^2 at x = beta*w, with 1 + x = zeta; the
     # direct form cancels to eps/|x|, so the nodes below the cutoff (x = 0
     # included) take the series instead
@@ -222,31 +221,20 @@ def _f_hats(tau, k, v, parts):
         + q1 * (tau * w / zeta - tau / c + log_zeta / (beta * c))
         + q2 * w * w * m2
     )
-    return f0, f1
+    if dparts is None:
+        return f0, f1
 
-
-def _f_hat_slopes(tau, k, v, parts, dparts):
-    """d(f0_hat, f1_hat)/d(kappa, rho, sigma), each stacked on a new first
-    axis: the closed forms of ``_f_hats`` differentiated term by term, with
-    ``dparts`` the ``_part_slopes`` of ``parts`` (theta and z do not enter
-    them).  (beta*c)' is beta*c*(beta'/beta + c'/c), and below the cutoff m2
-    takes its series' slope."""
-    d, _, _, w, zeta, log_zeta = parts
     dd, dmd, dpd, dw, dzeta = dparts
-    a, beta, c, e, (b0, b1, b2), (q0, q1, q2) = _q_coeffs(tau, k, v, parts)
     dbeta, dc, de = dmd / 2.0, dpd / 2.0, -tau * dd * e
     # each q is a bracket over d^2: the bracket's slope, less q * 2d'/d
-    d2, dlog_d2 = d * d, 2.0 * dd / d
+    dlog_d2 = 2.0 * dd / d
     dq0 = (2.0 * b0 * c + b1 * a) * dc / d2 - q0 * dlog_d2
     dq1 = -(2.0 * b0 * (dc * beta + c * dbeta) + b1 * a * (dc + dbeta)) / d2 - q1 * dlog_d2
     dq2 = (2.0 * b0 * beta + b1 * a) * dbeta / d2 - q2 * dlog_d2
-    num = q0 * w + q1 * tau * e + q2 * e * w
     dnum = (dq0 * w + q0 * dw + tau * (dq1 * e + q1 * de)
             + dq2 * e * w + q2 * (de * w + e * dw))
     df1 = (dnum - 2.0 * num * dzeta / zeta) / (zeta * zeta)
-    x = np.asarray(beta * w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m2 = _series_below_cutoff(x, (log_zeta - x / zeta) / (x * x), _M2_SERIES)
         dm2 = _series_below_cutoff(x, (1.0 / (zeta * zeta) - 2.0 * m2) / x, _DM2_SERIES)
     dlog, dc_c = dzeta / zeta, dc / c
     df0 = (
@@ -259,4 +247,4 @@ def _f_hat_slopes(tau, k, v, parts, dparts):
         + dq2 * w * w * m2
         + q2 * w * (2.0 * dw * m2 + w * dm2 * dzeta)
     )
-    return df0, df1
+    return f0, f1, df0, df1

@@ -45,11 +45,9 @@ one row each, so the sums are bit-identical to a serial loop over the steps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import StepExplosion, require_finite
 from .group_params import FullModelParams, volatility_factor
@@ -65,7 +63,7 @@ MAX_TRUNCATION_FRACTION = 1e-3
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count (an even number of at least 8: four antithetic pairs, one
+    """Path count (an even integer of at least 8: four antithetic pairs, one
     more than the three coefficients of the control-variate regression), a
     finite step size and a non-negative integer seed."""
 
@@ -74,10 +72,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_paths < 8 or self.n_paths % 2:
-            raise ValueError(
-                f"n_paths must be an even number of at least 8, got {self.n_paths}"
-            )
+        n = self.n_paths
+        if not (isinstance(n, (int, np.integer)) and n >= 8 and n % 2 == 0):
+            raise ValueError(f"n_paths must be an even integer of at least 8, got {n!r}")
         require_finite(positive=True, dt=self.dt)
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -133,6 +130,10 @@ def simulate_paths(fm: FullModelParams, horizon: float, cfg: SimConfig) -> PathS
     count above ``MAX_STEPS`` raises a ValueError naming the horizon, dt and
     the count.
     """
+    # imported here, not with the module: concurrent.futures loads logging,
+    # queue and traceback, which only a simulation needs
+    from concurrent.futures import ThreadPoolExecutor
+
     require_finite(positive=True, horizon=horizon)
     p = fm.heston
     steps = horizon / cfg.dt  # may overflow to inf
@@ -263,6 +264,8 @@ def _bs_calls(spot: np.ndarray, disc_strike: float, total_var: np.ndarray) -> np
     Where a total variance is 0 the call is the discounted forward intrinsic
     value ``max(spot - disc_strike, 0)``, reached without dividing by 0.
     """
+    from scipy.special import ndtr  # SciPy loads with the first priced path set
+
     sd = np.sqrt(total_var)
     live = sd > 0.0
     sd = np.where(live, sd, 1.0)

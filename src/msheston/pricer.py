@@ -53,8 +53,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NonConvergence, require_finite
-from .kernel import (HestonParams, _cd_of, _exponent_slopes, _f_hat_slopes,
-                     _f_hats, _part_slopes)
+from .kernel import HestonParams, _cd_of, _exponent_slopes, _f_hats, _part_slopes
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 DEFAULT_CALL_CONTOUR = 1.5
@@ -192,16 +191,17 @@ def _strip_integrals(strips, edges, spec, payoff, wrt=()):
         c_val, big_d_val, parts = _cd_of(tau, k, p)
         kernel = np.exp(c_val + p.z * big_d_val) / (us * scale)
         factors = []
+        dparts = _part_slopes(tau, k, p, parts) if heston_slopes else None
         if corrected:
-            f0, f1 = _f_hats(tau, k, v, parts)
+            # (df0_hat, df1_hat) come too when dparts is given
+            f0, f1, *df_hats = _f_hats(tau, k, v, parts, dparts)
             factors.append(p.kappa * p.theta * f0 + p.z * f1)
         slopes = {}
         if heston_slopes:
-            dparts = _part_slopes(tau, k, p, parts)
             de = _exponent_slopes(tau, k, p, c_val, big_d_val, parts, dparts)
             if corrected:
                 # F' for kappa, rho and sigma, then for theta and z
-                df0, df1 = _f_hat_slopes(tau, k, v, parts, dparts)
+                df0, df1 = df_hats
                 df = np.concatenate((p.kappa * p.theta * df0 + p.z * df1,
                                      [p.kappa * f0, f1]))
                 df[0] += p.theta * f0

@@ -59,10 +59,10 @@ class VolSurface:
     """Implied vols grouped by expiry, with the valuation metadata.
 
     ``rates`` and ``dividend_yields`` map expiry (years) to the per-expiry
-    level; within each expiry strikes are strictly increasing.  A model
-    surface lists in ``errors`` the points it could not invert and in
-    ``soft_failures`` the (expiry, strike) points whose price missed its
-    quadrature tolerance.
+    level, which must be finite; within each expiry strikes are strictly
+    increasing.  A model surface lists in ``errors`` the points it could not
+    invert and in ``soft_failures`` the (expiry, strike) points whose price
+    missed its quadrature tolerance.
     """
 
     spot: float
@@ -74,6 +74,9 @@ class VolSurface:
 
     def __post_init__(self):
         require_finite(positive=True, spot=self.spot)
+        for field_name in ("rates", "dividend_yields"):
+            for expiry, value in getattr(self, field_name).items():
+                require_finite(**{f"{field_name}[{expiry!r}]": value})
         ordered = tuple(sorted(self.points, key=lambda pt: (pt.expiry, pt.strike)))
         object.__setattr__(self, "points", ordered)
         seen = {}

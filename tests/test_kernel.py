@@ -10,7 +10,6 @@ from msheston.kernel import (
     _cd_of,
     _d_of,
     _exponent_slopes,
-    _f_hat_slopes,
     _f_hats,
     _log1p,
     _part_slopes,
@@ -198,7 +197,7 @@ def f_hat_slopes(tau, k, p, v):
     """d(f0_hat, f1_hat)/d(kappa, rho, sigma), shape (2, 3, ...)."""
     k = np.asarray(k)
     parts = _cd_of(tau, k, p)[2]
-    return np.array(_f_hat_slopes(tau, k, v, parts, _part_slopes(tau, k, p, parts)))
+    return np.array(_f_hats(tau, k, v, parts, _part_slopes(tau, k, p, parts))[2:])
 
 
 def ode_f_hat_slopes(tau, k, p, v):

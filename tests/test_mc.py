@@ -75,6 +75,9 @@ class TestSimConfig:
             SimConfig(n_paths=2, dt=1e-3, seed=1)
         with pytest.raises(ValueError, match="dt"):
             SimConfig(n_paths=10, dt=math.inf, seed=1)
+        for n_paths in (1000.0, np.float64(1000.0), "1000"):
+            with pytest.raises(ValueError, match="n_paths must be an even integer"):
+                SimConfig(n_paths=n_paths, dt=0.01, seed=1)
         for seed in (-1, 1.5):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(n_paths=10, dt=1e-3, seed=seed)

@@ -228,6 +228,18 @@ class TestSurfaceContainer:
         with pytest.raises(ValueError, match="duplicate"):
             VolSurface(spot=100.0, points=pts, rates={1.0: 0.05}, dividend_yields={})
 
+    @pytest.mark.parametrize("field, value", [
+        ("rates", math.nan), ("rates", math.inf),
+        ("dividend_yields", math.inf), ("dividend_yields", -math.inf),
+    ])
+    def test_rejects_a_nonfinite_level_by_name(self, field, value):
+        levels = {"rates": {1.0: 0.05}, "dividend_yields": {1.0: 0.0}}
+        levels[field] = {1.0: value}
+        pts = (VolPoint(1.0, 100.0, 0.2, "market"),)
+        with pytest.raises(ValueError) as exc:
+            VolSurface(spot=100.0, points=pts, **levels)
+        assert str(exc.value) == f"{field}[1.0] must be finite, got {value!r}"
+
     def test_orders_points(self):
         pts = (
             VolPoint(1.0, 110.0, 0.2, "market"),
@@ -351,18 +363,48 @@ def test_import_does_not_load_scipy_stats():
 
 
 def test_import_loads_no_scipy():
-    # the calibration and Monte Carlo names load SciPy on first access; the
-    # package and the command line load none of it
+    # SciPy and concurrent.futures are imported where the fit and the
+    # simulation call them: the package, the command line and every exported
+    # name load none of them
     src = str(Path(msheston.__file__).resolve().parent.parent)
     code = "\n".join([
         "import sys, msheston, msheston.cli",
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
-        "assert not loaded, loaded[:5]",
         "for name in msheston.__all__:",
         "    getattr(msheston, name)",
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')]",
+        "assert not loaded, loaded[:5]",
         "assert msheston.calibrate_heston is msheston.calibration.calibrate_heston",
         "assert msheston.SimConfig is msheston.mc.SimConfig",
-        "assert not hasattr(msheston, 'no_such_name')",
+        "assert msheston.cli.calibrate_multiscale is msheston.calibrate_multiscale",
+        "assert msheston.cli.mc_price_call is msheston.mc_price_call",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_loads_where_it_is_called():
+    # a simulation loads scipy.special for its normal CDF and not the
+    # optimizer; a fit loads scipy.optimize
+    src = str(Path(msheston.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import sys",
+        "import msheston as ms",
+        "p = ms.HestonParams(kappa=1.0, theta=0.24, sigma=0.39, rho=-0.35, z=0.24, r=0.05)",
+        "fm = ms.FullModelParams(heston=p, epsilon=1e-2, m=0.06, nu=1.0,",
+        "                        rho_xy=-0.35, rho_yz=0.35, y0=0.06)",
+        "ms.mc_price_call(fm, 100.0, 0.5, ms.SimConfig(n_paths=8, dt=0.1, seed=1))",
+        "assert 'scipy.special' in sys.modules",
+        "assert 'scipy.optimize' not in sys.modules",
+        "model = ms.model_surface([0.5, 1.0], [90.0, 100.0, 110.0], p, ms.GroupParams.zero())",
+        "quotes = tuple(ms.VolPoint(q.expiry, q.strike, q.implied_vol, 'market')",
+        "               for q in model.points)",
+        "market = ms.VolSurface(spot=100.0, points=quotes, rates=model.rates,",
+        "                       dividend_yields=model.dividend_yields)",
+        "ms.calibrate_heston(ms.CalibProblem(market=market), p)",
+        "assert 'scipy.optimize' in sys.modules",
     ])
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
