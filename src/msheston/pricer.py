@@ -26,22 +26,24 @@ convergence: calls integrate on ``Im k = DEFAULT_CALL_CONTOUR`` (any
 
 A list of strips (strike lists, each with its own expiry, spot, parameters
 and correction coefficients) is priced by one adaptive integration.  Its
-integrand has one row per strike of every strip, ``static``, when no strip
-carries a correction, and otherwise two: ``static`` and the correction row,
-which is exactly 0 for the strips without one.  Each strip evaluates its
+integrand has one price row per strike of every strip, the only rows that
+steer the refinement: ``static``, or, when some strip carries a correction,
+the total ``static*(1 + F)`` with F = kappa*theta*f0_hat + z*f1_hat.  The
+correction row ``static*F``, exactly 0 for the strips without one, then
+rides on the mesh the price rows choose, and ``p_heston`` is the total
+minus the correction.  Each strip evaluates its
 kernel once per node on its own map scale and hands it to its strikes, and
 all rows share the refinement, so a calibration residual pass, or a whole
 surface, costs one integration.  A strip's breakdowns discount its own
 slice of the integral's strike columns.
 
-``price_slopes`` adds rows that ride on the mesh the price rows choose,
-without steering it: the exact slopes of each total price in named
-parameters.  The price rows, their error bounds and the integrand calls
-stay those of ``price_strips``.
+``price_slopes`` adds further riding rows: the exact slopes of each total
+price in named parameters.  The price rows, their error bounds and the
+integrand calls stay those of ``price_strips``.
 
 Quadrature trouble never aborts a price: each breakdown of a strip whose own
-rows miss their tolerance carries a ``nonconvergence`` warning and the best
-available estimate, with the error bound inflated accordingly.
+price rows miss their tolerance carries a ``nonconvergence`` warning and the
+best available estimate, with the error bound inflated accordingly.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class PriceBreakdown:
-    """A price, its Heston and correction parts and a quadrature error bound."""
+    """A price, its Heston and correction parts and a quadrature error bound.
+
+    ``quadrature_error`` bounds the total, on which the quadrature converges.
+    """
 
     p_heston: float
     p_correction: float
@@ -157,24 +162,23 @@ def _strip_integrals(strips, edges, spec, payoff, wrt=()):
     One adaptive integration over u covers them all: each strip maps u to
     its own ``k = -log(u)/scale + i*k_i`` and evaluates its kernel once per
     node, with its parameters held as column arrays, and hands it to the
-    rows ``static`` of its strikes.  If any strip's ``v`` is nonzero, each
-    strike adds the row ``static*F`` with F = kappa*theta*f0_hat + z*f1_hat,
-    exactly 0 where ``v`` is; otherwise F = 0 and that row is zeros, not
-    integrated.
+    price rows of its strikes.  Only the price rows steer the refinement.
+    If any strip's ``v`` is nonzero, the price row of each strike is its
+    total ``static*(1 + F)`` with F = kappa*theta*f0_hat + z*f1_hat, exactly
+    0 where ``v`` is, and the correction row ``static*F`` rides; otherwise
+    the price row is ``static`` and there is no correction row.
 
-    Each name in ``wrt`` adds a row per strike, riding on the mesh the price
-    rows choose, the slope of its total ``static*(1 + F)``: with E = C + z*D,
-    ``static*(E'*(1 + F) + F')`` for a Heston parameter and ``static*F`` at
-    that unit coefficient for a correction coefficient.  All rows are
-    written into one array per integrand call.
+    Each name in ``wrt`` adds a riding row per strike, the slope of its
+    total: with E = C + z*D, ``static*(E'*(1 + F) + F')`` for a Heston
+    parameter and ``static*F`` at that unit coefficient for a correction
+    coefficient.  All rows are written into one array per integrand call.
 
-    Returns the doubled real integrals, shape (2, strikes), the bounds summed
-    over each strike's price rows, whether any of them missed its tolerance,
-    and the doubled real slopes, shape (len(wrt), strikes).
+    Returns the doubled real Heston parts and corrections, shape
+    (2, strikes), the doubled bounds on the totals, whether each total missed
+    its tolerance, and the doubled real slopes, shape (len(wrt), strikes).
     """
     n = edges[-1]
     corrected = not all(s[4].is_zero for s in strips)
-    planes = 2 if corrected else 1
     log_k = np.log(np.concatenate([s[0] for s in strips]))[:, None]
     q = np.repeat([s[3].r * s[1] + math.log(s[2]) for s in strips],
                   np.diff(edges))[:, None]
@@ -211,26 +215,29 @@ def _strip_integrals(strips, edges, spec, payoff, wrt=()):
             f0, f1 = _f_hats(tau, k, _UNIT_V, parts)
             slopes.update(zip(GROUP_NAMES, p.kappa * p.theta * f0 + p.z * f1))
         factors += [slopes[name] for name in wrt]
-        out = np.empty(((planes + len(wrt)) * n, us.size), dtype=complex)
+        out = np.empty(((1 + len(factors)) * n, us.size), dtype=complex)
         for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
             static = np.multiply(_payoff_transform(k[j], log_k[lo:hi], q[lo:hi]),
                                  kernel[j], out=out[lo:hi])
             for i, factor in enumerate(factors, 1):
                 np.multiply(static, factor[j], out=out[lo + i * n:hi + i * n])
+        if corrected:
+            # the steering row is the price, static*(1 + F)
+            out[:n] += out[n:2 * n]
         return out
 
     try:
-        value, err = integrate_adaptive(integrand, 0.0, 1.0, spec, ride=len(wrt) * n)
+        value, err = integrate_adaptive(integrand, 0.0, 1.0, spec,
+                                        ride=(corrected + len(wrt)) * n)
     except NonConvergence as exc:
         # quadrature trouble never aborts a price: keep the best estimate
         value, err = np.asarray(exc.estimate), np.asarray(exc.error_bound)
-    value_p, err_p = value[:planes * n].reshape(planes, n), err.reshape(planes, n)
-    missed = err_p > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value_p))
-    # without a corrected strip the correction row stays 0
-    prices = np.zeros((2, n))
-    prices[:planes] = 2.0 * value_p.real
-    return (prices, 2.0 * err_p.sum(axis=0), missed.any(axis=0),
-            2.0 * value[planes * n:].real.reshape(len(wrt), n))
+    missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value[:n]))
+    value = 2.0 * value.real
+    # the correction rides; without a corrected strip it is 0
+    correction = value[n:2 * n] if corrected else np.zeros(n)
+    return (np.vstack((value[:n] - correction, correction)), 2.0 * err, missed,
+            value[(1 + corrected) * n:].reshape(len(wrt), n))
 
 
 def _prepare(strips):
@@ -262,9 +269,9 @@ def price_strips(
     with its own expiry, spot, HestonParams and GroupParams (None or zero
     for the baseline).  Strikes, expiry and spot must be finite and
     positive; a ValueError names the first that is not.  All strips share
-    the payoff, its contour and the refinement: one integrand row per strike
-    when no strip is corrected, two otherwise.  A strip is tagged
-    ``nonconvergence`` only if one of its own rows misses its tolerance.  A
+    the payoff, its contour and the refinement, which only the price rows,
+    one per strike, steer; the correction rows ride.  A strip is tagged
+    ``nonconvergence`` only if one of its own prices misses its tolerance.  A
     price is tagged ``outside_no_arbitrage_band`` if it leaves the band by
     more than a slack of max(10 bounds, 1e-9*S), or if that slack is as wide
     as the band, min(S, K*exp(-r*tau)), and so would admit any price.

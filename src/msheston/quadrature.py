@@ -69,7 +69,8 @@ _WG[1:14:2] = list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF))
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for one adaptive integration."""
+    """Tolerances and budget for one adaptive integration: finite positive
+    tolerances and a panel budget that is an integer of at least 1."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
@@ -77,8 +78,9 @@ class QuadratureSpec:
 
     def __post_init__(self):
         require_finite(positive=True, abs_tol=self.abs_tol, rel_tol=self.rel_tol)
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        n = self.max_subdivisions
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError(f"max_subdivisions must be an integer of at least 1, got {n!r}")
 
 
 def _panels(f, lo, hi, ride):

@@ -362,14 +362,14 @@ class TestPriceStrips:
 
     def test_soft_failure_tags_only_the_strips_that_miss(self, table1_heston):
         # a one-day 25-strike corrected strip needs more panels than the
-        # budget; the ATM baseline strip at one year converges on the panels
-        # both share
+        # budget of 60 (it converges within 80); the ATM baseline strip at
+        # one year converges on the panels both share
         p = table1_heston
         strips = [
             ([100.0], 1.0, 100.0, p, None),
             (np.linspace(30.0, 300.0, 25), 1 / 365, 100.0, p, group_at_epsilon(1e-2)),
         ]
-        easy, hard = price_strips(strips, QuadratureSpec(max_subdivisions=80))
+        easy, hard = price_strips(strips, QuadratureSpec(max_subdivisions=60))
         assert easy[0].warnings == ()
         assert all("nonconvergence" in bd.warnings for bd in hard)
         # every strip keeps its best estimate and its bound
@@ -389,29 +389,30 @@ class TestPriceStrips:
     def test_integrand_rows(self, table1_heston, monkeypatch):
         # one row per strike when no strip is corrected; a price and a
         # correction row per strike as soon as one is (all price rows
-        # first), the correction row of an uncorrected strip integrating to
-        # exactly 0
-        shapes = []
+        # first), the correction rows riding on the mesh the price rows
+        # steer, and the correction row of an uncorrected strip integrating
+        # to exactly 0
+        seen = []
 
-        def recording(f, *args, **kwargs):
+        def recording(f, *args, ride=0, **kwargs):
             def rows(us):
                 vals = f(us)
-                shapes.append(vals.shape[:-1])
+                seen.append((len(vals), ride))
                 return vals
-            return integrate_adaptive(rows, *args, **kwargs)
+            return integrate_adaptive(rows, *args, ride=ride, **kwargs)
 
         monkeypatch.setattr(pricer, "integrate_adaptive", recording)
         base = ([90.0, 100.0, 110.0], 1.0, 100.0, table1_heston, None)
         corr = ([80.0, 120.0], 0.5, 100.0, table1_heston, group_at_epsilon(1e-2))
         zero = ([95.0], 2.0, 100.0, table1_heston, GroupParams.zero())
-        for strips, shape in (
-            ([base, zero], (4,)),
-            ([corr], (4,)),
-            ([base, corr, zero], (12,)),
+        for strips, rows_and_ride in (
+            ([base, zero], (4, 0)),
+            ([corr], (4, 2)),
+            ([base, corr, zero], (12, 6)),
         ):
-            shapes.clear()
+            seen.clear()
             priced = price_strips(strips)
-            assert set(shapes) == {shape}
+            assert set(seen) == {rows_and_ride}
         assert all(bd.p_correction == 0.0 for bd in priced[0] + priced[2])
 
     def test_no_strips_no_prices(self):
@@ -479,10 +480,11 @@ class TestHestonSlopes:
                              ids=["feller_violated", "rho_minus_099"])
     def test_against_central_differences(self, table1_heston, p):
         # steps of 1e-5 relative in each parameter, the shifted strips priced
-        # in the same call, so every strip steers one mesh (each on its own
-        # map scale): the slopes met the central differences to 1.3e-8 of
-        # max(1, |slope|), where the slopes of p_heston alone miss them by
-        # up to 0.28
+        # at abs_tol = rel_tol = 1e-12: each sits on its own rho-dependent map
+        # scale, so at the default spec their quadrature errors do not cancel
+        # in the differences (1.5e-7 at rho = -0.99).  The default-spec slopes
+        # met the tight central differences to 7.0e-9 of max(1, |slope|),
+        # where the slopes of p_heston alone miss them by up to 0.28
         names = pricer.HESTON_NAMES
         v = GroupParams(0.01, -0.001, -0.004, 0.0015)
         strikes = np.linspace(80.0, 120.0, 5)
@@ -493,10 +495,12 @@ class TestHestonSlopes:
             for sign in (1.0, -1.0):
                 moved = p.replace(**{name: getattr(p, name) + sign * h})
                 shifted += [(s[0], s[1], s[2], moved, s[4]) for s in strips]
-        breakdowns, slopes = price_slopes(strips + shifted, names)
-        totals = np.concatenate([[bd.total for bd in strip] for strip in breakdowns])
+        _, slopes = price_slopes(strips, names)
+        tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+        totals = np.concatenate([[bd.total for bd in strip]
+                                 for strip in price_strips(shifted, tight)])
         n = len(strikes) + len(strikes[::2])
-        up, down = totals[n:].reshape(len(names), 2, n).transpose(1, 0, 2)
+        up, down = totals.reshape(len(names), 2, n).transpose(1, 0, 2)
         steps = np.array([1e-5 * abs(getattr(p, name)) for name in names])[:, None]
         central = (up - down) / (2.0 * steps)
         exact = np.hstack(slopes[:len(strips)])

@@ -53,6 +53,11 @@ class TestSpecValidation:
             QuadratureSpec(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+        # a float budget would build and then fail inside the rounds as a
+        # slice index
+        for budget in (100.0, 80.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_subdivisions must be an integer"):
+                QuadratureSpec(max_subdivisions=budget)
 
 
 class TestUnitInterval:
@@ -307,6 +312,22 @@ class TestRounds:
         bds = pricer.price_strikes(strikes, tau, 100.0, table1_heston, spec=spec)
         assert all(bd.warnings == () for bd in bds)
         assert len(sizes) <= 2
+
+    @pytest.mark.parametrize("tau", [0.25, 1.0])
+    def test_corrected_strip_in_baseline_calls(self, monkeypatch, table1_heston, tau):
+        # the price row steers and the correction rides, so a corrected
+        # 25-strike strip takes no more integrand calls than its baseline
+        # strip (2 and 1 at these expiries; steered by both rows, 5 and 4)
+        sizes = self._pricer_calls(monkeypatch)
+        strikes = np.linspace(75.0, 125.0, 25)
+        calls = []
+        for v in (None, group_at_epsilon(1e-2)):
+            sizes.clear()
+            bds = pricer.price_strikes(strikes, tau, 100.0, table1_heston, v)
+            assert not any("nonconvergence" in bd.warnings for bd in bds)
+            calls.append(len(sizes))
+        baseline, corrected = calls
+        assert corrected <= baseline
 
     def test_interior_singularity_raises(self):
         def f(u):
