@@ -31,17 +31,9 @@ class BranchCrossing(MsHestonError):
 
 
 class NonConvergence(MsHestonError):
-    """Adaptive quadrature exhausted its subdivision budget, or no implied vol
-    reproduces a price.
-
-    Carries the best available estimate (None when there is none) and its
-    error bound so callers can degrade gracefully instead of losing the work.
-    """
-
-    def __init__(self, message, estimate=None, error_bound=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
+    """No implied vol reproduces a price: it is not finite, its time value is
+    below float resolution, it implies a vol outside the bracket, or the
+    iteration stalls."""
 
 
 class OutOfBand(MsHestonError):

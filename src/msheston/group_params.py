@@ -34,6 +34,7 @@ limits keep full precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,15 +137,14 @@ def compute_group_params(fm: FullModelParams) -> tuple[float, GroupParams]:
     nu = fm.nu
     nu2 = nu * nu
     sigma = fm.heston.sigma
-    try:
-        growth = math.exp(1.5 * nu2)
-    except OverflowError:
-        growth = math.inf
-    if growth == math.inf:
+    # one test for both ways exp overflows: raising, and returning inf once
+    # nu^2 itself is infinite (nu above 1.3e154)
+    if 1.5 * nu2 > math.log(sys.float_info.max):
         raise NonFinite(
             f"<f phi'> overflows at nu = {nu!r}: exp(3 nu^2 / 2) is not "
             "representable"
         )
+    growth = math.exp(1.5 * nu2)
 
     phi_p_bar = -1.0
     psi_p_bar = -math.exp(-0.5 * nu2)

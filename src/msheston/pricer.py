@@ -54,7 +54,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NonConvergence, require_finite
+from .errors import require_finite
 from .kernel import HestonParams, _cd_of, _exponent_slopes, _f_hats, _part_slopes
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -226,13 +226,7 @@ def _strip_integrals(strips, edges, spec, payoff, wrt=()):
             out[:n] += out[n:2 * n]
         return out
 
-    try:
-        value, err = integrate_adaptive(integrand, 0.0, 1.0, spec,
-                                        ride=(corrected + len(wrt)) * n)
-    except NonConvergence as exc:
-        # quadrature trouble never aborts a price: keep the best estimate
-        value, err = np.asarray(exc.estimate), np.asarray(exc.error_bound)
-    missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value[:n]))
+    value, err, missed = integrate_adaptive(integrand, spec, ride=(corrected + len(wrt)) * n)
     value = 2.0 * value.real
     # the correction rides; without a corrected strip it is 0
     correction = value[n:2 * n] if corrected else np.zeros(n)

@@ -11,10 +11,12 @@ is vectorized over panels as well as over components.
 The rule is open (no endpoint evaluations), which matters because the
 pricer's half-line substitution ``k_r = -log(u) / c`` maps infinity to
 ``u = 0``.  The integrand's tail needs a geometric mesh there, so an
-integration starts from panels that halve towards ``a`` down to a depth set
-by ``abs_tol`` (17 levels at 1e-5, 30 at 1e-9) instead of from the single
-panel ``(a, b)``; a pricing integration then converges in one or two
-integrand calls instead of one round per bisection towards ``u = 0``.
+integration of (0, 1) starts from panels that halve towards ``u = 0`` down
+to a depth set by ``abs_tol`` (17 levels at 1e-5, 30 at 1e-9) instead of
+from the single panel ``(0, 1)``; a pricing integration then converges in
+one or two integrand calls instead of one round per bisection towards
+``u = 0``.  An integration returns its verdict, which components missed
+their tolerance, with the estimate, so a spent budget is never an error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergence, require_finite
+from .errors import require_finite
 
 _EPS = np.finfo(float).eps
 
@@ -97,8 +99,6 @@ def _panels(f, lo, hi, ride):
         raise ValueError("integrand must return (..., n) for n abscissae")
     if not 0 <= ride < (len(vals) if vals.ndim > 1 else 1):
         raise ValueError(f"ride = {ride} must leave at least one row to steer")
-    if not (vals.flags.writeable and vals.dtype.kind in "fc"):
-        vals = vals.astype(np.result_type(vals, 1.0))
     vals = vals.reshape(vals.shape[:-1] + xs.shape)
     steer = vals[: len(vals) - ride]
     resk = steer @ _WK
@@ -125,55 +125,50 @@ def _panels(f, lo, hi, ride):
 
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
     spec: QuadratureSpec,
     ride: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Globally adaptive GK15 over (a, b) for a vector-valued integrand.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Globally adaptive GK15 over (0, 1) for a vector-valued integrand.
 
-    ``f`` maps an ``(n,)`` array of abscissae to ``(..., n)`` component
-    values (real or complex), a new array on each call: the rule overwrites
+    ``f`` maps an ``(n,)`` array of abscissae to ``(..., n)`` float or
+    complex component values, a new array on each call: the rule overwrites
     it.  The last ``ride`` rows of its first axis ride: they are integrated
     on the mesh that the other rows, the steering rows, choose, and neither
     refine it nor count towards convergence, so the steering rows' values,
     their error bounds and the calls of ``f`` are the same as without the
     riding rows.
 
-    The start mesh is graded towards ``a``, the end where the pricer's map
-    puts ``k = infinity``: the ``m + 1`` panels
-    ``[a, a + h/2**m], [a + h/2**m, a + h/2**(m-1)], ..., [a + h/2, b]`` with
-    ``h = b - a``, all evaluated in the first call of ``f``.  The depth
-    ``m = ceil(log2(h / abs_tol))``, at which the panel touching ``a`` holds
-    less than ``abs_tol`` of an O(1) integrand, is clamped to
-    ``[0, max_subdivisions - 1]`` so that the start fits the panel budget.
-    Refinement then runs in rounds shared by all components: a round
-    bisects every panel whose error, in the worst component, exceeds its
-    equal share ``tol / n_panels`` of that component's tolerance
+    The start mesh is graded towards ``u = 0``, where the pricer's map puts
+    ``k = infinity``: the ``m + 1`` panels
+    ``[0, 2**-m], [2**-m, 2**(1-m)], ..., [1/2, 1]``, all evaluated in the
+    first call of ``f``.  The depth ``m = ceil(log2(1 / abs_tol))``, at which
+    the panel touching 0 holds less than ``abs_tol`` of an O(1) integrand, is
+    clamped to ``[0, max_subdivisions - 1]`` so that the start fits the
+    panel budget.  Refinement then runs in rounds shared by all components:
+    a round bisects every panel whose error, in the worst component, exceeds
+    its equal share ``tol / n_panels`` of that component's tolerance
     ``tol = max(abs_tol, rel_tol * |component|)`` (worst panels first, up
     to ``max_subdivisions`` panels in all) and evaluates all the children in
-    one call of ``f``.  Returns the per-component ``(value, error)`` pair
-    once every component's summed error meets its tolerance; with ``ride``,
-    the value holds every row and the error only the steering rows.
+    one call of ``f``.
 
-    Raises
-    ------
-    NonConvergence
-        When no panel may be split (the budget is spent, or the panels that
-        need it are at floating-point resolution); carries the best estimate
-        and its error bound.
+    Returns ``(value, bound, missed)`` once every steering row's summed
+    error meets its tolerance, or once no panel may be split (the budget is
+    spent, or the panels that need it are at floating-point resolution).
+    ``value`` holds every row, ``bound`` the error bound of each steering
+    row and ``missed`` whether that bound is not within the row's
+    tolerance; riding rows are never counted.
     """
-    h = float(b) - float(a)
-    m = min(math.ceil(math.log2(max(h / spec.abs_tol, 1.0))), spec.max_subdivisions - 1)
-    inner = float(a) + h * 2.0 ** -np.arange(m, 0, -1.0)
-    lo, hi = np.append(float(a), inner), np.append(inner, float(b))
+    m = min(math.ceil(math.log2(max(1.0 / spec.abs_tol, 1.0))), spec.max_subdivisions - 1)
+    inner = 2.0 ** -np.arange(m, 0, -1.0)
+    lo, hi = np.append(0.0, inner), np.append(inner, 1.0)
     value, err = _panels(f, lo, hi, ride)
     while True:
         total, bound = value.sum(axis=-1), err.sum(axis=-1)
         steered = total[: len(total) - ride] if ride else total
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(steered))
-        if np.all(bound <= tol):
-            return total, bound
+        missed = ~(bound <= tol)  # a NaN bound misses
+        if not missed.any():
+            return total, bound, missed
         n = lo.size
         mid = 0.5 * (lo + hi)
         # each panel's worst component error over its share tol / n; panels
@@ -183,12 +178,7 @@ def integrate_adaptive(
         order = np.argsort(-share, kind="stable")
         split = order[share[order] > 1.0][: spec.max_subdivisions - n]
         if not split.size:
-            raise NonConvergence(
-                f"quadrature did not converge in {n} panels "
-                f"(max error {float(np.max(bound)):.3e})",
-                estimate=total,
-                error_bound=bound,
-            )
+            return total, bound, missed
         new_lo = np.concatenate((lo[split], mid[split]))
         new_hi = np.concatenate((mid[split], hi[split]))
         new_value, new_err = _panels(f, new_lo, new_hi, ride)

@@ -195,8 +195,7 @@ def implied_vol(
     if lower > 0 and price - lower <= 4.0 * _EPS * (price + 2.0 * discounted_strike):
         raise NonConvergence(
             f"time value {price - lower} of price {price} is below the "
-            "rounding of its Black-Scholes terms; no vol is resolved",
-            error_bound=price - lower,
+            "rounding of its Black-Scholes terms; no vol is resolved"
         )
 
     lo, hi = VOL_BRACKET
@@ -211,9 +210,7 @@ def implied_vol(
     if f_lo > 0 or f_hi < 0:
         raise NonConvergence(
             "price lies within the no-arbitrage band but implies a vol "
-            f"outside [{lo}, {hi}]",
-            estimate=lo if f_lo > 0 else hi,
-            error_bound=abs(f_lo) if f_lo > 0 else abs(f_hi),
+            f"outside [{lo}, {hi}]"
         )
 
     mid = 0.5 * (lo + hi)
@@ -233,9 +230,7 @@ def implied_vol(
     f_mid = f(mid)
     if abs(f_mid) <= tol:
         return mid
-    raise NonConvergence(
-        "implied vol iteration stalled", estimate=mid, error_bound=abs(f_mid)
-    )
+    raise NonConvergence("implied vol iteration stalled")
 
 
 def model_surface(
