@@ -12,7 +12,11 @@ scaling).  Both are evaluated on the half line ``k_r > 0`` (conjugate
 symmetry folds the full line into twice the real part) after the
 substitution ``k_r = -log(u)/c`` mapping the half line onto the unit
 interval; the integration starts from a mesh graded towards ``u = 0``,
-where the map puts ``k_r = infinity``.  The scale ``c`` is the kernel's
+where the map puts ``k_r = infinity``, and towards ``u = 1``, where it puts
+``k_r = 0``: the payoff transform's poles at ``k = i`` and ``k = 0`` lie
+``min(|k_i - 1|, |k_i|)`` off the contour there, about ``c`` times that
+from ``u = 1``, and the smallest scale of the strips sets how finely the
+start panels approach 1.  The scale ``c`` is the kernel's
 exponential decay rate ``c_infinity``, capped at ``4*sqrt(V)`` with ``V``
 the expected integrated variance: below ``|k| ~ 1/sigma`` the kernel
 decays like the Black-Scholes Gaussian ``exp(-V*k**2/2)``, which at small
@@ -226,7 +230,11 @@ def _strip_integrals(strips, edges, spec, payoff, wrt=()):
             out[:n] += out[n:2 * n]
         return out
 
-    value, err, missed = integrate_adaptive(integrand, spec, ride=(corrected + len(wrt)) * n)
+    # the payoff's poles at k = i and k = 0 lie min(|k_i - 1|, |k_i|) off the
+    # contour, about that times the scale from u = 1
+    pole_distance = scale.min() * min(abs(k_i - 1.0), abs(k_i))
+    value, err, missed = integrate_adaptive(integrand, spec, ride=(corrected + len(wrt)) * n,
+                                            pole_distance=pole_distance)
     value = 2.0 * value.real
     # the correction rides; without a corrected strip it is 0
     correction = value[n:2 * n] if corrected else np.zeros(n)

@@ -13,10 +13,14 @@ pricer's half-line substitution ``k_r = -log(u) / c`` maps infinity to
 ``u = 0``.  The integrand's tail needs a geometric mesh there, so an
 integration of (0, 1) starts from panels that halve towards ``u = 0`` down
 to a depth set by ``abs_tol`` (17 levels at 1e-5, 30 at 1e-9) instead of
-from the single panel ``(0, 1)``; a pricing integration then converges in
-one or two integrand calls instead of one round per bisection towards
-``u = 0``.  An integration returns its verdict, which components missed
-their tolerance, with the estimate, so a spent budget is never an error.
+from the single panel ``(0, 1)``.  At the other end the map puts ``k_r = 0``
+at ``u = 1``, and a pole of the integrand a distance ``delta`` off the
+contour there sits about ``c * delta`` from ``u = 1``; given that distance,
+the start panels also halve towards ``u = 1`` until the panel touching 1 is
+no wider than it.  A pricing integration then converges in one or two
+integrand calls instead of one round per bisection towards either end.  An
+integration returns its verdict, which components missed their tolerance,
+with the estimate, so a spent budget is never an error.
 """
 
 from __future__ import annotations
@@ -127,6 +131,7 @@ def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     spec: QuadratureSpec,
     ride: int = 0,
+    pole_distance: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Globally adaptive GK15 over (0, 1) for a vector-valued integrand.
 
@@ -140,13 +145,25 @@ def integrate_adaptive(
 
     The start mesh is graded towards ``u = 0``, where the pricer's map puts
     ``k = infinity``: the ``m + 1`` panels
-    ``[0, 2**-m], [2**-m, 2**(1-m)], ..., [1/2, 1]``, all evaluated in the
-    first call of ``f``.  The depth ``m = ceil(log2(1 / abs_tol))``, at which
-    the panel touching 0 holds less than ``abs_tol`` of an O(1) integrand, is
-    clamped to ``[0, max_subdivisions - 1]`` so that the start fits the
-    panel budget.  Refinement then runs in rounds shared by all components:
-    a round bisects every panel whose error, in the worst component, exceeds
-    its equal share ``tol / n_panels`` of that component's tolerance
+    ``[0, 2**-m], [2**-m, 2**(1-m)], ..., [1/2, 1]``.  The depth
+    ``m = ceil(log2(1 / abs_tol))``, at which the panel touching 0 holds
+    less than ``abs_tol`` of an O(1) integrand, is clamped to
+    ``[0, max_subdivisions - 1]`` so that the start fits the panel budget.
+    ``pole_distance`` is how far the integrand's nearest singularity lies
+    from ``u = 1``.  Below 1/2 the last panel is graded towards 1 as well:
+    ``[1/2, 3/4], [3/4, 7/8], ..., [1 - 2**-(h+1), 1]`` with
+    ``h = ceil(log2(1 / pole_distance)) - 1`` levels, the fewest that make
+    the panel touching 1 no wider than ``pole_distance``.  ``h`` is clamped
+    to the budget that ``m`` leaves, so the start never exceeds
+    ``max_subdivisions`` panels, and to 45, beyond which the panel touching
+    1 is too narrow for the open rule: some of its nodes round to 1.
+    Without the argument, or at 1/2 and above, the start is the ``m + 1``
+    panels alone.  All start panels are evaluated in the first call of
+    ``f``.
+
+    Refinement then runs in rounds shared by all components: a round
+    bisects every panel whose error, in the worst component, exceeds its
+    equal share ``tol / n_panels`` of that component's tolerance
     ``tol = max(abs_tol, rel_tol * |component|)`` (worst panels first, up
     to ``max_subdivisions`` panels in all) and evaluates all the children in
     one call of ``f``.
@@ -159,8 +176,12 @@ def integrate_adaptive(
     tolerance; riding rows are never counted.
     """
     m = min(math.ceil(math.log2(max(1.0 / spec.abs_tol, 1.0))), spec.max_subdivisions - 1)
-    inner = 2.0 ** -np.arange(m, 0, -1.0)
-    lo, hi = np.append(0.0, inner), np.append(inner, 1.0)
+    # below 2**-46 wide, the panel touching 1 rounds Kronrod nodes to 1
+    h = min(math.ceil(-math.log2(min(pole_distance, 0.5))) - 1, 45,
+            spec.max_subdivisions - 1 - m)
+    edges = np.concatenate(([0.0], 2.0 ** -np.arange(m, 0, -1.0),
+                            1.0 - 2.0 ** -np.arange(2.0, h + 2.0), [1.0]))
+    lo, hi = edges[:-1], edges[1:]
     value, err = _panels(f, lo, hi, ride)
     while True:
         total, bound = value.sum(axis=-1), err.sum(axis=-1)

@@ -93,6 +93,20 @@ class TestHestonPrice:
             ref = gil_pelaez_heston_call(100.0, strike, 0.0, 1 / 365, figure1_heston)
             assert abs(bd.total - ref) <= bd.quadrature_error + 1e-9, strike
 
+    @pytest.mark.parametrize("payoff", ["call", "put"])
+    @pytest.mark.parametrize("tau", [1 / 365, 0.25], ids=["1d", "0.25y"])
+    def test_figure1_strips_against_independent_pricer(self, figure1_heston, tau, payoff):
+        # the surface grid's strikes, on a start mesh graded towards the
+        # payoff pole near u = 1 (0.5 * scale from it); puts by parity at r = 0
+        strikes = np.linspace(75.0, 125.0, 11)
+        bds = price_strikes(strikes, tau, 100.0, figure1_heston, payoff=payoff)
+        for strike, bd in zip(strikes, bds):
+            assert "nonconvergence" not in bd.warnings
+            ref = gil_pelaez_heston_call(100.0, strike, 0.0, tau, figure1_heston)
+            if payoff == "put":
+                ref += strike - 100.0
+            assert abs(bd.total - ref) <= bd.quadrature_error + 1e-9, strike
+
     def test_deep_itm_short_dated_limit(self, table1_heston):
         opt = OptionSpec(strike=1.0, expiry=0.01, spot=100.0)
         bd = price_heston(opt, table1_heston)

@@ -12,10 +12,10 @@ from msheston.quadrature import QuadratureSpec, integrate_adaptive
 from .conftest import group_at_epsilon
 
 
-def integrate_unit(f, spec):
+def integrate_unit(f, spec, **kwargs):
     """Integral over the open unit interval and its bound, asserting that it
     converged; f is never evaluated at 0 or 1."""
-    value, err, missed = integrate_adaptive(f, spec)
+    value, err, missed = integrate_adaptive(f, spec, **kwargs)
     assert not missed.any()
     return value, err
 
@@ -113,6 +113,69 @@ class TestUnitInterval:
         assert err.shape == (3,)
 
 
+class TestPoleNearOne:
+    """A pole ``pole_distance`` from u = 1 grades the start mesh towards 1."""
+
+    @staticmethod
+    def _lorentzian(d):
+        # poles at u = 1 +- i*d; the integral over (0, 1) is atan(1/d)
+        return lambda u: np.stack([d / ((1.0 - u) ** 2 + d * d)])
+
+    @pytest.mark.parametrize("d", [0.3, 0.06, 0.01, 1e-4])
+    def test_one_call_instead_of_a_walk(self, d):
+        # from [1/2, 1] the rounds bisect towards the pole one level per call
+        calls = []
+        for kwargs in ({}, {"pole_distance": d}):
+            g, sizes = counting(self._lorentzian(d))
+            value, err = integrate_unit(g, QuadratureSpec(), **kwargs)
+            assert abs(value - math.atan(1.0 / d)) <= err
+            calls.append(len(sizes))
+        assert calls[1] == 1 < calls[0]
+
+    @pytest.mark.parametrize("abs_tol", [1e-5, 1e-9])
+    def test_start_fits_the_budget(self, abs_tol):
+        # the tail keeps its depth m = ceil(log2(1/abs_tol)) and its clamp;
+        # the h = 6 head levels of a pole 0.01 from 1 take only the budget
+        # that is left
+        m = math.ceil(math.log2(1.0 / abs_tol))
+        for budget in range(1, 41):
+            spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=abs_tol,
+                                  max_subdivisions=budget)
+            g, sizes = counting(self._lorentzian(0.01))
+            integrate_adaptive(g, spec, pole_distance=0.01)
+            assert sizes[0] == 15 * min(budget, m + 1 + 6), budget
+            assert panels(sizes) <= budget, budget
+
+    def test_pole_at_floating_point_resolution(self):
+        # the head stops at h = 45 levels, a panel of width 2**-46 touching 1,
+        # whose nodes are still all below 1
+        g, sizes = counting(self._lorentzian(1e-300))
+        integrate_adaptive(g, QuadratureSpec(max_subdivisions=100), pole_distance=1e-300)
+        assert sizes[0] == 15 * (31 + 45)
+
+    def test_no_near_pole_keeps_the_tail_mesh(self):
+        # without the argument, or with the pole 1/2 or more from 1, the
+        # start is the m + 1 = 31 panels [0, 2**-30], ..., [1/2, 1], and
+        # every call and result is the same, bit for bit
+        runs = []
+        for kwargs in ({}, {"pole_distance": 0.5}, {"pole_distance": 2.0},
+                       {"pole_distance": math.inf}):
+            seen = []
+
+            def f(u):
+                seen.append(u.copy())
+                return self._lorentzian(0.06)(u)
+
+            value, err, missed = integrate_adaptive(f, QuadratureSpec(), **kwargs)
+            runs.append([value.tobytes(), err.tobytes(), missed.tolist()]
+                        + [u.tobytes() for u in seen])
+        assert all(run == runs[0] for run in runs)
+        assert len(runs[0]) > 4
+        edges = np.append(0.0, 2.0 ** -np.arange(30, -1, -1.0))
+        centres = np.frombuffer(runs[0][3]).reshape(-1, 15)[:, 7]
+        assert centres.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+
+
 class TestRidingRows:
     """Rows that ride are integrated on the mesh the other rows choose and
     change nothing of theirs."""
@@ -190,8 +253,8 @@ class TestRidingRows:
         # nonconvergence exactly where one of its entries is set
         verdicts = []
 
-        def recording(f, spec, ride=0):
-            value, err, missed = integrate_adaptive(f, spec, ride=ride)
+        def recording(f, spec, ride=0, **kwargs):
+            value, err, missed = integrate_adaptive(f, spec, ride=ride, **kwargs)
             verdicts.append((ride, missed.tolist()))
             return value, err, missed
 
@@ -345,7 +408,7 @@ class TestRounds:
     def test_corrected_strip_in_baseline_calls(self, monkeypatch, table1_heston, tau):
         # the price row steers and the correction rides, so a corrected
         # 25-strike strip takes no more integrand calls than its baseline
-        # strip (2 and 1 at these expiries; steered by both rows, 5 and 4)
+        # strip (one each at these expiries)
         sizes = self._pricer_calls(monkeypatch)
         strikes = np.linspace(75.0, 125.0, 25)
         calls = []
@@ -356,6 +419,34 @@ class TestRounds:
             calls.append(len(sizes))
         baseline, corrected = calls
         assert corrected <= baseline
+
+    def test_surface_batch_in_one_call(self, monkeypatch, figure1_heston):
+        # the benchmark's surface: Figure-1 strips at 0.25, 0.5, 1 and 2 y,
+        # 11 strikes 75-125 each, in one integration; the start panels
+        # graded towards the payoff pole near u = 1 take it in the first call
+        sizes = self._pricer_calls(monkeypatch)
+        v = pricer.GroupParams(-0.001, 0.0005, 0.002, -0.0005)
+        strips = [(np.linspace(75.0, 125.0, 11), tau, 100.0, figure1_heston, v)
+                  for tau in (0.25, 0.5, 1.0, 2.0)]
+        spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=512)
+        priced = pricer.price_strips(strips, spec)
+        assert not any("nonconvergence" in bd.warnings for strip in priced for bd in strip)
+        assert len(sizes) == 1
+
+    @pytest.mark.parametrize("payoff", ["call", "put"])
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("tau", [0.25, 1.0])
+    def test_figure1_strip_in_one_call(self, monkeypatch, figure1_heston, tau,
+                                       corrected, payoff):
+        # Figure-1's scales at 0.25 and 1 y, 0.12 and 0.24, put the payoff
+        # pole 0.06 and 0.12 from u = 1: one call, where a start that ends
+        # in [1/2, 1] takes 4 and 3
+        sizes = self._pricer_calls(monkeypatch)
+        v = group_at_epsilon(1e-2) if corrected else None
+        bds = pricer.price_strikes(np.linspace(75.0, 125.0, 25), tau, 100.0,
+                                   figure1_heston, v, payoff=payoff)
+        assert not any("nonconvergence" in bd.warnings for bd in bds)
+        assert len(sizes) == 1
 
     def test_interior_singularity_misses(self):
         def f(u):
