@@ -16,12 +16,19 @@ where the map puts ``k_r = infinity``, and towards ``u = 1``, where it puts
 ``k_r = 0``: the payoff transform's poles at ``k = i`` and ``k = 0`` lie
 ``min(|k_i - 1|, |k_i|)`` off the contour there, about ``c`` times that
 from ``u = 1``, and the smallest scale of the strips sets how finely the
-start panels approach 1.  The scale ``c`` is the kernel's
-exponential decay rate ``c_infinity``, capped at ``4*sqrt(V)`` with ``V``
-the expected integrated variance: below ``|k| ~ 1/sigma`` the kernel
-decays like the Black-Scholes Gaussian ``exp(-V*k**2/2)``, which at small
-sigma sets in long before the exponential tail that
-``c_infinity ~ 1/sigma`` describes.
+start panels approach 1.
+
+The scale follows the kernel's decay, with ``V`` the expected integrated
+variance.  Where the exponential decay rate ``c_infinity`` is at most
+``4*sqrt(V)``, the kernel's tail ``exp(-c_infinity*k_r)`` times the map's
+Jacobian ``1/(c*u)`` is ``u**(c_infinity/c - 1)``, so ``c = c_infinity/2``
+leaves an integrand that vanishes like ``u`` at ``u = 0`` (order 1), and
+the start mesh's tail is half as deep.  Elsewhere, at short and very long
+expiries and at small sigma, ``c = 4*sqrt(V)`` (order 0): below
+``|k| ~ 1/sigma`` the kernel decays like the Black-Scholes Gaussian
+``exp(-V*k**2/2)``, which then governs the whole tail before the
+exponential rate ``c_infinity ~ 1/sigma`` is reached.  A batch's tail is
+as deep as its strip of lowest order needs.
 
 The contour is fixed per payoff, inside the payoff transform's strip of
 convergence: calls integrate on ``Im k = DEFAULT_CALL_CONTOUR`` (any
@@ -161,8 +168,8 @@ _UNIT_V = SimpleNamespace(**{
 def _strip_integrals(strips, edges, spec, payoff, wrt=()):
     """Integrals of a list of strips on the payoff's contour, with error bounds.
 
-    ``strips`` holds validated ``(strikes, tau, spot, p, v, scale)`` tuples,
-    and strip ``j`` owns the strike columns ``edges[j]:edges[j + 1]``.
+    ``strips`` holds validated ``(strikes, tau, spot, p, v, scale, order)``
+    tuples, and strip ``j`` owns the strike columns ``edges[j]:edges[j + 1]``.
     One adaptive integration over u covers them all: each strip maps u to
     its own ``k = -log(u)/scale + i*k_i`` and evaluates its kernel once per
     node, with its parameters held as column arrays, and hands it to the
@@ -234,7 +241,8 @@ def _strip_integrals(strips, edges, spec, payoff, wrt=()):
     # contour, about that times the scale from u = 1
     pole_distance = scale.min() * min(abs(k_i - 1.0), abs(k_i))
     value, err, missed = integrate_adaptive(integrand, spec, ride=(corrected + len(wrt)) * n,
-                                            pole_distance=pole_distance)
+                                            pole_distance=pole_distance,
+                                            tail_order=min(s[6] for s in strips))
     value = 2.0 * value.real
     # the correction rides; without a corrected strip it is 0
     correction = value[n:2 * n] if corrected else np.zeros(n)
@@ -243,7 +251,9 @@ def _strip_integrals(strips, edges, spec, payoff, wrt=()):
 
 
 def _prepare(strips):
-    """Validated ``(strikes, tau, spot, p, v, scale)`` tuples of ``strips``."""
+    """Validated ``(strikes, tau, spot, p, v, scale, order)`` tuples of
+    ``strips``: the map scale and the order at which the integrand vanishes
+    at u = 0."""
     prepared = []
     for strikes, expiry, spot, p, v in strips:
         strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
@@ -254,9 +264,11 @@ def _prepare(strips):
             require_finite(positive=True, strike=strike)
         require_finite(positive=True, expiry=tau, spot=spot)
         variance = p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
-        scale = min(c_infinity(tau, p), 4.0 * math.sqrt(variance))
+        decay, gauss = c_infinity(tau, p), 4.0 * math.sqrt(variance)
+        # at half the decay rate the integrand vanishes like u at u = 0
+        scale, order = (0.5 * decay, 1) if decay <= gauss else (gauss, 0)
         v = GroupParams.zero() if v is None else v
-        prepared.append((strikes, tau, spot, p, v, scale))
+        prepared.append((strikes, tau, spot, p, v, scale, order))
     return prepared
 
 
@@ -312,7 +324,7 @@ def _priced(prepared, spec, payoff, wrt):
     edges = np.cumsum([0] + [len(s[0]) for s in prepared]).tolist()
     values, errors, missed, slopes = _strip_integrals(prepared, edges, spec, payoff, wrt)
     results, strip_slopes = [], []
-    for (strikes, tau, spot, p, _, _), lo, hi in zip(prepared, edges, edges[1:]):
+    for (strikes, tau, spot, p, *_), lo, hi in zip(prepared, edges, edges[1:]):
         discount = math.exp(-p.r * tau)
         scale = discount / (2.0 * math.pi)
         # this strip's price, correction and bound rows, discounted

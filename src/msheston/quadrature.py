@@ -12,15 +12,20 @@ The rule is open (no endpoint evaluations), which matters because the
 pricer's half-line substitution ``k_r = -log(u) / c`` maps infinity to
 ``u = 0``.  The integrand's tail needs a geometric mesh there, so an
 integration of (0, 1) starts from panels that halve towards ``u = 0`` down
-to a depth set by ``abs_tol`` (17 levels at 1e-5, 30 at 1e-9) instead of
-from the single panel ``(0, 1)``.  At the other end the map puts ``k_r = 0``
-at ``u = 1``, and a pole of the integrand a distance ``delta`` off the
-contour there sits about ``c * delta`` from ``u = 1``; given that distance,
-the start panels also halve towards ``u = 1`` until the panel touching 1 is
-no wider than it.  A pricing integration then converges in one or two
-integrand calls instead of one round per bisection towards either end.  An
-integration returns its verdict, which components missed their tolerance,
-with the estimate, so a spent budget is never an error.
+to a depth set by ``abs_tol`` and by the order at which the integrand
+vanishes there: ``ceil(log2(1 / abs_tol) / (1 + order))`` levels, 17 at
+1e-5 and 30 at 1e-9 for an integrand that stays O(1), 9 and 15 for one
+that vanishes like ``u`` (the pricer's map at half the kernel's decay
+rate), instead of the single panel ``(0, 1)``.  At the other end the map
+puts ``k_r = 0`` at ``u = 1``, and a pole of the integrand a distance
+``delta`` off the contour there sits about ``c * delta`` from ``u = 1``;
+given that distance, the start panels also halve towards ``u = 1`` until
+the panel touching 1 is no wider than it.  A pricing integration then
+converges in one or two integrand calls instead of one round per bisection
+towards either end.  The rounds never split a panel whose children would
+round a node onto an end.  An integration returns its verdict, which
+components missed their tolerance, with the estimate, so a spent budget is
+never an error.
 """
 
 from __future__ import annotations
@@ -89,6 +94,13 @@ class QuadratureSpec:
             raise ValueError(f"max_subdivisions must be an integer of at least 1, got {n!r}")
 
 
+def _open(lo, hi):
+    """Whether every GK15 node of each panel (lo[j], hi[j]) lies strictly
+    inside it, in the arithmetic of ``_panels``."""
+    centre, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (centre - hw * _XGK_HALF[0] > lo) & (centre + hw * _XGK_HALF[0] < hi)
+
+
 def _panels(f, lo, hi, ride):
     """GK15 on every panel (lo[j], hi[j]) through one call of ``f``.
 
@@ -132,6 +144,7 @@ def integrate_adaptive(
     spec: QuadratureSpec,
     ride: int = 0,
     pole_distance: float = math.inf,
+    tail_order: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Globally adaptive GK15 over (0, 1) for a vector-valued integrand.
 
@@ -145,10 +158,14 @@ def integrate_adaptive(
 
     The start mesh is graded towards ``u = 0``, where the pricer's map puts
     ``k = infinity``: the ``m + 1`` panels
-    ``[0, 2**-m], [2**-m, 2**(1-m)], ..., [1/2, 1]``.  The depth
-    ``m = ceil(log2(1 / abs_tol))``, at which the panel touching 0 holds
-    less than ``abs_tol`` of an O(1) integrand, is clamped to
-    ``[0, max_subdivisions - 1]`` so that the start fits the panel budget.
+    ``[0, 2**-m], [2**-m, 2**(1-m)], ..., [1/2, 1]``.  ``tail_order`` is
+    the order at which the integrand vanishes at 0, bounded by
+    ``u**tail_order`` there.  The depth
+    ``m = ceil(log2(1 / abs_tol) / (1 + tail_order))``, at which the panel
+    touching 0 holds less than ``abs_tol`` of such an integrand, is clamped
+    to ``[0, max_subdivisions - 1]`` so that the start fits the panel
+    budget.  At the default order 0 the integrand is only taken to be
+    O(1), and ``m = ceil(log2(1 / abs_tol))``.
     ``pole_distance`` is how far the integrand's nearest singularity lies
     from ``u = 1``.  Below 1/2 the last panel is graded towards 1 as well:
     ``[1/2, 3/4], [3/4, 7/8], ..., [1 - 2**-(h+1), 1]`` with
@@ -170,12 +187,15 @@ def integrate_adaptive(
 
     Returns ``(value, bound, missed)`` once every steering row's summed
     error meets its tolerance, or once no panel may be split (the budget is
-    spent, or the panels that need it are at floating-point resolution).
+    spent, or the panels that need it are at floating-point resolution:
+    a split is refused where a child's Kronrod node would round onto one of
+    its ends, so ``f`` never sees 0 or 1).
     ``value`` holds every row, ``bound`` the error bound of each steering
     row and ``missed`` whether that bound is not within the row's
     tolerance; riding rows are never counted.
     """
-    m = min(math.ceil(math.log2(max(1.0 / spec.abs_tol, 1.0))), spec.max_subdivisions - 1)
+    m = min(math.ceil(math.log2(max(1.0 / spec.abs_tol, 1.0)) / (1 + tail_order)),
+            spec.max_subdivisions - 1)
     # below 2**-46 wide, the panel touching 1 rounds Kronrod nodes to 1
     h = min(math.ceil(-math.log2(min(pole_distance, 0.5))) - 1, 45,
             spec.max_subdivisions - 1 - m)
@@ -192,10 +212,10 @@ def integrate_adaptive(
             return total, bound, missed
         n = lo.size
         mid = 0.5 * (lo + hi)
-        # each panel's worst component error over its share tol / n; panels
-        # at floating-point resolution are never split
+        # each panel's worst component error over its share tol / n; a panel
+        # whose children would round a node onto an end is never split
         share = (err / tol[..., None]).reshape(-1, n).max(axis=0) * n
-        share[(mid <= lo) | (mid >= hi)] = 0.0
+        share[~(_open(lo, mid) & _open(mid, hi))] = 0.0
         order = np.argsort(-share, kind="stable")
         split = order[share[order] > 1.0][: spec.max_subdivisions - n]
         if not split.size:

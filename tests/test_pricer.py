@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from msheston import pricer
 from msheston.kernel import _b_coeffs, _cd_of, _f_hats
@@ -21,7 +22,13 @@ from msheston.pricer import (
 )
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
 
-from .conftest import EDGE_HESTON, d_zero_call_contour, group_at_epsilon
+from .conftest import (
+    EDGE_HESTON,
+    FIGURE1_HESTON,
+    TABLE1_HESTON,
+    d_zero_call_contour,
+    group_at_epsilon,
+)
 from .helpers import (
     gil_pelaez_heston_call,
     group_array,
@@ -105,6 +112,47 @@ class TestHestonPrice:
             ref = gil_pelaez_heston_call(100.0, strike, 0.0, tau, figure1_heston)
             if payoff == "put":
                 ref += strike - 100.0
+            assert abs(bd.total - ref) <= bd.quadrature_error + 1e-9, strike
+
+    @pytest.mark.parametrize("payoff", ["call", "put"])
+    @pytest.mark.parametrize("factor", [0.98, 1.02])
+    @pytest.mark.parametrize("p, bracket", [
+        (TABLE1_HESTON, (0.05, 0.5)),
+        (TABLE1_HESTON, (5.0, 12.0)),
+        (FIGURE1_HESTON, (0.005, 0.05)),
+        (FIGURE1_HESTON, (10.0, 20.0)),
+        (EDGE_HESTON["feller_violated"], (0.005, 0.05)),
+        (EDGE_HESTON["rho_plus_099"], (0.001, 0.01)),
+        (EDGE_HESTON["rho_minus_099"], (0.001, 0.01)),
+    ], ids=["table1-short", "table1-long", "figure1-short", "figure1-long",
+            "feller", "rho+0.99", "rho-0.99"])
+    def test_strips_either_side_of_the_scale_switch(
+        self, monkeypatch, p, bracket, factor, payoff
+    ):
+        # the map scale switches from 4*sqrt(V) to c_infinity/2, and the
+        # tail's depth halves, where c_infinity = 4*sqrt(V): on either side
+        # the strip meets the oracle within its bound plus the oracle's own
+        # 1e-9, with no nonconvergence; puts by parity
+        def gap(tau):
+            variance = p.theta * tau - (p.z - p.theta) * math.expm1(-p.kappa * tau) / p.kappa
+            return c_infinity(tau, p) - 4.0 * math.sqrt(variance)
+
+        orders = []
+
+        def recording(f, spec, tail_order=0, **kwargs):
+            orders.append(tail_order)
+            return integrate_adaptive(f, spec, tail_order=tail_order, **kwargs)
+
+        monkeypatch.setattr(pricer, "integrate_adaptive", recording)
+        tau = factor * brentq(gap, *bracket, xtol=1e-14)
+        strikes = np.linspace(75.0, 125.0, 25)
+        bds = price_strikes(strikes, tau, 100.0, p, payoff=payoff)
+        assert orders == [int(gap(tau) <= 0.0)]
+        for strike, bd in zip(strikes, bds):
+            assert "nonconvergence" not in bd.warnings
+            ref = gil_pelaez_heston_call(100.0, strike, p.r, tau, p)
+            if payoff == "put":
+                ref += strike * math.exp(-p.r * tau) - 100.0
             assert abs(bd.total - ref) <= bd.quadrature_error + 1e-9, strike
 
     def test_deep_itm_short_dated_limit(self, table1_heston):

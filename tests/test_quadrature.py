@@ -134,17 +134,18 @@ class TestPoleNearOne:
 
     @pytest.mark.parametrize("abs_tol", [1e-5, 1e-9])
     def test_start_fits_the_budget(self, abs_tol):
-        # the tail keeps its depth m = ceil(log2(1/abs_tol)) and its clamp;
-        # the h = 6 head levels of a pole 0.01 from 1 take only the budget
-        # that is left
-        m = math.ceil(math.log2(1.0 / abs_tol))
-        for budget in range(1, 41):
-            spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=abs_tol,
-                                  max_subdivisions=budget)
-            g, sizes = counting(self._lorentzian(0.01))
-            integrate_adaptive(g, spec, pole_distance=0.01)
-            assert sizes[0] == 15 * min(budget, m + 1 + 6), budget
-            assert panels(sizes) <= budget, budget
+        # the tail keeps its depth m = ceil(log2(1/abs_tol) / (1 + order))
+        # and its clamp; the h = 6 head levels of a pole 0.01 from 1 take
+        # only the budget that is left
+        for order in (0, 1):
+            m = math.ceil(math.log2(1.0 / abs_tol) / (1 + order))
+            for budget in range(1, 41):
+                spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=abs_tol,
+                                      max_subdivisions=budget)
+                g, sizes = counting(self._lorentzian(0.01))
+                integrate_adaptive(g, spec, pole_distance=0.01, tail_order=order)
+                assert sizes[0] == 15 * min(budget, m + 1 + 6), (order, budget)
+                assert panels(sizes) <= budget, (order, budget)
 
     def test_pole_at_floating_point_resolution(self):
         # the head stops at h = 45 levels, a panel of width 2**-46 touching 1,
@@ -156,10 +157,10 @@ class TestPoleNearOne:
     def test_no_near_pole_keeps_the_tail_mesh(self):
         # without the argument, or with the pole 1/2 or more from 1, the
         # start is the m + 1 = 31 panels [0, 2**-30], ..., [1/2, 1], and
-        # every call and result is the same, bit for bit
+        # every call and result is the same, bit for bit; so at tail order 0
         runs = []
         for kwargs in ({}, {"pole_distance": 0.5}, {"pole_distance": 2.0},
-                       {"pole_distance": math.inf}):
+                       {"pole_distance": math.inf}, {"tail_order": 0}):
             seen = []
 
             def f(u):
@@ -174,6 +175,41 @@ class TestPoleNearOne:
         edges = np.append(0.0, 2.0 ** -np.arange(30, -1, -1.0))
         centres = np.frombuffer(runs[0][3]).reshape(-1, 15)[:, 7]
         assert centres.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+
+    def test_rounds_keep_nodes_off_one(self):
+        # the head's last panel is 2**-46 wide; bisecting it would round a
+        # Kronrod node of the child touching 1 onto 1, where this integrand
+        # is infinite, so the rounds refuse that split and miss, finitely
+        g, sizes = counting(lambda u: np.stack([(1.0 - u) ** -0.9]))
+        value, err, missed = integrate_adaptive(
+            g, QuadratureSpec(max_subdivisions=200), pole_distance=1e-300)
+        assert len(sizes) > 1
+        assert np.isfinite(value).all() and np.isfinite(err).all()
+        assert missed.all()
+
+
+class TestTailOrder:
+    """An integrand bounded by u**tail_order near u = 0 starts from a tail
+    of depth ceil(log2(1 / abs_tol) / (1 + tail_order))."""
+
+    @pytest.mark.parametrize("abs_tol, full, half", [(1e-5, 17, 9), (1e-9, 30, 15)])
+    def test_order_one_halves_the_depth(self, abs_tol, full, half):
+        # u*cos(3u) vanishes like u at 0; its integral over (0, 1) is
+        # (cos 3 + 3 sin 3 - 1) / 9
+        spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=abs_tol)
+        exact = (math.cos(3.0) + 3.0 * math.sin(3.0) - 1.0) / 9.0
+        for order, depth in ((0, full), (1, half)):
+            seen = []
+
+            def f(u):
+                seen.append(u.copy())
+                return np.stack([u * np.cos(3.0 * u)])
+
+            value, err = integrate_unit(counting(f)[0], spec, tail_order=order)
+            assert abs(value[0] - exact) <= err[0] <= abs_tol
+            edges = np.append(0.0, 2.0 ** -np.arange(depth, -1, -1.0))
+            centres = seen[0].reshape(-1, 15)[:, 7]
+            assert centres.tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
 
 
 class TestRidingRows:
@@ -218,10 +254,11 @@ class TestRidingRows:
     def test_riders_on_a_pricing_integration(self, table1_heston):
         # the slope rows of all nine parameters, on a corrected strip and a
         # baseline strip, leave the strips' breakdowns, bounds and tags
-        # bit-identical, in the same integrand calls
+        # bit-identical, in the same integrand calls; at 10 y 4*sqrt(V) sets
+        # the scale and the rounds walk the tail, so there are several calls
         strips = [(np.linspace(80.0, 120.0, 5), 0.5, 100.0, table1_heston,
                    group_at_epsilon(1e-2)),
-                  ([100.0], 2.0, 100.0, table1_heston, None)]
+                  ([100.0], 10.0, 100.0, table1_heston, None)]
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
         calls = {}
         for key, price in (
@@ -376,15 +413,21 @@ class TestRounds:
         self, monkeypatch, table1_heston, max_subdivisions
     ):
         sizes = self._pricer_calls(monkeypatch)
-        spec = QuadratureSpec(max_subdivisions=max_subdivisions)
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12,
+                              max_subdivisions=max_subdivisions)
         strikes = np.linspace(30.0, 300.0, 25)
         bds = pricer.price_strikes(
             strikes, 1.0, 100.0, table1_heston, v=group_at_epsilon(1e-2), spec=spec
         )
-        # the graded start at abs_tol 1e-9 has depth ceil(log2(1e9)) = 30,
-        # clamped to the budget
-        depth = min(30, max_subdivisions - 1)
-        assert sizes[0] == 15 * (depth + 1)
+        # c_infinity sets the scale at 1 y, so the map at c_infinity/2 makes
+        # the integrand vanish like u at u = 0: the graded start has depth
+        # ceil(log2(1e12) / 2) = 20, and the payoff pole 0.5*scale from
+        # u = 1 adds h head levels; 22 panels fit both budgets
+        scale = 0.5 * pricer.c_infinity(1.0, table1_heston)
+        h = math.ceil(-math.log2(0.5 * scale)) - 1
+        assert h == 1
+        assert sizes[0] == 15 * (20 + 1 + h)
+        assert len(sizes) > 1
         assert all(n % 30 == 0 for n in sizes[1:])
         assert panels(sizes) <= max_subdivisions
         failed = "nonconvergence" in bds[0].warnings
@@ -431,22 +474,38 @@ class TestRounds:
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=512)
         priced = pricer.price_strips(strips, spec)
         assert not any("nonconvergence" in bd.warnings for strip in priced for bd in strip)
-        assert len(sizes) == 1
+        # c_infinity sets every scale, so the map at c_infinity/2 halves the
+        # tail to depth 15; the smallest scale, 0.06 at 0.25 y, puts the
+        # pole 0.03 from u = 1 and adds 5 head levels: 21 panels
+        assert sizes == [15 * (15 + 1 + 5)]
 
     @pytest.mark.parametrize("payoff", ["call", "put"])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("tau", [0.25, 1.0])
     def test_figure1_strip_in_one_call(self, monkeypatch, figure1_heston, tau,
                                        corrected, payoff):
-        # Figure-1's scales at 0.25 and 1 y, 0.12 and 0.24, put the payoff
-        # pole 0.06 and 0.12 from u = 1: one call, where a start that ends
-        # in [1/2, 1] takes 4 and 3
+        # Figure-1's scales at 0.25 and 1 y, c_infinity/2 = 0.06 and 0.12,
+        # put the payoff pole 0.03 and 0.06 from u = 1: one call, where a
+        # start that ends in [1/2, 1] takes 5 and 4
         sizes = self._pricer_calls(monkeypatch)
         v = group_at_epsilon(1e-2) if corrected else None
         bds = pricer.price_strikes(np.linspace(75.0, 125.0, 25), tau, 100.0,
                                    figure1_heston, v, payoff=payoff)
         assert not any("nonconvergence" in bd.warnings for bd in bds)
         assert len(sizes) == 1
+
+    @pytest.mark.parametrize("payoff", ["call", "put"])
+    def test_no_node_on_one(self, monkeypatch, table1_heston, payoff):
+        # at tau = 1e-35, 4*sqrt(V) squeezes the integrand within float
+        # resolution of u = 1; the rounds refine towards it without ever
+        # evaluating u = 1 (``counting`` asserts the open rule), and the
+        # prices say that they failed
+        sizes = self._pricer_calls(monkeypatch)
+        bds = pricer.price_strikes([90.0, 100.0, 110.0], 1e-35, 100.0,
+                                   table1_heston, payoff=payoff)
+        assert len(sizes) > 1
+        for bd in bds:
+            assert {"nonconvergence", "outside_no_arbitrage_band"} & set(bd.warnings)
 
     def test_interior_singularity_misses(self):
         def f(u):
