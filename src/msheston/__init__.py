@@ -1,7 +1,8 @@
 """Multi-scale Heston option pricing, calibration, and Monte Carlo validation.
 
-Only NumPy loads with the package: the fit imports SciPy's optimizer and the
-Monte Carlo its normal CDF where they call them.
+Only NumPy loads with the package: the fit imports SciPy's optimizer where
+it calls it, and nothing else imports SciPy; the Monte Carlo prices its
+paths with a normal CDF written in NumPy.
 """
 
 from . import errors

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -182,6 +181,10 @@ def _json_dumps(payload) -> str:
 
 
 def _sha256_of(path) -> str:
+    # imported here, not with the module: hashlib loads OpenSSL, which only
+    # calibrate's provenance hashes need
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -24,11 +24,14 @@ variance.  Where the exponential decay rate ``c_infinity`` is at most
 Jacobian ``1/(c*u)`` is ``u**(c_infinity/c - 1)``, so ``c = c_infinity/2``
 leaves an integrand that vanishes like ``u`` at ``u = 0`` (order 1), and
 the start mesh's tail is half as deep.  Elsewhere, at short and very long
-expiries and at small sigma, ``c = 4*sqrt(V)`` (order 0): below
-``|k| ~ 1/sigma`` the kernel decays like the Black-Scholes Gaussian
-``exp(-V*k**2/2)``, which then governs the whole tail before the
-exponential rate ``c_infinity ~ 1/sigma`` is reached.  A batch's tail is
-as deep as its strip of lowest order needs.
+expiries and at small sigma, ``c = 4*sqrt(V)`` (order 0): the kernel
+decays like the Black-Scholes Gaussian ``exp(-V*k**2/2)`` for as long as
+``|d|*tau`` stays small, with ``d`` the kernel's square root (see
+``kernel``).  At large ``|k|``, ``|d| ~ sigma*sqrt(1 - rho**2)*|k|``, so
+the Gaussian holds up to ``|k| ~ 1/(sigma*sqrt(1 - rho**2)*tau)``, far
+beyond ``1/sigma`` at short expiries, and governs the whole tail before
+the exponential rate ``c_infinity`` is reached.  A batch's tail is as deep
+as its strip of lowest order needs.
 
 The contour is fixed per payoff, inside the payoff transform's strip of
 convergence: calls integrate on ``Im k = DEFAULT_CALL_CONTOUR`` (any

@@ -2,6 +2,7 @@ import math
 import re
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -353,6 +354,71 @@ class TestMcPriceCall:
         calls = mc_mod._bs_calls(spot, 100.0, np.array([0.0, 0.0, 0.0, 0.04]))
         np.testing.assert_array_equal(calls[:3], [0.0, 0.0, 10.0])
         assert calls[3] == pytest.approx(bs_call(100.0, 100.0, 1.0, 0.2, 0.0), rel=1e-12)
+
+
+def _cdf_rel_errors(xs):
+    """Relative error of ``mc._normal_cdf`` against mpmath's ncdf at each x."""
+    got = mc_mod._normal_cdf(xs)
+    with mpmath.workdps(30):
+        return np.array([
+            float(abs((mpmath.mpf(g) - ref) / ref))
+            for g, ref in zip(got, (mpmath.ncdf(mpmath.mpf(x)) for x in xs))
+        ])
+
+
+class TestNormalCdf:
+    # the relative error bounds per range; scipy.special.ndtr's own error on
+    # these ranges is 1.9e-16, 4.0e-15, 6.3e-14 and 2.3e-13
+    BOUNDS = ((-5.0, 8.3, 1e-14), (-20.0, -5.0, 2e-13), (-37.5, -20.0, 2e-12))
+
+    @pytest.mark.parametrize("lo, hi, bound", BOUNDS)
+    def test_dense_grid_against_mpmath(self, lo, hi, bound):
+        assert _cdf_rel_errors(np.linspace(lo, hi, 4001)).max() <= bound
+
+    def test_seeded_draws_against_mpmath(self):
+        xs = np.random.default_rng(37).uniform(-37.5, 8.3, 10_000)
+        errors = _cdf_rel_errors(xs)
+        for lo, hi, bound in self.BOUNDS:
+            inside = (xs >= lo) & (xs <= hi)
+            assert inside.any() and errors[inside].max() <= bound
+
+    def test_exact_limits_and_nan(self):
+        above = np.concatenate([np.linspace(8.3, 40.0, 1001), [1e3, 1e308, np.inf]])
+        assert np.all(mc_mod._normal_cdf(above) == 1.0)
+        below = np.concatenate([np.linspace(-40.0, -38.5, 101), [-1e3, -1e308, -np.inf]])
+        assert np.all(mc_mod._normal_cdf(below) == 0.0)
+        assert mc_mod._normal_cdf(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+        assert np.isnan(mc_mod._normal_cdf(np.array([np.nan, -np.nan]))).all()
+
+    def test_no_floating_point_warning_at_the_extremes(self):
+        xs = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324])
+        with np.errstate(all="raise"):
+            got = mc_mod._normal_cdf(xs)
+        np.testing.assert_array_equal(got, [1.0, 0.0, np.nan, 1.0, 0.0, 0.5, 0.5])
+
+    def test_nondecreasing(self):
+        assert np.all(np.diff(mc_mod._normal_cdf(np.linspace(-38.0, 9.0, 100_001))) >= 0.0)
+
+    def test_shape_is_kept(self):
+        xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        np.testing.assert_array_equal(
+            mc_mod._normal_cdf(xs), mc_mod._normal_cdf(xs.ravel()).reshape(3, 4)
+        )
+
+    def test_calls_agree_with_scipy_ndtr(self, monkeypatch):
+        # 40,000 legs: log-moneyness out to +-8, total variances from 0
+        # (a tenth of the legs) through 1e-12 to 4; SciPy is only the oracle
+        from scipy.special import ndtr
+
+        rng = np.random.default_rng(2024)
+        n = 40_000
+        spot = 100.0 * np.exp(rng.uniform(-8.0, 8.0, n))
+        total_var = np.exp(rng.uniform(math.log(1e-12), math.log(4.0), n))
+        total_var[rng.random(n) < 0.1] = 0.0
+        calls = mc_mod._bs_calls(spot, 95.0, total_var)
+        monkeypatch.setattr(mc_mod, "_normal_cdf", ndtr)
+        oracle = mc_mod._bs_calls(spot, 95.0, total_var)
+        assert np.all(np.abs(calls - oracle) <= 1e-13 * spot)
 
 
 class TestEpsilonScan:

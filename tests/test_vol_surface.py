@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -360,15 +361,16 @@ def test_import_does_not_load_scipy_stats():
 
 
 def test_import_loads_no_scipy():
-    # SciPy and concurrent.futures are imported where the fit and the
-    # simulation call them: the package, the command line and every exported
-    # name load none of them
+    # SciPy, concurrent.futures and hashlib are imported where the fit, the
+    # simulation and calibrate's provenance hashes call them: the package,
+    # the command line and every exported name load none of them
     src = str(Path(msheston.__file__).resolve().parent.parent)
     code = "\n".join([
         "import sys, msheston, msheston.cli",
         "for name in msheston.__all__:",
         "    getattr(msheston, name)",
-        "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')]",
+        "loaded = [m for m in sys.modules",
+        "          if m.split('.')[0] in ('scipy', 'concurrent', 'hashlib', '_hashlib')]",
         "assert not loaded, loaded[:5]",
         "assert msheston.calibrate_heston is msheston.calibration.calibrate_heston",
         "assert msheston.SimConfig is msheston.mc.SimConfig",
@@ -382,19 +384,27 @@ def test_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scipy_loads_where_it_is_called():
-    # a simulation loads scipy.special for its normal CDF and not the
-    # optimizer; a fit loads scipy.optimize
+def test_scipy_loads_where_it_is_called(tmp_path):
+    # a simulation and a whole validate-mc run load no SciPy module: their
+    # normal CDF is NumPy's own; a fit loads scipy.optimize
     src = str(Path(msheston.__file__).resolve().parent.parent)
     code = "\n".join([
         "import sys",
         "import msheston as ms",
+        "from msheston.cli import main",
+        "def scipy_loaded():",
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']",
         "p = ms.HestonParams(kappa=1.0, theta=0.24, sigma=0.39, rho=-0.35, z=0.24, r=0.05)",
         "fm = ms.FullModelParams(heston=p, epsilon=1e-2, m=0.06, nu=1.0,",
         "                        rho_xy=-0.35, rho_yz=0.35, y0=0.06)",
         "ms.mc_price_call(fm, 100.0, 0.5, ms.SimConfig(n_paths=8, dt=0.1, seed=1))",
-        "assert 'scipy.special' in sys.modules",
-        "assert 'scipy.optimize' not in sys.modules",
+        "assert not scipy_loaded(), scipy_loaded()[:5]",
+        "argv = ('validate-mc --spot 100 --strike 100 --expiry 0.5 --kappa 1 --theta 0.24'",
+        "        ' --sigma 0.39 --rho-xz -0.35 --z 0.24 --rate 0.05 --epsilon 1e-2 --m 0.06'",
+        "        ' --nu 1 --rho-xy -0.35 --rho-yz 0.35 --y0 0.06 --n-paths 8 --dt 0.1'",
+        "        ' --output ' + sys.argv[1])",
+        "assert main(argv.split()) == 0",
+        "assert not scipy_loaded(), scipy_loaded()[:5]",
         "model = ms.model_surface([0.5, 1.0], [90.0, 100.0, 110.0], p, ms.GroupParams.zero())",
         "quotes = tuple(ms.VolPoint(q.expiry, q.strike, q.implied_vol, 'market')",
         "               for q in model.points)",
@@ -404,7 +414,9 @@ def test_scipy_loads_where_it_is_called():
         "assert 'scipy.optimize' in sys.modules",
     ])
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-c", code, str(tmp_path / "mc.json")],
+        capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "mc.json").read_text())["n_paths"] == 8
