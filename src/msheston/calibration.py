@@ -1,17 +1,19 @@
 """Constrained nonlinear least squares against market implied vols.
 
 Two nested fits share one machinery: the baseline fit over
-``(kappa, rho, sigma, theta, z)`` and the corrected-model fit that appends
-the four correction coefficients, seeded from the baseline optimum with the
-coefficients at zero (the corrected model embeds the baseline at v = 0, so
-its fitted objective can only improve).  A fit minimizes the implied-vol
-quote residuals and nothing else: the Feller condition is reported
+``(kappa, rho, sigma, theta, z)`` and the corrected-model fit over
+``FIT_NAMES``, which adds v2e, v3e and v4e, seeded from the baseline optimum
+with them at zero (the corrected model embeds the baseline at v = 0, so its
+fitted objective can only improve).  It holds v1e at 0: at v = 0 the
+rho-slope of every price is exactly sigma * (dP/dv1e - dP/dv4e), so a chain
+identifies rho + (v1e - v4e)/(2 sigma) and v1e + v4e, not the three apart,
+and rho and v4e carry v1e's direction.  A fit minimizes the implied-vol quote
+residuals and nothing else: the Feller condition is reported
 (``CalibResult.feller_satisfied``), never enforced.
 
-A fit runs in natural units, (kappa, rho, sigma, theta, z, v1e..v4e),
-inside the box of ``DEFAULT_BOUNDS`` overridden by ``CalibProblem.bounds``:
-SciPy's trust-region reflective method keeps every iterate strictly inside
-it.
+A fit runs in natural units inside the box of ``DEFAULT_BOUNDS`` overridden
+by ``CalibProblem.bounds``: SciPy's trust-region reflective method keeps
+every iterate strictly inside it.
 
 Each stage is one ``least_squares`` run from its start point.  Each
 residual evaluation prices every expiry in one ``price_slopes`` call and
@@ -37,13 +39,15 @@ from .pricer import GROUP_NAMES, HESTON_NAMES, GroupParams, price_slopes, price_
 from .quadrature import QuadratureSpec
 from .vol_surface import VolSurface, bs_vega, implied_vol
 
+# The corrected fit's parameters in ``_pack`` order; the baseline fits the first 5
+FIT_NAMES = HESTON_NAMES + GROUP_NAMES[1:]
+
 DEFAULT_BOUNDS = {
     "kappa": (1e-3, 50.0),
     "rho": (-0.999, 0.999),
     "sigma": (1e-3, 5.0),
     "theta": (1e-4, 4.0),
     "z": (1e-4, 4.0),
-    "v1e": (-0.5, 0.5),
     "v2e": (-0.5, 0.5),
     "v3e": (-0.5, 0.5),
     "v4e": (-0.5, 0.5),
@@ -71,15 +75,15 @@ class CalibProblem:
     objective: the Feller condition is reported, never enforced.  ``bounds``
     maps parameter names to (lo, hi) boxes that override ``DEFAULT_BOUNDS``,
     each with lo < hi inside the parameter's open domain: (-1, 1) for
-    ``rho``, (0, inf) for the other Heston parameters, and the reals for the
-    correction coefficients, whose boxes must also contain 0 so that the
-    corrected-model fit starts at the baseline optimum.
+    ``rho``, (0, inf) for the other Heston parameters, and the reals for
+    v2e, v3e and v4e (v1e has no box), whose boxes must also contain 0 so
+    that the corrected-model fit starts at the baseline optimum.
 
     Raises
     ------
     ValueError
-        If a bound names no parameter or is not such a pair, before any
-        pricing.
+        If a bound names no fitted parameter or is not such a pair, before
+        any pricing.
     """
 
     market: VolSurface
@@ -88,9 +92,9 @@ class CalibProblem:
 
     def __post_init__(self):
         for name, pair in self.bounds.items():
-            if name not in DEFAULT_BOUNDS:
+            if name not in FIT_NAMES:
                 raise ValueError(f"unknown bound bounds.{name}; known: "
-                                 f"{', '.join(DEFAULT_BOUNDS)}")
+                                 f"{', '.join(FIT_NAMES)}")
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
                     isinstance(v, numbers.Real) and not isinstance(v, bool)
                     for v in pair)):
@@ -106,7 +110,7 @@ class CalibProblem:
                 raise ValueError(f"bounds.{name} = [{lo}, {hi}] must contain 0, "
                                  "where the corrected model is the baseline")
 
-    def require_enough_quotes(self, n_params: int):
+    def require_enough_quotes(self, n_params: int = len(FIT_NAMES)):
         if self.market.n_points < n_params:
             raise ValueError(
                 f"{self.market.n_points} quotes cannot identify "
@@ -154,19 +158,19 @@ class CalibResult:
 def _pack(p: HestonParams, v: GroupParams | None) -> np.ndarray:
     vals = [getattr(p, n) for n in HESTON_NAMES]
     if v is not None:
-        vals += [getattr(v, n) for n in GROUP_NAMES]
+        vals += [getattr(v, n) for n in FIT_NAMES[5:]]
     return np.array(vals, dtype=float)
 
 
 def _unpack(x: np.ndarray, r: float):
-    """(p, v) of a 5- or 9-entry parameter vector; v is None for 5."""
+    """(p, v) of a 5- or 8-entry ``FIT_NAMES`` vector; v is None for 5."""
     p = HestonParams(**{n: float(val) for n, val in zip(HESTON_NAMES, x)}, r=r)
-    return p, (GroupParams(*(float(val) for val in x[5:])) if len(x) > 5 else None)
+    return p, (GroupParams(0.0, *map(float, x[5:])) if len(x) > 5 else None)
 
 
 def _box(bounds: dict, multiscale: bool):
     """(lo, hi) arrays: ``bounds`` over ``DEFAULT_BOUNDS``, in ``_pack`` order."""
-    names = HESTON_NAMES + (GROUP_NAMES if multiscale else ())
+    names = FIT_NAMES if multiscale else HESTON_NAMES
     return np.array([bounds.get(n, DEFAULT_BOUNDS[n]) for n in names], dtype=float).T
 
 
@@ -218,14 +222,10 @@ def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
 
 def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
     """Mean squared residual per expiry (the marginal report)."""
-    rows = []
-    idx = 0
-    for expiry in market.expiries():
-        n = len(market.strikes(expiry))
-        block = residuals[idx : idx + n]
-        rows.append((expiry, float(np.mean(block**2))))
-        idx += n
-    return tuple(rows)
+    expiries = market.expiries()
+    edges = np.cumsum([0] + [len(market.strikes(expiry)) for expiry in expiries])
+    return tuple((expiry, float(np.mean(residuals[lo:hi] ** 2)))
+                 for expiry, lo, hi in zip(expiries, edges, edges[1:]))
 
 
 def _linearize(x, prob: CalibProblem):
@@ -234,14 +234,14 @@ def _linearize(x, prob: CalibProblem):
 
     Every column is exact and rides on the mesh that the prices at ``x``
     choose: ``price_slopes`` gives the slope of each total price in every
-    entry of ``x``, Heston parameters and correction coefficients alike.
+    entry of ``x``, Heston parameters and v2e..v4e alike.
     Price slopes become vol slopes through 1/vega at the model vol of ``x``,
     so only the quotes of ``x`` are inverted; a quote with no implied vol
     keeps its constant residual and gets a zero row.
     """
     market = prob.market
     p, v = _unpack(x, market.rate(market.expiries()[0]))
-    wrt = HESTON_NAMES if v is None else HESTON_NAMES + GROUP_NAMES
+    wrt = HESTON_NAMES if v is None else FIT_NAMES
     breakdowns, slopes = price_slopes(_strips(p, v, market), wrt, prob.quadrature)
     priced = [bd for strip in breakdowns for bd in strip]
     residuals, dvol = _vol_residuals([bd.total for bd in priced], market)
@@ -256,7 +256,7 @@ def least_squares(*args, **kwargs):
 
 
 def _fit(prob, x0, lo, hi) -> CalibResult:
-    """One least-squares run from ``x0``, over 5 or 9 parameters.
+    """One least-squares run from ``x0``, over 5 or 8 parameters.
 
     SciPy's TRF keeps every iterate strictly inside the box [lo, hi] and
     accepts a step only when the cost falls, so the run never ends above its
@@ -316,7 +316,7 @@ def calibrate_heston(prob: CalibProblem, start: HestonParams) -> CalibResult:
     derivative d(C + z*D) in its parameter, with no difference step.
     Deterministic for fixed inputs.
     """
-    prob.require_enough_quotes(5)
+    prob.require_enough_quotes(len(HESTON_NAMES))
     x0 = _pack(start, None)
     lo, hi = _box(prob.bounds, multiscale=False)
     for name, x, b_lo, b_hi in zip(HESTON_NAMES, x0, lo, hi):
@@ -329,13 +329,13 @@ def calibrate_heston(prob: CalibProblem, start: HestonParams) -> CalibResult:
 def calibrate_multiscale(prob: CalibProblem, heston_result: CalibResult) -> CalibResult:
     """Two-stage corrected-model fit seeded from the baseline stage.
 
-    The start point is the baseline stage's final parameters, converged or
-    not, with all four correction coefficients at zero (inside their boxes,
-    which ``CalibProblem`` requires to contain 0), so the starting objective
-    equals the baseline objective and the fit can only improve on it (up to
-    solver tolerance).
+    Fits the eight ``FIT_NAMES``, so the result's v1e is 0.  The start point
+    is the baseline stage's final parameters, converged or not, with v2e..v4e
+    at zero (inside their boxes, which ``CalibProblem`` requires to contain
+    0), so the starting objective equals the baseline objective and the fit
+    can only improve on it (up to solver tolerance).
     """
-    prob.require_enough_quotes(9)
+    prob.require_enough_quotes()
     x0 = _pack(heston_result.heston, GroupParams.zero())
     lo, hi = _box(prob.bounds, multiscale=True)
     return _fit(prob, np.clip(x0, lo, hi), lo, hi)

@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (CALIBRATION_QUADRATURE, CalibProblem, calibrate_heston,
-                          calibrate_multiscale, format_residual_table,
-                          residual_ratio_report)
+from .calibration import (CALIBRATION_QUADRATURE, DEFAULT_BOUNDS, CalibProblem,
+                          calibrate_heston, calibrate_multiscale,
+                          format_residual_table, residual_ratio_report)
 from .errors import EmptyAfterFilter, MsHestonError, NonConvergence, ParseError
 from .group_params import FullModelParams, compute_group_params
 from .kernel import HestonParams
@@ -81,7 +81,7 @@ _SETTINGS = {
         # the start point is a user judgment, typically from visually tuning
         # the baseline surface
         "start": (_keys(HESTON_NAMES, float, _REQUIRED), _REQUIRED),
-        "bounds": (_keys(HESTON_NAMES + GROUP_NAMES, (float, float), None), None),
+        "bounds": (_keys(DEFAULT_BOUNDS, (float, float), None), None),
         **_keys(("min_days", "min_open_interest"), int, None),
     },
 }
@@ -312,8 +312,8 @@ def _cmd_calibrate(args, config):
     prob = CalibProblem(
         market=loaded.surface, quadrature=quadrature, **_subset(calib, "bounds")
     )
-    # the multiscale stage needs 9 quotes: refuse before fitting the Heston one
-    prob.require_enough_quotes(9)
+    # refuse a chain too short for the multiscale stage before fitting either
+    prob.require_enough_quotes()
     h_res = calibrate_heston(prob, start)
     m_res = calibrate_multiscale(prob, h_res)
     rows = residual_ratio_report(h_res, m_res, prob)

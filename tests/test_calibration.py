@@ -18,6 +18,7 @@ from msheston.calibration import (
 )
 from msheston import calibration, cli, pricer
 from msheston.calibration import (
+    FIT_NAMES,
     _box,
     _fit,
     _linearize,
@@ -26,11 +27,11 @@ from msheston.calibration import (
     _unpack,
 )
 from msheston.kernel import HestonParams
-from msheston.pricer import HESTON_NAMES, GroupParams
+from msheston.pricer import HESTON_NAMES, GroupParams, price_slopes
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
 from msheston.vol_surface import VolPoint, VolSurface, implied_vol, model_surface
 
-from .conftest import FIGURE1_HESTON, TABLE1_HESTON
+from .conftest import EDGE_HESTON, FIGURE1_HESTON, TABLE1_HESTON
 from .helpers import group_array
 
 SPEC = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
@@ -39,6 +40,11 @@ TRUTH_P = HestonParams(
     kappa=1.8, theta=0.09, sigma=0.4, rho=-0.55, z=0.06, r=0.02
 )
 TRUTH_V = GroupParams(0.002, -0.001, -0.004, 0.0015)
+# the point of the fitted model that prices like TRUTH_V to first order in
+# v: the move (v1e, v4e) += (-v1e, v1e) prices as rho - v1e/sigma, so rho
+# takes v1e/sigma back
+FOLDED_P = TRUTH_P.replace(rho=TRUTH_P.rho + TRUTH_V.v1e / TRUTH_P.sigma)
+FOLDED_V = GroupParams(0.0, TRUTH_V.v2e, TRUTH_V.v3e, TRUTH_V.v4e + TRUTH_V.v1e)
 # sigma^2 > 2 kappa theta: the Feller condition fails
 EQUITY_P = HestonParams(kappa=1.5, theta=0.04, sigma=0.6, rho=-0.7, z=0.04, r=0.02)
 
@@ -269,8 +275,14 @@ class TestCalibrateHeston:
 
     def test_misspelt_bound_rejected(self, heston_market):
         with pytest.raises(ValueError, match="unknown bound bounds.kapa; known: "
-                           "kappa, rho, sigma, theta, z, v1e, v2e, v3e, v4e"):
+                           "kappa, rho, sigma, theta, z, v2e, v3e, v4e"):
             _problem(heston_market, bounds={"kapa": (0.5, 1.0)})
+
+    def test_v1e_has_no_bound(self, heston_market):
+        # no fit moves v1e, so a box for it is refused like a misspelt one
+        assert tuple(calibration.DEFAULT_BOUNDS) == FIT_NAMES
+        with pytest.raises(ValueError, match="unknown bound bounds.v1e"):
+            _problem(heston_market, bounds={"v1e": (-0.1, 0.1)})
 
     @pytest.mark.parametrize("value", [5.0, (1.0,), (1, 2, 3), "12"],
                              ids=["number", "one", "three", "string"])
@@ -295,22 +307,77 @@ class TestCalibrateHeston:
             calibrate_heston(_problem(few), TRUTH_P)
 
 
+class TestRhoAbsorbsV1e:
+    """At v = 0 the rho-slope of every price is sigma times the difference of
+    its v1e- and v4e-slopes, so a fit of rho, v1e and v4e together has an
+    exactly singular Jacobian there; the corrected fit holds v1e at 0."""
+
+    @pytest.mark.parametrize("p", [TABLE1_HESTON, FIGURE1_HESTON,
+                                   EDGE_HESTON["feller_violated"]],
+                             ids=["table1", "figure1", "feller_violated"])
+    def test_rho_slope_is_sigma_times_v1e_minus_v4e(self, p):
+        # K 60-160 at 7 d to 3 y, at 1e-12/1e-11: the rows met to at most
+        # 8.5e-13 of the strip's largest |rho-slope| (Figure-1 at 7 d) and to
+        # 1e-14 or better at 30 d and beyond
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+        strikes = np.linspace(60.0, 160.0, 11)
+        taus = (7 / 365, 30 / 365, 0.5, 1.0, 3.0)
+        strips = [(strikes, tau, 100.0, p, GroupParams.zero()) for tau in taus]
+        _, slopes = price_slopes(strips, ("rho", "v1e", "v4e"), spec)
+        for tau, (rho, v1e, v4e) in zip(taus, slopes):
+            gap = np.max(np.abs(rho - p.sigma * (v1e - v4e)))
+            assert gap <= 1e-11 * np.max(np.abs(rho)), tau
+
+
 class TestCalibrateMultiscale:
-    def test_two_stage_recovery(self, multiscale_market):
-        prob = _problem(multiscale_market)
-        start = TRUTH_P.replace(kappa=1.4, sigma=0.5, z=0.05)
-        h_res = calibrate_heston(prob, start)
+    def test_two_stage_recovery(self):
+        # quotes priced at a point the fitted model holds: all eight
+        # parameters come back, here to 1e-9
+        market = _as_market(model_surface(EXPIRIES, STRIKES, FOLDED_P, FOLDED_V, SPEC))
+        prob = _problem(market)
+        h_res = calibrate_heston(prob, TRUTH_P.replace(kappa=1.4, sigma=0.5, z=0.05))
         m_res = calibrate_multiscale(prob, h_res)
         assert m_res.converged
-        for name in ("kappa", "rho", "sigma", "theta", "z"):
-            got = getattr(m_res.heston, name)
-            want = getattr(TRUTH_P, name)
+        for name in HESTON_NAMES:
+            got, want = getattr(m_res.heston, name), getattr(FOLDED_P, name)
             assert abs(got - want) <= 1e-4 * abs(want), name
         for name in ("v1e", "v2e", "v3e", "v4e"):
-            got = getattr(m_res.group, name)
-            want = getattr(TRUTH_V, name)
+            got, want = getattr(m_res.group, name), getattr(FOLDED_V, name)
             assert abs(got - want) <= 1e-4, name
         assert m_res.objective <= h_res.objective + 1e-12
+
+    def test_identified_combinations_recovered(self, multiscale_market):
+        # TRUTH_V has v1e != 0, which the fitted model cannot hold: it fits
+        # the quotes to 1.4e-11 (about 8e-7 RMS in vol), and the two
+        # combinations that v1e enters, which a chain identifies, came back
+        # within 9.8e-5 (rho) and 5.3e-6 (v1e + v4e) of the truth's
+        prob = _problem(multiscale_market)
+        h_res = calibrate_heston(prob, TRUTH_P.replace(kappa=1.4, sigma=0.5, z=0.05))
+        m_res = calibrate_multiscale(prob, h_res)
+        assert m_res.converged
+        assert m_res.objective <= 1e-10
+        assert m_res.group.v1e == 0.0
+
+        def combinations(p, v):
+            return p.rho + (v.v1e - v.v4e) / (2.0 * p.sigma), v.v1e + v.v4e
+
+        got = combinations(m_res.heston, m_res.group)
+        want = combinations(TRUTH_P, TRUTH_V)
+        assert np.max(np.abs(np.subtract(got, want))) <= 2e-4
+
+    def test_noisy_chain_fit_stays_inside_its_box(self, multiscale_market):
+        # with 1e-3 vol noise on the TRUTH_V chain, a fit that also moved v1e
+        # slid along the direction rho already prices, to rho = 0.999 (its
+        # bound) with v1e = -0.154 and v4e = 0.152; without it the fit ends
+        # at rho = -0.63 with |v| <= 0.003
+        prob = _problem(_as_market(multiscale_market, noise=1e-3, seed=11))
+        h_res = calibrate_heston(prob, TRUTH_P.replace(kappa=1.4, sigma=0.5, z=0.05))
+        m_res = calibrate_multiscale(prob, h_res)
+        assert m_res.converged
+        x = _pack(m_res.heston, m_res.group)
+        lo, hi = _box(prob.bounds, multiscale=True)
+        assert np.all(np.minimum(x - lo, hi - x) > 1e-3 * (hi - lo))
+        assert max(abs(c) for c in group_array(m_res.group)) <= 0.02
 
     def test_nested_model_consistency_on_heston_data(self, heston_market):
         prob = _problem(heston_market)
@@ -358,7 +425,7 @@ class TestBatchedPasses:
         prob = CalibProblem(market=market, quadrature=spec)
         x = _pack(
             TRUTH_P.replace(kappa=1.4, sigma=0.5),
-            GroupParams(0.01 - 1e-7, -0.001, -0.004, 0.0015),
+            GroupParams(0.0, -0.001, -0.004, 0.0015),
         )
         rate = market.rate(EXPIRIES[0])
 
@@ -400,7 +467,7 @@ class TestBatchedPasses:
                 _fit(prob, x if multiscale else x[:5], *_box(prob.bounds, multiscale))
             res, jacs, seen = stop.value.args
             assert res.shape == (n,)
-            assert all(jac.shape == (n, 9 if multiscale else 5) for jac in jacs)
+            assert all(jac.shape == (n, 8 if multiscale else 5) for jac in jacs)
             # the Jacobian at the residual pass's x neither prices nor
             # inverts; elsewhere it takes one more pass
             assert seen == [(1, n), (1, n), (2, 2 * n)]
@@ -409,14 +476,13 @@ class TestBatchedPasses:
         # central differences of the residuals with step 1e-4, each point
         # priced on its own at 1e-11 quadrature tolerances; the exact
         # Heston-stage columns meet them to 2.0e-7 of their scale (z).  The
-        # multiscale stage's exact Heston columns meet them to 3.0e-11,
-        # 6.9e-10, 1.4e-9, 8.8e-8 and 3.6e-7 (kappa to z), where forward
-        # differences met them to 1.2e-8, 3.2e-8, 6.5e-8, 1.9e-6 and 2.8e-6,
-        # and its v-columns to 3.0e-6 (v3e, whose largest entry is 3.2)
+        # multiscale stage's exact Heston columns meet them to 3.2e-11,
+        # 2.3e-10, 5.5e-10, 8.2e-8 and 2.1e-7 (kappa to z), and its v-columns
+        # to 2.4e-6 (v3e, whose largest entry is 3.1)
         spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-        x9, prob, residuals = self._setup(multiscale_market, spec)
+        x8, prob, residuals = self._setup(multiscale_market, spec)
         delta = 1e-4
-        for x in (x9[:5], x9):
+        for x in (x8[:5], x8):
             jac = _linearize(x, prob)[1]
             for j in range(len(x)):
                 e = np.zeros_like(x)

@@ -697,7 +697,7 @@ class TestCli:
     def test_too_few_quotes_for_both_stages_exit_3_before_pricing(
         self, tmp_path, monkeypatch, capsys
     ):
-        # 7 quotes would do for the 5 Heston parameters but not for the 9
+        # 7 quotes would do for the 5 Heston parameters but not for the 8
         # of the multiscale stage, which always follows it
         def no_pricing(*args, **kwargs):
             raise AssertionError("priced before counting the quotes")
@@ -710,7 +710,7 @@ class TestCli:
         argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain)]
         assert main(argv) == 3
         captured = capsys.readouterr()
-        assert captured.err == "error: 7 quotes cannot identify 9 free parameters\n"
+        assert captured.err == "error: 7 quotes cannot identify 8 free parameters\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -768,6 +768,15 @@ class TestCli:
         keys = cli._SETTINGS["calibration"]["bounds"][0]
         assert list(keys) == list(calibration.DEFAULT_BOUNDS)
 
+    def test_v1e_bound_is_an_unknown_key(self, tmp_path, chain_path, capsys):
+        # the fit holds v1e at 0, so there is no box for it to set
+        cfg = {"calibration": {"start": CALIB_START, "bounds": {"v1e": [-0.1, 0.1]}}}
+        argv = [*_config(tmp_path, cfg), "calibrate", "--chain", str(chain_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown config key calibration.bounds.v1e\n"
+        assert captured.out == ""
+
     def test_nonfinite_chain_number_exits_2(self, tmp_path, capsys):
         lines = _set(_two_row_chain(tmp_path), 3, "bid", "nan")
         chain = _write_lines(tmp_path / "chain.csv", lines)
@@ -817,8 +826,8 @@ class TestCli:
         ("z", [-1, 1], "(0, inf)"),
         ("sigma", [0.5, 0.2], "(0, inf)"),
         # a correction box must contain v = 0, where the corrected fit starts
-        ("v1e", [0.05, 0.2], None),
-    ], ids=["rho", "kappa", "z", "sigma", "v1e"])
+        ("v2e", [0.05, 0.2], None),
+    ], ids=["rho", "kappa", "z", "sigma", "v2e"])
     def test_bound_outside_its_domain_exits_3_before_pricing(
         self, tmp_path, chain_path, monkeypatch, capsys, name, pair, domain
     ):
