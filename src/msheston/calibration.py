@@ -7,8 +7,9 @@ with them at zero (the corrected model embeds the baseline at v = 0, so its
 fitted objective can only improve).  It holds v1e at 0: at v = 0 the
 rho-slope of every price is exactly sigma * (dP/dv1e - dP/dv4e), so a chain
 identifies rho + (v1e - v4e)/(2 sigma) and v1e + v4e, not the three apart,
-and rho and v4e carry v1e's direction.  A fit minimizes the implied-vol quote
-residuals and nothing else: the Feller condition is reported
+and rho and v4e carry v1e's direction.  A fit minimizes the quotes' price
+gaps over vega at the market vol, their implied-vol gaps to first order, and
+nothing else: the Feller condition is reported
 (``CalibResult.feller_satisfied``), never enforced.
 
 A fit runs in natural units inside the box of ``DEFAULT_BOUNDS`` overridden
@@ -17,12 +18,12 @@ every iterate strictly inside it.
 
 Each stage is one ``least_squares`` run from its start point.  Each
 residual evaluation prices every expiry in one ``price_slopes`` call and
-inverts the quotes once; the Jacobian at that x is read off the same pass,
-so a run costs nfev integrations.  Every column of both stages is exact,
-with no difference step: the slope of each total price in each parameter,
-riding on the mesh that the prices choose, over vega at the model vol.  The
+inverts nothing; the Jacobian at that x is read off the same pass, so a run
+costs nfev integrations.  Every column of both stages is exact, with no
+difference step: the slope of each total price in each parameter, riding on
+the mesh that the prices choose, times the quote's constant weight.  The
 reported objective and per-expiry residuals are read off the run's final
-residual vector.
+residual vector, finite wherever the model prices are, in band or not.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence, OutOfBand
 from .kernel import HestonParams
 from .pricer import GROUP_NAMES, HESTON_NAMES, GroupParams, price_slopes, price_strips
 from .quadrature import QuadratureSpec
-from .vol_surface import VolSurface, bs_vega, implied_vol
+from .vol_surface import VolSurface, bs_call, bs_vega
 
 # The corrected fit's parameters in ``_pack`` order; the baseline fits the first 5
 FIT_NAMES = HESTON_NAMES + GROUP_NAMES[1:]
@@ -53,13 +53,9 @@ DEFAULT_BOUNDS = {
     "v4e": (-0.5, 0.5),
 }
 
-# Residual assigned to a quote whose model price cannot be inverted; large in
-# vol units yet finite, so the search is steered away without blowing up.
-OUT_OF_BAND_RESIDUAL = 1.0
-
-
-# Quadrature of a fit unless the problem sets its own: residuals are compared
-# in implied vol, so the price tolerances can be looser than the defaults.
+# Quadrature of a fit unless the problem sets its own: residuals are price
+# gaps over vega, in vol units to first order, so the price tolerances can be
+# looser than the defaults.
 CALIBRATION_QUADRATURE = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-7)
 
 # The residual evaluations one least-squares run may spend, per stage.
@@ -71,24 +67,28 @@ MULTISCALE_MAX_NFEV = 600
 class CalibProblem:
     """Market data plus the knobs of the least-squares formulation.
 
-    Every quote weighs the same and the quote residuals are the whole
-    objective: the Feller condition is reported, never enforced.  ``bounds``
-    maps parameter names to (lo, hi) boxes that override ``DEFAULT_BOUNDS``,
-    each with lo < hi inside the parameter's open domain: (-1, 1) for
-    ``rho``, (0, inf) for the other Heston parameters, and the reals for
-    v2e, v3e and v4e (v1e has no box), whose boxes must also contain 0 so
-    that the corrected-model fit starts at the baseline optimum.
+    Each price gap weighs 1/vega at its quote's market vol (``weights``,
+    next to the quotes' Black-Scholes ``market_prices``, both computed here
+    once) and the quote residuals are the whole objective: the Feller
+    condition is reported, never enforced.  ``bounds`` maps parameter names
+    to (lo, hi) boxes that override ``DEFAULT_BOUNDS``, each with lo < hi
+    inside the parameter's open domain: (-1, 1) for ``rho``, (0, inf) for
+    the other Heston parameters, and the reals for v2e, v3e and v4e (v1e has
+    no box), whose boxes must also contain 0 so that the corrected-model fit
+    starts at the baseline optimum.
 
     Raises
     ------
     ValueError
-        If a bound names no fitted parameter or is not such a pair, before
-        any pricing.
+        If a bound names no fitted parameter or is not such a pair, or if a
+        quote's 1/vega is not finite, before any pricing.
     """
 
     market: VolSurface
     bounds: dict = field(default_factory=dict)
     quadrature: QuadratureSpec = CALIBRATION_QUADRATURE
+    market_prices: np.ndarray = field(init=False, compare=False)
+    weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         for name, pair in self.bounds.items():
@@ -109,6 +109,17 @@ class CalibProblem:
             if name in GROUP_NAMES and not lo <= 0.0 <= hi:
                 raise ValueError(f"bounds.{name} = [{lo}, {hi}] must contain 0, "
                                  "where the corrected model is the baseline")
+        market, prices, weights = self.market, [], []
+        for pt in market.points:
+            args = (market.spot, pt.strike, pt.expiry, pt.implied_vol,
+                    market.rate(pt.expiry), market.dividend_yield(pt.expiry))
+            vega = bs_vega(*args)
+            if not (vega > 0.0 and math.isfinite(1.0 / vega)):
+                raise ValueError(f"quote at expiry {pt.expiry}, strike {pt.strike}: "
+                                 f"vega {vega} at vol {pt.implied_vol} cannot weigh it")
+            prices.append(bs_call(*args))
+            weights.append(1.0 / vega)
+        self.market_prices, self.weights = np.array(prices), np.array(weights)
 
     def require_enough_quotes(self, n_params: int = len(FIT_NAMES)):
         if self.market.n_points < n_params:
@@ -122,15 +133,16 @@ class CalibProblem:
 class CalibResult:
     """A fitted parameter set with its objective and per-expiry diagnostics.
 
-    ``objective`` is the sum of squared implied-vol quote residuals, exactly
-    what ``least_squares`` minimized, and ``per_expiry_rss`` their mean
-    square per expiry, both from the run's final residual vector.
+    ``objective`` is the sum of squared quote residuals (price gaps over
+    vega, vol units to first order), exactly what ``least_squares``
+    minimized, and ``per_expiry_rss`` their mean square per expiry, both
+    from the run's final residual vector.
     ``iterations`` is ``least_squares``' nfev: residual evaluations on
     accepted or rejected trust-region steps, each one batched integration
     that also carries the exact price slopes.  ``jacobians`` is its njev:
     each Jacobian is read off the residual evaluation at its x, which
-    ``least_squares`` has just made, so it neither prices nor inverts.  A
-    run costs nfev integrations.
+    ``least_squares`` has just made, so it prices nothing.  A run costs nfev
+    integrations and inverts no quote.
     ``soft_failures`` counts the run's integrations in which any strip came
     back tagged ``nonconvergence``: their prices are best estimates that
     missed the quadrature tolerance.  ``feller_satisfied`` reports whether
@@ -188,36 +200,17 @@ def _strips(p: HestonParams, v, market: VolSurface) -> list:
     return strips
 
 
-def _vol_residuals(prices, market: VolSurface):
-    """Residuals sigma_mkt - sigma_model of a price row, and d sigma_model / dP;
-    a price with no implied vol gets ``OUT_OF_BAND_RESIDUAL`` and slope 0."""
-    residuals = np.full(len(prices), OUT_OF_BAND_RESIDUAL)
-    slopes = np.zeros(len(prices))
-    for i, (pt, price) in enumerate(zip(market.points, prices)):
-        rate, q = market.rate(pt.expiry), market.dividend_yield(pt.expiry)
-        try:
-            vol = implied_vol(price, market.spot, pt.strike, pt.expiry, rate, q)
-        except (OutOfBand, NonConvergence):
-            continue
-        residuals[i] = pt.implied_vol - vol
-        slopes[i] = 1.0 / bs_vega(market.spot, pt.strike, pt.expiry, vol, rate, q)
-    return residuals, slopes
-
-
 def objective_heston(p: HestonParams, prob: CalibProblem) -> np.ndarray:
-    """Per-quote residual vector of the baseline model at ``p``.
-
-    Total by construction: uninvertible model points contribute the finite
-    out-of-band penalty residual.
-    """
+    """Per-quote residual vector of the baseline model at ``p``."""
     return objective_multiscale((p, None), prob)
 
 
 def objective_multiscale(phi, prob: CalibProblem) -> np.ndarray:
-    """Per-quote residual vector of the corrected model at the (p, v) pair ``phi``."""
+    """Per-quote residual vector (P_mkt - P_model) / vega(sigma_mkt) of the
+    corrected model at the (p, v) pair ``phi``."""
     strips = _strips(*phi, prob.market)
     prices = [bd.total for strip in price_strips(strips, prob.quadrature) for bd in strip]
-    return _vol_residuals(prices, prob.market)[0]
+    return (prob.market_prices - prices) * prob.weights
 
 
 def _per_expiry_rss(residuals, market: VolSurface) -> tuple:
@@ -234,19 +227,18 @@ def _linearize(x, prob: CalibProblem):
 
     Every column is exact and rides on the mesh that the prices at ``x``
     choose: ``price_slopes`` gives the slope of each total price in every
-    entry of ``x``, Heston parameters and v2e..v4e alike.
-    Price slopes become vol slopes through 1/vega at the model vol of ``x``,
-    so only the quotes of ``x`` are inverted; a quote with no implied vol
-    keeps its constant residual and gets a zero row.
+    entry of ``x``, Heston parameters and v2e..v4e alike.  A residual is its
+    price gap times the quote's constant weight, so its row is minus that
+    weight times the price slopes, and nothing is inverted.
     """
     market = prob.market
     p, v = _unpack(x, market.rate(market.expiries()[0]))
     wrt = HESTON_NAMES if v is None else FIT_NAMES
     breakdowns, slopes = price_slopes(_strips(p, v, market), wrt, prob.quadrature)
     priced = [bd for strip in breakdowns for bd in strip]
-    residuals, dvol = _vol_residuals([bd.total for bd in priced], market)
+    residuals = (prob.market_prices - [bd.total for bd in priced]) * prob.weights
     tagged = any("nonconvergence" in bd.warnings for bd in priced)
-    return residuals, -(np.hstack(slopes) * dvol).T, tagged
+    return residuals, -(np.hstack(slopes) * prob.weights).T, tagged
 
 
 def least_squares(*args, **kwargs):
@@ -262,9 +254,9 @@ def _fit(prob, x0, lo, hi) -> CalibResult:
     accepts a step only when the cost falls, so the run never ends above its
     start.  Its trust region is scaled by the Jacobian's column norms, since
     the parameters' natural units differ by orders of magnitude.  Each
-    residual evaluation is one ``_linearize`` pass, which inverts the quotes
-    once and keeps its Jacobian: ``least_squares`` asks for the Jacobian only
-    at the x it has just evaluated, so a run costs nfev integrations.
+    residual evaluation is one ``_linearize`` pass, which inverts nothing and
+    keeps its Jacobian: ``least_squares`` asks for the Jacobian only at the
+    x it has just evaluated, so a run costs nfev integrations.
     """
     rate = prob.market.rate(prob.market.expiries()[0])
     soft = []  # per integration: did any strip come back tagged?

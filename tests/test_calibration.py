@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from msheston.calibration import (
     objective_multiscale,
     residual_ratio_report,
 )
-from msheston import calibration, cli, pricer
+from msheston import calibration, cli, pricer, vol_surface
 from msheston.calibration import (
     FIT_NAMES,
     _box,
@@ -27,9 +28,10 @@ from msheston.calibration import (
     _unpack,
 )
 from msheston.kernel import HestonParams
-from msheston.pricer import HESTON_NAMES, GroupParams, price_slopes
+from msheston.pricer import HESTON_NAMES, GroupParams, price_slopes, price_strikes, price_strips
 from msheston.quadrature import QuadratureSpec, integrate_adaptive
-from msheston.vol_surface import VolPoint, VolSurface, implied_vol, model_surface
+from msheston.vol_surface import (PRICE_TOL, VolPoint, VolSurface, bs_call, bs_vega,
+                                  implied_vol, model_surface)
 
 from .conftest import EDGE_HESTON, FIGURE1_HESTON, TABLE1_HESTON
 from .helpers import group_array
@@ -82,6 +84,56 @@ def _problem(market, **kwargs):
     return CalibProblem(market=market, quadrature=SPEC, **kwargs)
 
 
+def _bs(market, pt):
+    """Black-Scholes (call, vega, d1 * d2 / vol) of a quote at its market vol."""
+    rate, q = market.rate(pt.expiry), market.dividend_yield(pt.expiry)
+    args = (market.spot, pt.strike, pt.expiry, pt.implied_vol, rate, q)
+    sq = pt.implied_vol * math.sqrt(pt.expiry)
+    d1 = (math.log(market.spot / pt.strike)
+          + (rate - q + 0.5 * pt.implied_vol**2) * pt.expiry) / sq
+    return bs_call(*args), bs_vega(*args), d1 * (d1 - sq) / pt.implied_vol
+
+
+def _inversion_bounds(market):
+    """Per quote of a chain priced by ``model_surface``, the most its price
+    gap over vega at the pricing point can be: ``implied_vol`` reproduced the
+    model price to min(PRICE_TOL, 1e-8 * its time value)."""
+    bounds = []
+    for pt in market.points:
+        call, vega, _ = _bs(market, pt)
+        rate, q = market.rate(pt.expiry), market.dividend_yield(pt.expiry)
+        lower = max(market.spot * math.exp(-q * pt.expiry)
+                    - pt.strike * math.exp(-rate * pt.expiry), 0.0)
+        bounds.append(min(PRICE_TOL, 1e-8 * (call - lower)) / vega)
+    return np.array(bounds)
+
+
+def _bumped(market, expiry, bumps):
+    """The first len(bumps) quotes of ``expiry``, each vol moved by its bump."""
+    pts = [pt for pt in market.points if pt.expiry == expiry][:len(bumps)]
+    return VolSurface(
+        spot=market.spot,
+        points=tuple(VolPoint(pt.expiry, pt.strike, pt.implied_vol + bump, "market")
+                     for pt, bump in zip(pts, bumps)),
+        rates=dict(market.rates),
+        dividend_yields={},
+    )
+
+
+def _check_vol_gaps(res, market, p, bumps):
+    """Each residual is its quote's price gap to the model at ``p`` over vega,
+    to 1e-12 relative; that is its vol bump to second order: the vega-weighted
+    gap is bump - (d1 d2 / vol) bump^2 / 2 + O(bump^3), here within
+    (d1 d2 / vol) bump^2 of the bump."""
+    (expiry,) = market.expiries()
+    model = price_strikes(market.strikes(expiry), expiry, market.spot, p, None, SPEC)
+    assert res.shape == (len(bumps),)
+    for r, pt, bd, bump in zip(res, market.points, model, bumps):
+        call, vega, curvature = _bs(market, pt)
+        assert r == pytest.approx((call - bd.total) / vega, rel=1e-12, abs=0.0)
+        assert abs(r - bump) <= abs(curvature) * bump * bump
+
+
 @pytest.fixture
 def fits(monkeypatch):
     """The OptimizeResult of every least_squares run, in call order."""
@@ -97,21 +149,17 @@ def fits(monkeypatch):
 
 class TestObjective:
     def test_zero_at_truth(self, heston_market):
+        # zero up to the inversion that made the quotes: measured at most
+        # 0.88 of each quote's bound (2.9e-12)
         res = objective_heston(TRUTH_P, _problem(heston_market))
         assert res.shape == (len(heston_market.points),)
-        assert np.max(np.abs(res)) < 1e-12
+        assert np.all(np.abs(res) <= _inversion_bounds(heston_market))
 
     def test_single_quote_residual_is_vol_gap(self, heston_market):
-        pt = heston_market.points[0]
-        single = VolSurface(
-            spot=heston_market.spot,
-            points=(VolPoint(pt.expiry, pt.strike, pt.implied_vol + 0.01, "market"),),
-            rates=dict(heston_market.rates),
-            dividend_yields={},
-        )
+        # a +0.01 vol bump gives a residual of 0.009772
+        single = _bumped(heston_market, EXPIRIES[0], [0.01])
         res = objective_heston(TRUTH_P, _problem(single))
-        assert res.shape == (1,)
-        assert res[0] == pytest.approx(0.01, abs=1e-9)
+        _check_vol_gaps(res, single, TRUTH_P, [0.01])
 
     def test_perturbed_parameters_increase_rss(self, heston_market):
         prob = _problem(heston_market)
@@ -128,25 +176,29 @@ class TestObjective:
         assert perturbed > at_truth
 
     def test_multiscale_objective_zero_at_truth(self, multiscale_market):
+        # measured at most 0.94 of each quote's bound (3.6e-12)
         res = objective_multiscale((TRUTH_P, TRUTH_V), _problem(multiscale_market))
-        assert np.max(np.abs(res)) < 1e-12
+        assert np.all(np.abs(res) <= _inversion_bounds(multiscale_market))
 
-    def test_out_of_band_model_points_penalized(self, heston_market):
-        # an absurd correction drives short-dated prices out of band; the
-        # objective stays finite with unit penalty residuals
-        prob = _problem(heston_market)
-        res = objective_multiscale(
-            (TRUTH_P, GroupParams(0.0, 0.0, 0.49, 0.0)), prob
-        )
-        assert np.all(np.isfinite(res))
-        assert np.max(np.abs(res)) <= 1.0 + 1e-12
-        out = np.abs(res) == 1.0
-        assert np.any(out)
-        # such quotes get zero Jacobian rows; the others still move
-        x = _pack(TRUTH_P, GroupParams(0.0, 0.0, 0.49, 0.0))
-        jac = _linearize(x, prob)[1]
-        assert np.all(jac[out] == 0.0)
-        assert np.all(np.any(jac[~out] != 0.0, axis=1))
+    @pytest.mark.parametrize("expiry, strike, vol", [(0.01, 200.0, 1e-3),
+                                                     (7 / 365, 130.0, 0.05)],
+                             ids=["zero-vega", "subnormal-vega"])
+    def test_quote_without_finite_weight_rejected_before_pricing(
+            self, monkeypatch, expiry, strike, vol):
+        # the first quote's vega is 0.0, the second's about 1e-311, whose
+        # inverse overflows: neither can weigh a price gap
+        vega = bs_vega(100.0, strike, expiry, vol, 0.0)
+        assert vega < sys.float_info.min
+        market = VolSurface(spot=100.0, points=(VolPoint(expiry, strike, vol, "market"),),
+                            rates={expiry: 0.0}, dividend_yields={})
+
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("priced before weighing the quotes")
+
+        monkeypatch.setattr(pricer, "integrate_adaptive", no_pricing)
+        with pytest.raises(ValueError, match=re.escape(
+                f"quote at expiry {expiry}, strike {strike}: vega {vega}")):
+            _problem(market)
 
 
 class TestCalibrateHeston:
@@ -419,7 +471,7 @@ class _Stop(Exception):
 
 class TestBatchedPasses:
     """A residual pass prices all its points in one integration and inverts
-    one point's quotes; the Jacobian at its x costs nothing more."""
+    nothing; the Jacobian at its x costs nothing more."""
 
     def _setup(self, market, spec=SPEC):
         prob = CalibProblem(market=market, quadrature=spec)
@@ -456,8 +508,10 @@ class TestBatchedPasses:
             raise _Stop(res, jacs, seen)
 
         monkeypatch.setattr(pricer, "integrate_adaptive", counted)
-        monkeypatch.setattr(calibration, "implied_vol", counted_inversion)
+        monkeypatch.setattr(vol_surface, "implied_vol", counted_inversion)
         monkeypatch.setattr(calibration, "least_squares", first_passes)
+        # nor is there an inversion of its own to call
+        assert not hasattr(calibration, "implied_vol")
         n = multiscale_market.n_points
         x, prob, _ = self._setup(multiscale_market)
         for multiscale in (False, True):
@@ -468,22 +522,34 @@ class TestBatchedPasses:
             res, jacs, seen = stop.value.args
             assert res.shape == (n,)
             assert all(jac.shape == (n, 8 if multiscale else 5) for jac in jacs)
-            # the Jacobian at the residual pass's x neither prices nor
-            # inverts; elsewhere it takes one more pass
-            assert seen == [(1, n), (1, n), (2, 2 * n)]
+            # no pass inverts; the Jacobian at the residual pass's x does
+            # not price, and elsewhere it takes one more pass
+            assert seen == [(1, 0), (1, 0), (2, 0)]
 
-    def test_jacobian_against_central_differences(self, multiscale_market):
+    def test_jacobian_against_central_differences(self, multiscale_market, heston_market):
         # central differences of the residuals with step 1e-4, each point
         # priced on its own at 1e-11 quadrature tolerances; the exact
         # Heston-stage columns meet them to 2.0e-7 of their scale (z).  The
         # multiscale stage's exact Heston columns meet them to 3.2e-11,
         # 2.3e-10, 5.5e-10, 8.2e-8 and 2.1e-7 (kappa to z), and its v-columns
-        # to 2.4e-6 (v3e, whose largest entry is 3.1)
+        # to 2.4e-6 (v3e, whose largest entry is 3.1).  At v3e = 0.49 on the
+        # Heston chain 6 of the 21 model prices leave the no-arbitrage band:
+        # their residuals stay finite and their rows true (smallest row norm
+        # 0.61), within 4.0e-6 of scale
         spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
         x8, prob, residuals = self._setup(multiscale_market, spec)
+        _, out_prob, out_residuals = self._setup(heston_market, spec)
+        x_out = _pack(TRUTH_P, GroupParams(0.0, 0.0, 0.49, 0.0))
+        priced = price_strips(calibration._strips(*_unpack(x_out, TRUTH_P.r), heston_market),
+                              spec)
+        tags = [bd.warnings for strip in priced for bd in strip]
+        assert sum("outside_no_arbitrage_band" in t for t in tags) == 6
         delta = 1e-4
-        for x in (x8[:5], x8):
-            jac = _linearize(x, prob)[1]
+        for x, prob, residuals in ((x8[:5], prob, residuals), (x8, prob, residuals),
+                                   (x_out, out_prob, out_residuals)):
+            res, jac, _ = _linearize(x, prob)
+            assert np.all(np.isfinite(res))
+            assert np.all(np.linalg.norm(jac, axis=1) > 0.0)
             for j in range(len(x)):
                 e = np.zeros_like(x)
                 e[j] = delta
@@ -509,24 +575,15 @@ def _reject(constant):
 
 class TestResidualReport:
     def test_two_quote_mean_square(self, heston_market):
-        # one expiry, two quotes offset by +a and +b: marginal msr = (a^2+b^2)/2
+        # one expiry, two quotes offset by +a and +b: marginal msr is the mean
+        # of the two squared residuals, each about its offset
         a, b = 0.004, -0.002
-        pts = [
-            pt for pt in heston_market.points if pt.expiry == EXPIRIES[0]
-        ][:2]
-        market = VolSurface(
-            spot=heston_market.spot,
-            points=(
-                VolPoint(pts[0].expiry, pts[0].strike, pts[0].implied_vol + a, "market"),
-                VolPoint(pts[1].expiry, pts[1].strike, pts[1].implied_vol + b, "market"),
-            ),
-            rates=dict(heston_market.rates),
-            dividend_yields={},
-        )
-        prob = _problem(market)
-        rows = _per_expiry_rss(objective_heston(TRUTH_P, prob), market)
+        market = _bumped(heston_market, EXPIRIES[0], [a, b])
+        res = objective_heston(TRUTH_P, _problem(market))
+        _check_vol_gaps(res, market, TRUTH_P, [a, b])
+        rows = _per_expiry_rss(res, market)
         assert len(rows) == 1
-        assert rows[0][1] == pytest.approx((a * a + b * b) / 2.0, rel=1e-6)
+        assert rows[0][1] == pytest.approx(np.mean(res**2), rel=1e-15)
 
     def test_zero_residuals(self, heston_market):
         prob = _problem(heston_market)

@@ -17,10 +17,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # trace there.  The fits and the surface price all their strips through one
 # ``price_strips`` call, so they no longer look up ``price_strikes``; their
 # strips are seen only as ``msheston.pricer.integrate_adaptive`` calls until
-# the tracer wraps ``price_strips``.  Every other traced boundary must exist.
+# the tracer wraps ``price_strips``.  A fit weighs each quote's price gap by
+# 1/vega at its market vol and inverts no model price, so the calibration
+# module holds no ``implied_vol``; a fit's inversions are ``load_chain``'s.
+# Every other traced boundary must exist.
 KNOWN_UNMEASURED = {
     "msheston.group_params.integrate_adaptive",
     "msheston.calibration.price_strikes",
+    "msheston.calibration.implied_vol",
     "msheston.vol_surface.price_strikes",
 }
 
